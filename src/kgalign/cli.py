@@ -6,8 +6,8 @@ embeddings, ``features`` builds per-feature similarity matrices, ``fuse``
 combines them adaptively, ``align`` decodes matches, ``eval`` scores a
 result file, and ``pipeline`` chains everything with stage caching.
 
-The KGALIGN_THREADS environment variable sets the default worker count for
-stages that parallelize.
+The KGALIGN_THREADS environment variable sets the default worker count of
+the string-similarity stage, the only stage that runs in parallel.
 """
 
 from __future__ import annotations

@@ -215,53 +215,63 @@ def init_critic(rng: np.random.Generator, state_dim: int, hidden: int) -> Critic
     )
 
 
-def actor_forward(s: np.ndarray, params: ActorParameters) -> np.ndarray:
-    """Candidate probabilities: softmax(W2 relu(W1 s + b1) + b2)."""
-    hidden = np.maximum(params.w1 @ s + params.b1, 0.0)
+def _actor_pass(
+    s: np.ndarray, params: ActorParameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activation, hidden layer and probabilities of the actor."""
+    pre = params.w1 @ s + params.b1
+    hidden = np.maximum(pre, 0.0)
     logits = params.w2 @ hidden + params.b2
     logits = logits - logits.max()
     exp = np.exp(logits)
-    return exp / exp.sum()
+    return pre, hidden, exp / exp.sum()
+
+
+def _actor_grads(s, params, action, pre, hidden, probs):
+    d_logits = -probs
+    d_logits[action] += 1.0
+    g_w2 = d_logits[:, None] * hidden  # np.outer's own product, minus its overhead
+    d_pre = (params.w2.T @ d_logits) * (pre > 0)
+    return d_pre[:, None] * s, d_pre, g_w2, d_logits
+
+
+def actor_forward(s: np.ndarray, params: ActorParameters) -> np.ndarray:
+    """Candidate probabilities: softmax(W2 relu(W1 s + b1) + b2)."""
+    return _actor_pass(s, params)[2]
 
 
 def actor_log_prob_grads(
     s: np.ndarray, params: ActorParameters, action: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of log pi(action | s) with respect to the actor parameters."""
-    pre = params.w1 @ s + params.b1
+    return _actor_grads(s, params, action, *_actor_pass(s, params))
+
+
+def _critic_pass(
+    s: np.ndarray, params: CriticParameters
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Pre-activation, hidden layer and value of the critic."""
+    pre = params.w3 @ s + params.b3
     hidden = np.maximum(pre, 0.0)
-    logits = params.w2 @ hidden + params.b2
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    probs = exp / exp.sum()
-    d_logits = -probs
-    d_logits[action] += 1.0
-    g_w2 = np.outer(d_logits, hidden)
-    g_b2 = d_logits
-    d_pre = (params.w2.T @ d_logits) * (pre > 0)
-    g_w1 = np.outer(d_pre, s)
-    g_b1 = d_pre
-    return g_w1, g_b1, g_w2, g_b2
+    return pre, hidden, float((params.w4 @ hidden + params.b4)[0])
+
+
+def _critic_grads(s, params, pre, hidden):
+    d_pre = params.w4[0] * (pre > 0)
+    return d_pre[:, None] * s, d_pre, hidden[None, :], np.ones(1)
 
 
 def critic_value(s: np.ndarray, params: CriticParameters) -> float:
     """Estimated state value: W4 relu(W3 s + b3) + b4."""
-    hidden = np.maximum(params.w3 @ s + params.b3, 0.0)
-    return float((params.w4 @ hidden + params.b4)[0])
+    return _critic_pass(s, params)[2]
 
 
 def critic_grads(
     s: np.ndarray, params: CriticParameters
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the value estimate with respect to the critic parameters."""
-    pre = params.w3 @ s + params.b3
-    hidden = np.maximum(pre, 0.0)
-    g_w4 = hidden[None, :]
-    g_b4 = np.ones(1)
-    d_pre = params.w4[0] * (pre > 0)
-    g_w3 = np.outer(d_pre, s)
-    g_b3 = d_pre
-    return g_w3, g_b3, g_w4, g_b4
+    pre, hidden, _ = _critic_pass(s, params)
+    return _critic_grads(s, params, pre, hidden)
 
 
 def reward(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, a: int) -> float:
@@ -271,23 +281,23 @@ def reward(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, a: int) -> float:
     return float(s1[a] * s2[a] + s3[a])
 
 
-def _state(
-    env: AlignmentEnvironment,
-    u: int,
-    chosen: set[int],
-    matched: Mapping[int, int],
-    mode: str,
-) -> StateVector:
-    cand = env.candidates[u]
-    s1 = env.scores[u, cand].astype(np.float64)
-    s2 = np.ones(len(cand))
-    if mode != "coherence_only" and chosen:
-        s2[np.isin(cand, sorted(chosen))] = -1.0
-    if mode == "exclusiveness_only":
-        s3 = np.zeros(len(cand))
-    else:
-        s3 = coherence_vector(u, matched, env.src_neighbors, env.tgt_neighbors, cand)
-    return StateVector(s1=s1, s2=s2, s3=s3)
+def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """``rng.choice(len(probs), p=probs)`` without its argument checks.
+
+    The same algorithm as numpy's: one uniform double searched in the
+    normalised cumulative sum, so it draws the same index and advances the
+    generator by the same amount.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _descend(params: tuple[np.ndarray, ...], grads, step: float) -> None:
+    # step is lr * delta, grouped as (lr * delta) * g: regrouping would
+    # change the last bits of every update.
+    for p, g in zip(params, grads):
+        p += step * g
 
 
 def run_episode(
@@ -301,53 +311,65 @@ def run_episode(
 ) -> dict[int, int]:
     """One pass over the source sequence; updates parameters when training.
 
-    Exclusiveness bookkeeping is by target identity: once any source takes a
-    target, every later candidate list containing it sees s2 = -1. The pass
-    after the last source is terminal (value 0 in the TD target).
+    Exclusiveness bookkeeping is by target identity: a boolean mask over
+    targets marks each one taken, so every later candidate list containing
+    it sees s2 = -1. The pass after the last source is terminal (value 0 in
+    the TD target). Each step runs the actor and the critic forward once and
+    reuses their activations for the gradients; the arithmetic is the same
+    as composing ``actor_forward``, ``actor_log_prob_grads``,
+    ``critic_value`` and ``critic_grads``, so parameters match them bit for
+    bit.
     """
-    chosen: set[int] = set()
-    matched: dict[int, int] = dict(env.confirmed)
     decisions: dict[int, int] = {}
     order = env.order
     if not order:
         return decisions
-    state = _state(env, order[0], chosen, matched, cfg.mode)
+    scores, candidates = env.scores, env.candidates
+    src_neighbors, tgt_neighbors = env.src_neighbors, env.tgt_neighbors
+    exclusive = cfg.mode != "coherence_only"
+    coherent = cfg.mode != "exclusiveness_only"
+    gamma, actor_lr, critic_lr = cfg.gamma, cfg.actor_lr, cfg.critic_lr
+    actor_arrays = (actor.w1, actor.b1, actor.w2, actor.b2)
+    critic_arrays = (critic.w3, critic.b3, critic.w4, critic.b4)
+    taken = np.zeros(scores.shape[1], dtype=bool)
+    matched: dict[int, int] = dict(env.confirmed)
+
+    def state(u: int) -> tuple[StateVector, np.ndarray]:
+        cand = candidates[u]
+        s2 = np.where(taken[cand], -1.0, 1.0) if exclusive else np.ones(len(cand))
+        s3 = (
+            coherence_vector(u, matched, src_neighbors, tgt_neighbors, cand)
+            if coherent
+            else np.zeros(len(cand))
+        )
+        sv = StateVector(s1=scores[u, cand].astype(np.float64), s2=s2, s3=s3)
+        return sv, sv.combined
+
+    cur, s = state(order[0])
+    last = len(order) - 1
     for idx, u in enumerate(order):
-        probs = actor_forward(state.combined, actor)
-        if not np.all(np.isfinite(probs)):
+        pre, hidden, probs = _actor_pass(s, actor)
+        if not np.isfinite(probs).all():
             raise TrainingError("policy produced non-finite action probabilities")
-        if train:
-            a = int(rng.choice(len(probs), p=probs))
-        else:
-            a = int(np.argmax(probs))
-        v = int(env.candidates[u][a])
-        r = reward(state.s1, state.s2, state.s3, a)
+        a = _sample(rng, probs) if train else int(probs.argmax())
+        v = int(candidates[u][a])
+        r = float(s[a])
         if trace is not None:
-            trace.append((u, state, a, r))
-        chosen.add(v)
+            trace.append((u, cur, a, r))
+        taken[v] = True
         matched[u] = v
         decisions[u] = v
-        next_state = (
-            _state(env, order[idx + 1], chosen, matched, cfg.mode)
-            if idx + 1 < len(order)
-            else None
-        )
+        nxt = state(order[idx + 1]) if idx < last else None
         if train:
-            s_vec = state.combined
-            v_s = critic_value(s_vec, critic)
-            v_next = critic_value(next_state.combined, critic) if next_state else 0.0
-            delta = r + cfg.gamma * v_next - v_s
-            g_w3, g_b3, g_w4, g_b4 = critic_grads(s_vec, critic)
-            critic.w3 += cfg.critic_lr * delta * g_w3
-            critic.b3 += cfg.critic_lr * delta * g_b3
-            critic.w4 += cfg.critic_lr * delta * g_w4
-            critic.b4 += cfg.critic_lr * delta * g_b4
-            g_w1, g_b1, g_w2, g_b2 = actor_log_prob_grads(s_vec, actor, a)
-            actor.w1 += cfg.actor_lr * delta * g_w1
-            actor.b1 += cfg.actor_lr * delta * g_b1
-            actor.w2 += cfg.actor_lr * delta * g_w2
-            actor.b2 += cfg.actor_lr * delta * g_b2
-        state = next_state
+            c_pre, c_hidden, v_s = _critic_pass(s, critic)
+            v_next = _critic_pass(nxt[1], critic)[2] if nxt is not None else 0.0
+            delta = r + gamma * v_next - v_s
+            _descend(critic_arrays, _critic_grads(s, critic, c_pre, c_hidden),
+                     critic_lr * delta)
+            _descend(actor_arrays, _actor_grads(s, actor, a, pre, hidden, probs),
+                     actor_lr * delta)
+        if nxt is not None:
+            cur, s = nxt
     return decisions
 
 

@@ -152,19 +152,78 @@ def lev_ratio(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
+def _encode(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points as a -1-padded ``(max_len, n)`` int32 array plus the lengths.
+
+    One column per name, so each DP step is one contiguous op across all names.
+    """
+    lengths = np.array([len(name) for name in names], dtype=np.intp)
+    codes = np.full((int(lengths.max()), len(names)), -1, dtype=np.int32)
+    for j, name in enumerate(names):
+        codes[: len(name), j] = [ord(ch) for ch in name]
+    return codes, lengths
+
+
+def _lev_ratio_rows(
+    src_names: Sequence[str], codes: np.ndarray, lengths: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill ``out[r, t] = lev_ratio(src_names[r], target t)`` for all targets at once.
+
+    This is the row recurrence of ``levenshtein`` run across every target,
+    kept in offset form P[j] = D[j] - j: a new row is
+    min(P[j] + 1, P[j-1] - (tgt[j] == ch)), and the insertion sweep becomes a
+    plain running minimum down the target positions. Padding sits to the
+    right of each target, where it cannot reach the cell at the target's own
+    length. Buffers are O(max_len * n_tgt) and owned by this call.
+    """
+    max_len, n_tgt = codes.shape
+    cols = np.arange(n_tgt)
+    prev = np.empty((max_len + 1, n_tgt), dtype=np.int32)
+    cur = np.empty_like(prev)
+    match = np.empty(codes.shape, dtype=bool)
+    diag = np.empty(codes.shape, dtype=np.int32)
+    for r, name in enumerate(src_names):
+        prev.fill(0)
+        for i, ch in enumerate(name, start=1):
+            np.equal(codes, ord(ch), out=match)
+            np.subtract(prev[:-1], match, out=diag)
+            np.add(prev[1:], 1, out=cur[1:])
+            np.minimum(cur[1:], diag, out=cur[1:])
+            cur[0] = i
+            np.minimum.accumulate(cur, axis=0, out=cur)
+            prev, cur = cur, prev
+        dist = prev[lengths, cols] + lengths
+        # Same operands as lev_ratio's int / int, so the floats are identical;
+        # two empty names give 1 - 0 / 1 = 1.
+        out[r] = 1.0 - dist / np.maximum(np.maximum(lengths, len(name)), 1)
+
+
 def string_sim_matrix(
     src_names: Sequence[str], tgt_names: Sequence[str], threads: int = 1
 ) -> SimilarityMatrix:
-    """Levenshtein-ratio scores for every source/target name pair."""
+    """Levenshtein-ratio scores for every source/target name pair.
+
+    Each source name runs one DP across all target names at once (see
+    ``_lev_ratio_rows``); every score equals ``lev_ratio`` bit for bit. With
+    ``threads > 1`` the sources are split into contiguous chunks, one per
+    worker thread, each with its own DP buffers.
+    """
     if not src_names or not tgt_names:
         raise ValueError("name lists must be nonempty")
-
-    def row(i: int) -> np.ndarray:
-        return np.array([lev_ratio(src_names[i], t) for t in tgt_names])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(len(src_names))))
+    codes, lengths = _encode(tgt_names)
+    n_src = len(src_names)
+    scores = np.empty((n_src, len(tgt_names)))
+    workers = min(threads, n_src)
+    if workers > 1:
+        step = -(-n_src // workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_lev_ratio_rows, src_names[lo:lo + step], codes,
+                            lengths, scores[lo:lo + step])
+                for lo in range(0, n_src, step)
+            ]
+            for future in futures:
+                future.result()
     else:
-        rows = [row(i) for i in range(len(src_names))]
-    return SimilarityMatrix(np.vstack(rows), "string")
+        _lev_ratio_rows(src_names, codes, lengths, scores)
+    return SimilarityMatrix(scores, "string")

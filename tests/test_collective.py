@@ -8,6 +8,8 @@ import pytest
 from kgalign.collective import (
     AlignmentResult,
     RlConfig,
+    StateVector,
+    _sample,
     a2c_align,
     actor_forward,
     actor_log_prob_grads,
@@ -79,6 +81,72 @@ def mutual_argmax_oracle(scores, rounds):
             src.remove(i)
             tgt.remove(j)
     return confirmed, src, tgt
+
+
+def reference_state(env, u, chosen, matched, mode):
+    """The state as the per-step loop built it: a chosen set and np.isin."""
+    cand = env.candidates[u]
+    s1 = env.scores[u, cand].astype(np.float64)
+    s2 = np.ones(len(cand))
+    if mode != "coherence_only" and chosen:
+        s2[np.isin(cand, sorted(chosen))] = -1.0
+    if mode == "exclusiveness_only":
+        s3 = np.zeros(len(cand))
+    else:
+        s3 = coherence_vector(u, matched, env.src_neighbors, env.tgt_neighbors, cand)
+    return StateVector(s1=s1, s2=s2, s3=s3)
+
+
+def reference_episode(env, actor, critic, cfg, rng, train):
+    """run_episode composed from the public helpers, one call per quantity."""
+    chosen = set()
+    matched = dict(env.confirmed)
+    decisions = {}
+    order = env.order
+    if not order:
+        return decisions
+    state = reference_state(env, order[0], chosen, matched, cfg.mode)
+    for idx, u in enumerate(order):
+        probs = actor_forward(state.combined, actor)
+        if not np.all(np.isfinite(probs)):
+            raise TrainingError("policy produced non-finite action probabilities")
+        if train:
+            a = int(rng.choice(len(probs), p=probs))
+        else:
+            a = int(np.argmax(probs))
+        v = int(env.candidates[u][a])
+        r = reward(state.s1, state.s2, state.s3, a)
+        chosen.add(v)
+        matched[u] = v
+        decisions[u] = v
+        next_state = (
+            reference_state(env, order[idx + 1], chosen, matched, cfg.mode)
+            if idx + 1 < len(order)
+            else None
+        )
+        if train:
+            s_vec = state.combined
+            v_s = critic_value(s_vec, critic)
+            v_next = critic_value(next_state.combined, critic) if next_state else 0.0
+            delta = r + cfg.gamma * v_next - v_s
+            g_w3, g_b3, g_w4, g_b4 = critic_grads(s_vec, critic)
+            critic.w3 += cfg.critic_lr * delta * g_w3
+            critic.b3 += cfg.critic_lr * delta * g_b3
+            critic.w4 += cfg.critic_lr * delta * g_w4
+            critic.b4 += cfg.critic_lr * delta * g_b4
+            g_w1, g_b1, g_w2, g_b2 = actor_log_prob_grads(s_vec, actor, a)
+            actor.w1 += cfg.actor_lr * delta * g_w1
+            actor.b1 += cfg.actor_lr * delta * g_b1
+            actor.w2 += cfg.actor_lr * delta * g_w2
+            actor.b2 += cfg.actor_lr * delta * g_b2
+        state = next_state
+    return decisions
+
+
+def random_neighbors(rng, n, p):
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj = adj | adj.T
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj)
 
 
 class TestPreliminaryFilter:
@@ -318,6 +386,32 @@ class TestA2cAlign:
         with pytest.raises(TrainingError, match="non-finite"):
             run_episode(env, actor, critic, cfg, rng, train=True)
 
+    @pytest.mark.parametrize("prelim_rounds", [0, 2])
+    @pytest.mark.parametrize("mode", ["full", "exclusiveness_only", "coherence_only"])
+    def test_episode_bit_identical_to_reference(self, mode, prelim_rounds):
+        rng = np.random.default_rng(40)
+        scores = rng.random((40, 40))
+        src_nb = random_neighbors(rng, 40, 0.15)
+        tgt_nb = random_neighbors(rng, 40, 0.15)
+        cfg = RlConfig(tau=8, epochs=5, rng_seed=9, preliminary_rounds=prelim_rounds,
+                       mode=mode, actor_lr=0.01, critic_lr=0.05)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        assert len(env.order) >= 8
+        runs = []
+        for episode in (run_episode, reference_episode):
+            rng = np.random.default_rng(cfg.rng_seed)
+            actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
+            critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
+            decisions = [episode(env, actor, critic, cfg, rng, True) for _ in range(5)]
+            decisions.append(episode(env, actor, critic, cfg, rng, False))
+            arrays = (actor.w1, actor.b1, actor.w2, actor.b2,
+                      critic.w3, critic.b3, critic.w4, critic.b4)
+            runs.append((decisions, arrays))
+        (got_decisions, got_arrays), (want_decisions, want_arrays) = runs
+        assert got_decisions == want_decisions
+        for got, want in zip(got_arrays, want_arrays):
+            assert np.array_equal(got, want)
+
     def test_coordination_beats_greedy_on_scenario(self):
         wins = 0
         for seed in range(10):
@@ -327,6 +421,24 @@ class TestA2cAlign:
             if correct >= 3:
                 wins += 1
         assert wins >= 6
+
+
+class TestSample:
+    def test_same_index_and_stream_as_choice(self):
+        rng = np.random.default_rng(17)
+        vectors = [np.array([1.0]), np.array([0.0, 1.0, 0.0]),
+                   np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]),
+                   np.array([0.5, 0.0, 0.5, 0.0]), np.array([0.0, 0.3, 0.0, 0.7]),
+                   np.full(10, 0.1)]
+        for _ in range(20):
+            logits = rng.normal(scale=3.0, size=int(rng.integers(2, 12)))
+            exp = np.exp(logits - logits.max())
+            vectors.append(exp / exp.sum())
+        ours, numpy_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for draw in range(10_000):
+            p = vectors[draw % len(vectors)]
+            assert _sample(ours, p) == numpy_rng.choice(len(p), p=p)
+        assert ours.random() == numpy_rng.random()
 
 
 class TestGreedy:

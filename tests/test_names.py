@@ -29,6 +29,15 @@ def dp_levenshtein(a, b):
     return prev[-1]
 
 
+# Letters, a non-BMP code point, combining marks and a precomposed letter
+# that a combining sequence can spell, so code points are compared one by one.
+NAME_ALPHABET = st.sampled_from(list("abc ") + ["\U0001d518", "\u0301", "\u0308", "\u00e9"])
+NAMES = st.one_of(
+    st.text(NAME_ALPHABET, max_size=3),
+    st.text(NAME_ALPHABET, min_size=15, max_size=40),
+)
+
+
 class TestLoadWordVectors:
     def test_two_lines_no_header(self, tmp_path):
         path = tmp_path / "v.vec"
@@ -168,6 +177,23 @@ class TestStringSimMatrix:
         a = string_sim_matrix(names1, names2, threads=1)
         b = string_sim_matrix(names1, names2, threads=4)
         np.testing.assert_array_equal(a.scores, b.scores)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(NAMES, min_size=1, max_size=6), st.lists(NAMES, min_size=1, max_size=6))
+    def test_bit_identical_to_scalar_ratio(self, names1, names2):
+        m = string_sim_matrix(names1, names2)
+        for i, a in enumerate(names1):
+            for j, b in enumerate(names2):
+                assert m.scores[i, j] == lev_ratio(a, b)
+
+    def test_two_threads_match_one_on_forty_by_forty(self):
+        rng = np.random.default_rng(2)
+        alphabet = list("abcdef \u0301") + ["\U0001d518"]
+        names1 = ["".join(rng.choice(alphabet, size=rng.integers(0, 20))) for _ in range(40)]
+        names2 = ["".join(rng.choice(alphabet, size=rng.integers(0, 20))) for _ in range(40)]
+        one = string_sim_matrix(names1, names2, threads=1)
+        two = string_sim_matrix(names1, names2, threads=2)
+        assert np.array_equal(one.scores, two.scores)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
