@@ -102,6 +102,22 @@ def _grouped_negatives(
     return pos, neg, owner
 
 
+def _margin_terms(
+    z1: np.ndarray,
+    z2: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    owner: np.ndarray,
+    margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair differences and hinge arguments d1(pos) - d1(neg) + margin."""
+    diff_pos = z1[pos[:, 0]] - z2[pos[:, 1]]
+    diff_neg = z1[neg[:, 0]] - z2[neg[:, 1]]
+    d_pos = np.abs(diff_pos).sum(axis=1)
+    d_neg = np.abs(diff_neg).sum(axis=1)
+    return diff_pos, diff_neg, d_pos[owner] - d_neg + margin
+
+
 def margin_loss(
     z1: np.ndarray,
     z2: np.ndarray,
@@ -111,10 +127,121 @@ def margin_loss(
 ) -> float:
     """Sum over pairs of max(0, d1(pos) - d1(neg) + margin) with L1 distances."""
     pos, neg, owner = _grouped_negatives(positives, negatives)
-    d_pos = np.abs(z1[pos[:, 0]] - z2[pos[:, 1]]).sum(axis=1)
-    d_neg = np.abs(z1[neg[:, 0]] - z2[neg[:, 1]]).sum(axis=1)
-    terms = d_pos[owner] - d_neg + margin
+    terms = _margin_terms(z1, z2, pos, neg, owner, margin)[2]
     return float(np.maximum(terms, 0.0).sum())
+
+
+_MAX_ATTEMPTS = 100
+_WORD = 2**32  # numpy draws an integer below 2**32 from 32-bit words
+
+
+def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    return rng.integers(0, _WORD, size=count, dtype=np.uint32).astype(np.uint64)
+
+
+def _sample_negative_array(
+    pos: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    n_source: int,
+    n_target: int,
+) -> np.ndarray:
+    """(len(pos) * k, 2) corrupted pairs, k per positive in order.
+
+    Bit-for-bit the draws of a scalar loop that, per attempt, flips a coin
+    with ``rng.integers(2)``, draws the replacement with ``rng.integers(n)``
+    from the chosen side's pool and redraws on a collision with a positive,
+    at most 100 times per slot. numpy answers ``rng.integers(n)`` for
+    ``n <= 2**32`` with Lemire's method on 32-bit words: ``(word * n) >> 32``,
+    unless ``(word * n) mod 2**32 < (2**32 - n) mod n``, when it rejects the
+    word and reads the next; a pool of one entity reads no word, but its
+    only entity is the positive's own, so that attempt collides. So while
+    no attempt collides or rejects, attempt i reads words 2i (coin) and
+    2i + 1 (replacement), and a run of attempts is one array computation.
+    The first attempt that does either is replayed word by word, and the
+    scan resumes after it. A filled slot reads at least two words, and words
+    are drawn only as far as that bound, so the generator ends where the
+    loop's would; on :class:`SamplingError` it is rewound and advanced by
+    the words read.
+    """
+    pools = (n_source, n_target)
+    if not all(1 <= n <= _WORD for n in pools):
+        raise ValueError(f"entity pools must hold 1 to 2**32 entities, got {pools}")
+    if pos.size and (pos.min() < 0 or (pos.max(axis=0) >= pools).any()):
+        raise ValueError("a positive pair is outside the entity pools")
+    # A pair (s, t) is the key s * n_target + t. A candidate's key is the
+    # part its slot keeps (row 0: target kept, row 1: source kept) plus the
+    # replacement times its place value.
+    bounds = np.array(pools, dtype=np.uint64)
+    thresholds = (_WORD - bounds) % bounds
+    place = np.array([n_target, 1], dtype=np.uint64)
+    src, tgt = np.repeat(pos.astype(np.uint64), k, axis=0).T
+    kept = np.stack([tgt, src * bounds[1]])
+    pos_keys = np.unique(pos.astype(np.uint64) @ place)
+    pos_key_set = set(pos_keys.tolist())
+    slots = kept.shape[1]
+    keys = np.empty(slots, dtype=np.uint64)
+    start = rng.bit_generator.state
+    words = np.empty(0, dtype=np.uint64)  # drawn but not yet read
+    drawn = done = failures = 0
+
+    def draw(count: int) -> None:
+        nonlocal words, drawn
+        words = np.concatenate([words, _draw_words(rng, count)])
+        drawn += count
+
+    def read() -> int:
+        nonlocal words
+        if not len(words):
+            draw(1)
+        word, words = int(words[0]), words[1:]
+        return word
+
+    while done < slots:
+        short = 2 * (slots - done) - len(words)
+        if short > 0:
+            draw(short)
+        span = slots - done
+        side = (words[0:2 * span:2] >> 31).astype(np.intp)
+        scaled = words[1:2 * span:2] * bounds[side]
+        run = kept[side, np.arange(done, done + span)] + (scaled >> 32) * place[side]
+        nearest = np.minimum(np.searchsorted(pos_keys, run), len(pos_keys) - 1)
+        hit = pos_keys[nearest] == run
+        rejected = (scaled & 0xFFFFFFFF) < thresholds[side]
+        stop = np.flatnonzero(hit | rejected)
+        ok = int(stop[0]) if len(stop) else span
+        keys[done:done + ok] = run[:ok]
+        words = words[2 * ok:]
+        done += ok
+        if ok:
+            failures = 0
+        if done == slots:
+            break
+
+        # Replay the next attempt one word at a time.
+        coin = read() >> 31
+        m = 0
+        if pools[coin] > 1:
+            m = read() * pools[coin]
+            while m % _WORD < thresholds[coin]:
+                m = read() * pools[coin]
+        key = int(kept[coin, done]) + (m >> 32) * int(place[coin])
+        if key not in pos_key_set:
+            keys[done] = key
+            done += 1
+            failures = 0
+            continue
+        failures += 1
+        if failures == _MAX_ATTEMPTS:
+            # The loop stops here, short of the slots words were drawn for.
+            rng.bit_generator.state = start
+            _draw_words(rng, drawn - len(words))
+            s, t = pos[done // k]
+            raise SamplingError(
+                f"could not corrupt pair ({s}, {t}) without colliding with "
+                f"a positive; entity pools too small"
+            )
+    return np.stack(np.divmod(keys, bounds[1]), axis=1).astype(np.int64)
 
 
 def sample_negatives(
@@ -127,31 +254,64 @@ def sample_negatives(
     """k corrupted pairs per positive, each replacing exactly one side.
 
     The replacement entity is drawn uniformly from the owning KG; a candidate
-    colliding with any positive pair is redrawn.
+    colliding with any positive pair is redrawn, at most 100 times per
+    slot before :class:`SamplingError`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pos_set = set((int(s), int(t)) for s, t in positives)
-    groups: list[list[Pair]] = []
-    max_attempts = 100
-    for s, t in positives:
-        group: list[Pair] = []
-        for _ in range(k):
-            for _ in range(max_attempts):
-                if rng.integers(2) == 0:
-                    cand = (int(rng.integers(n_source)), int(t))
-                else:
-                    cand = (int(s), int(rng.integers(n_target)))
-                if cand not in pos_set:
-                    group.append(cand)
-                    break
-            else:
-                raise SamplingError(
-                    f"could not corrupt pair ({s}, {t}) without colliding with "
-                    f"a positive; entity pools too small"
-                )
-        groups.append(group)
-    return groups
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    neg = _sample_negative_array(pos, k, rng, n_source, n_target)
+    pairs = list(zip(neg[:, 0].tolist(), neg[:, 1].tolist()))
+    return [pairs[i:i + k] for i in range(0, len(pairs), k)]
+
+
+def _loss_and_gradients(
+    adj1: AdjacencyMatrix,
+    ax1: np.ndarray,
+    adj2: AdjacencyMatrix,
+    ax2: np.ndarray,
+    params: GcnParameters,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    owner: np.ndarray,
+    margin: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The epoch step, given A X and the pairs as index arrays."""
+    a1, a2 = adj1.to_csr(), adj2.to_csr()
+    p1 = ax1 @ params.w1
+    p2 = ax2 @ params.w1
+    h1 = np.maximum(p1, 0.0)
+    h2 = np.maximum(p2, 0.0)
+    ah1 = a1 @ h1
+    ah2 = a2 @ h2
+    z1 = ah1 @ params.w2
+    z2 = ah2 @ params.w2
+
+    diff_pos, diff_neg, terms = _margin_terms(z1, z2, pos, neg, owner, margin)
+    active = terms > 0
+    loss = float(terms[active].sum())
+
+    # Each active term adds +sign at its positive pair and -sign at its
+    # negative. Rows of Z2 follow those of Z1 in one (n1 + n2) x dim scatter;
+    # every cell sums small integers, so its order cannot change the value.
+    n1, dim = z1.shape
+    pos_mult = np.bincount(owner[active], minlength=len(pos)).astype(np.float64)
+    sgn_pos = np.sign(diff_pos) * pos_mult[:, None]
+    sgn_neg = np.sign(diff_neg[active])
+    rows = np.concatenate(
+        [pos[:, 0], pos[:, 1] + n1, neg[active, 0], neg[active, 1] + n1]
+    )
+    cells = (rows[:, None] * dim + np.arange(dim)).ravel()
+    signs = np.concatenate([sgn_pos, -sgn_pos, -sgn_neg, sgn_neg]).ravel()
+    g = np.bincount(cells, weights=signs, minlength=(n1 + len(z2)) * dim)
+    g1 = g[:n1 * dim].reshape(n1, dim)
+    g2 = g[n1 * dim:].reshape(-1, dim)
+
+    g_w2 = ah1.T @ g1 + ah2.T @ g2
+    dh1 = (a1 @ (g1 @ params.w2.T)) * (p1 > 0)
+    dh2 = (a2 @ (g2 @ params.w2.T)) * (p2 > 0)
+    g_w1 = ax1.T @ dh1 + ax2.T @ dh2
+    return loss, g_w1, g_w2
 
 
 def loss_and_gradients(
@@ -165,42 +325,10 @@ def loss_and_gradients(
     margin: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Margin loss and its analytic gradients with respect to W1 and W2."""
-    ax1 = adj1.matmul(x1)
-    ax2 = adj2.matmul(x2)
-    p1 = ax1 @ params.w1
-    p2 = ax2 @ params.w1
-    h1 = np.maximum(p1, 0.0)
-    h2 = np.maximum(p2, 0.0)
-    ah1 = adj1.matmul(h1)
-    ah2 = adj2.matmul(h2)
-    z1 = ah1 @ params.w2
-    z2 = ah2 @ params.w2
-
     pos, neg, owner = _grouped_negatives(positives, negatives)
-    diff_pos = z1[pos[:, 0]] - z2[pos[:, 1]]
-    diff_neg = z1[neg[:, 0]] - z2[neg[:, 1]]
-    d_pos = np.abs(diff_pos).sum(axis=1)
-    d_neg = np.abs(diff_neg).sum(axis=1)
-    terms = d_pos[owner] - d_neg + margin
-    active = terms > 0
-    loss = float(terms[active].sum())
-
-    g1 = np.zeros_like(z1)
-    g2 = np.zeros_like(z2)
-    # Each active term adds +sign at its positive pair and -sign at its negative.
-    pos_mult = np.bincount(owner[active], minlength=len(pos)).astype(np.float64)
-    sgn_pos = np.sign(diff_pos) * pos_mult[:, None]
-    np.add.at(g1, pos[:, 0], sgn_pos)
-    np.add.at(g2, pos[:, 1], -sgn_pos)
-    sgn_neg = np.sign(diff_neg[active])
-    np.add.at(g1, neg[active, 0], -sgn_neg)
-    np.add.at(g2, neg[active, 1], sgn_neg)
-
-    g_w2 = ah1.T @ g1 + ah2.T @ g2
-    dh1 = adj1.matmul(g1 @ params.w2.T) * (p1 > 0)
-    dh2 = adj2.matmul(g2 @ params.w2.T) * (p2 > 0)
-    g_w1 = ax1.T @ dh1 + ax2.T @ dh2
-    return loss, g_w1, g_w2
+    return _loss_and_gradients(
+        adj1, adj1.matmul(x1), adj2, adj2.matmul(x2), params, pos, neg, owner, margin
+    )
 
 
 def init_parameters(rng: np.random.Generator, dim: int) -> GcnParameters:
@@ -222,8 +350,8 @@ def train(
 
     Runs ``cfg.epochs`` full-batch gradient steps; negatives are redrawn
     every epoch unless ``cfg.resample_negatives`` is off. ``on_epoch`` is
-    called with (epoch, loss) before each update, where the loss is that of
-    the current parameters.
+    called with (epoch, loss) after each update, where the loss is that of
+    the parameters before the update.
     """
     if not seeds:
         raise ValueError("need at least one seed pair")
@@ -234,14 +362,17 @@ def train(
     x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
     params = init_parameters(rng, cfg.dim)
 
-    negatives: list[list[Pair]] | None = None
+    ax1, ax2 = adj1.matmul(x1), adj2.matmul(x2)  # X is fixed, so A X is too
+    pos = np.asarray(seeds, dtype=np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(pos)), cfg.negatives)
+    neg = None
     for epoch in range(cfg.epochs):
-        if negatives is None or cfg.resample_negatives:
-            negatives = sample_negatives(
-                seeds, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
+        if neg is None or cfg.resample_negatives:
+            neg = _sample_negative_array(
+                pos, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
             )
-        loss, g_w1, g_w2 = loss_and_gradients(
-            adj1, x1, adj2, x2, params, seeds, negatives, cfg.margin
+        loss, g_w1, g_w2 = _loss_and_gradients(
+            adj1, ax1, adj2, ax2, params, pos, neg, owner, cfg.margin
         )
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}")

@@ -104,8 +104,8 @@ class AlignmentDataset:
 class AdjacencyMatrix:
     """Symmetrically normalized undirected adjacency with self-loops.
 
-    Stored as coordinate triplets sorted by (row, col); the weight for
-    (i, j) and (j, i) is the same float object, so symmetry is bitwise.
+    Stored as coordinate triplets sorted by (row, col); the weights for
+    (i, j) and (j, i) are one computed value, so symmetry is bitwise.
     """
 
     n: int
@@ -260,42 +260,44 @@ def adjacency(kg: KnowledgeGraph, edge_weights: EdgeWeightFn | None = None) -> A
     distinct undirected edge 1. Isolated entities keep only the self-loop.
     """
     n = kg.n_entities
-    if edge_weights is not None:
-        pair_w = {}
-        for (i, j), w in edge_weights(kg).items():
-            if i == j:
-                continue
-            key = (i, j) if i < j else (j, i)
-            pair_w[key] = float(w)
+    if edge_weights is None:
+        ends = kg.triples[:, [0, 2]]
+        w = np.ones(len(ends))
     else:
-        pair_w = {}
-        for h, _, t in kg.triples:
-            if h == t:
-                continue
-            key = (int(h), int(t)) if h < t else (int(t), int(h))
-            pair_w[key] = 1.0
+        pair_w = edge_weights(kg)
+        ends = np.array(list(pair_w), dtype=np.int64).reshape(-1, 2)
+        w = np.array([float(v) for v in pair_w.values()])
+        if ends.size and (ends.min() < 0 or ends.max() >= n):
+            raise ValueError(f"edge weight key outside the {n} entities")
+    keep = ends[:, 0] != ends[:, 1]
+    ends, w = np.sort(ends[keep], axis=1), w[keep]
+    # A distinct edge keeps the position of its first listing and the weight
+    # of its last, as repeated dict assignment does.
+    key = ends[:, 0] * n + ends[:, 1]
+    _, first = np.unique(key, return_index=True)
+    _, last_reversed = np.unique(key[::-1], return_index=True)
+    listed = np.argsort(first)
+    i, j = ends[first[listed]].T
+    w = w[len(key) - 1 - last_reversed[listed]]
 
-    degrees = np.ones(n)  # self-loop contributes 1 to every row sum
-    for (i, j), w in pair_w.items():
-        degrees[i] += w
-        degrees[j] += w
+    # Row sums add the self-loop's 1 first, then each edge's weight at both
+    # ends in listing order: a fixed order, as sums of non-integer hook
+    # weights depend on it.
+    sum_at = np.concatenate([np.arange(n), np.stack([i, j], axis=1).ravel()])
+    sum_w = np.concatenate([np.ones(n), np.repeat(w, 2)])
+    degrees = np.bincount(sum_at, weights=sum_w, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
+    wij = w * inv_sqrt[i] * inv_sqrt[j]
 
-    rows = list(range(n))
-    cols = list(range(n))
-    weights = [inv_sqrt[i] * inv_sqrt[i] for i in range(n)]
-    for (i, j), w in sorted(pair_w.items()):
-        wij = w * inv_sqrt[i] * inv_sqrt[j]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        weights.extend((wij, wij))
-
-    order = np.lexsort((np.array(cols), np.array(rows)))
+    diag = np.arange(n)
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    order = np.lexsort((cols, rows))
     return AdjacencyMatrix(
         n=n,
-        rows=np.array(rows, dtype=np.int64)[order],
-        cols=np.array(cols, dtype=np.int64)[order],
-        weights=np.array(weights, dtype=np.float64)[order],
+        rows=rows[order],
+        cols=cols[order],
+        weights=np.concatenate([inv_sqrt * inv_sqrt, wij, wij])[order],
     )
 
 

@@ -140,7 +140,8 @@ def _pairwise_block(e1: np.ndarray, e2: np.ndarray, measure: Measure) -> np.ndar
     if measure is Measure.EUCLIDEAN:
         sq = ((e1[:, None, :] - e2[None, :, :]) ** 2).sum(axis=2)
         return 1.0 - np.sqrt(sq)
-    diff = np.abs(e1[:, None, :] - e2[None, :, :])
+    diff = np.subtract(e1[:, None, :], e2[None, :, :])
+    np.abs(diff, out=diff)
     if measure is Measure.MANHATTAN:
         return 1.0 - diff.sum(axis=2)
     if measure is Measure.BRAY_CURTIS_TEXTBOOK:
@@ -149,12 +150,13 @@ def _pairwise_block(e1: np.ndarray, e2: np.ndarray, measure: Measure) -> np.ndar
         out = np.zeros_like(num)
         np.divide(num, den, out=out, where=den != 0)
         return 1.0 - out
-    den = np.abs(e1[:, None, :] + e2[None, :, :])
+    den = np.add(e1[:, None, :], e2[None, :, :])
+    np.abs(den, out=den)
     ok = den > 0
     _zero_denom_events += int(np.count_nonzero(~ok & (diff > 0)))
-    ratio = np.zeros_like(diff)
-    np.divide(diff, den, out=ratio, where=ok)
-    return 1.0 - ratio.sum(axis=2)
+    # Where |u + v| is 0 the buffer already holds the 0 the ratio takes.
+    np.divide(diff, den, out=den, where=ok)
+    return 1.0 - den.sum(axis=2)
 
 
 def sim_matrix(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign.errors import SamplingError
 from kgalign.gcn import (
@@ -168,7 +170,89 @@ class TestMarginLoss:
         assert margin_loss(z1, z2, positives, negatives, margin=3.0) == 0.0
 
 
+def reference_sample_negatives(positives, k, rng, n_source, n_target):
+    """One scalar draw per coin and per replacement: the sampler's oracle."""
+    pos_set = set((int(s), int(t)) for s, t in positives)
+    groups = []
+    for s, t in positives:
+        group = []
+        for _ in range(k):
+            for _ in range(100):
+                if rng.integers(2) == 0:
+                    cand = (int(rng.integers(n_source)), int(t))
+                else:
+                    cand = (int(s), int(rng.integers(n_target)))
+                if cand not in pos_set:
+                    group.append(cand)
+                    break
+            else:
+                raise SamplingError(f"could not corrupt pair ({s}, {t})")
+        groups.append(group)
+    return groups
+
+
+def draw_and_next(sampler, positives, k, seed, n_source, n_target):
+    """The sampler's groups (or SamplingError) and the generator's next draw."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = sampler(positives, k, rng, n_source, n_target)
+    except SamplingError:
+        out = SamplingError
+    return out, rng.random()
+
+
+# 2**31 + 1 rejects about half of all words; 2**32 takes every word as is.
+POOL_SIZES = st.one_of(st.integers(1, 8), st.integers(9, 400),
+                       st.sampled_from([2**31 + 1, 2**32 - 5, 2**32]))
+
+
+@st.composite
+def sampling_cases(draw):
+    n_source, n_target = draw(POOL_SIZES), draw(POOL_SIZES)
+    m = draw(st.integers(0, min(n_source, n_target, 12)))
+    sources = draw(st.lists(st.integers(0, min(n_source, 10**9) - 1),
+                            min_size=m, max_size=m, unique=True))
+    targets = draw(st.lists(st.integers(0, min(n_target, 10**9) - 1),
+                            min_size=m, max_size=m, unique=True))
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return list(zip(sources, targets)), k, seed, n_source, n_target
+
+
 class TestSampleNegatives:
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_cases())
+    def test_stream_identical_to_scalar_loop(self, case):
+        positives, k, seed, n_source, n_target = case
+        args = positives, k, seed, n_source, n_target
+        assert draw_and_next(sample_negatives, *args) == draw_and_next(
+            reference_sample_negatives, *args
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("pools", [(2**31 + 1, 2**31 + 1), (2**31 + 1, 40),
+                                       (3, 3), (2, 5), (1, 6), (250, 250)])
+    def test_fixed_cases_identical_to_scalar_loop(self, k, pools):
+        # Frequent rejection, tiny pools where most draws collide, one-entity
+        # pools that read no word, and the benchmark's pool size.
+        positives = [(i, (i * 7) % min(pools)) for i in range(min(*pools, 30))]
+        for seed in range(5):
+            args = positives, k, seed, *pools
+            assert draw_and_next(sample_negatives, *args) == draw_and_next(
+                reference_sample_negatives, *args
+            )
+
+    def test_sampling_error_leaves_generator_where_the_loop_does(self):
+        # Every corruption of (0, 0) in 2 x 2 pools collides: 100 attempts.
+        positives = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        new = draw_and_next(sample_negatives, positives, 2, 4, 2, 2)
+        assert new[0] is SamplingError
+        assert new == draw_and_next(reference_sample_negatives, positives, 2, 4, 2, 2)
+
+    def test_positive_outside_pools(self):
+        with pytest.raises(ValueError):
+            sample_negatives([(0, 5)], 1, np.random.default_rng(0), 5, 5)
+
     def test_counts(self):
         positives = [(i, i) for i in range(100)]
         groups = sample_negatives(positives, 5, np.random.default_rng(0), 500, 500)
@@ -245,7 +329,48 @@ class TestGradients:
                 assert (np.abs(fd - analytic) / denom).max() < 1e-4
 
 
+def reference_train(kg1, kg2, seeds, cfg, on_epoch):
+    """train() as an epoch loop over the public sampler and gradient step."""
+    adj1, adj2 = adjacency(kg1), adjacency(kg2)
+    rng = np.random.default_rng(cfg.rng_seed)
+    x1 = init_features(kg1.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
+    x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
+    params = init_parameters(rng, cfg.dim)
+    negatives = None
+    for epoch in range(cfg.epochs):
+        if negatives is None or cfg.resample_negatives:
+            negatives = sample_negatives(
+                seeds, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
+            )
+        loss, g_w1, g_w2 = loss_and_gradients(
+            adj1, x1, adj2, x2, params, seeds, negatives, cfg.margin
+        )
+        params.w1 -= cfg.learning_rate * g_w1
+        params.w2 -= cfg.learning_rate * g_w2
+        on_epoch(epoch, loss)
+    return gcn_forward(adj1, x1, params), gcn_forward(adj2, x2, params)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_bit_identical_to_reference_loop(self, resample):
+        meta = np.random.default_rng(17)
+        for trial in range(6):
+            n1, n2 = (int(v) for v in meta.integers(4, 40, 2))
+            kg1 = random_kg(n1, int(meta.integers(0, 3 * n1)), trial)
+            kg2 = random_kg(n2, int(meta.integers(0, 3 * n2)), trial + 100)
+            m = int(meta.integers(1, min(n1, n2)))
+            seeds = list(zip(meta.permutation(n1)[:m].tolist(),
+                             meta.permutation(n2)[:m].tolist()))
+            cfg = TrainConfig(dim=int(meta.integers(1, 12)), epochs=8,
+                              negatives=int(meta.integers(1, 6)), learning_rate=0.01,
+                              rng_seed=trial, resample_negatives=resample)
+            got, want = [], []
+            z = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: got.append((e, l)))
+            ref = reference_train(kg1, kg2, seeds, cfg, lambda e, l: want.append((e, l)))
+            assert np.array_equal(z[0], ref[0]) and np.array_equal(z[1], ref[1])
+            assert got == want
+
     def test_loss_decreases_on_isomorphic_toy(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (0, 5)]
         kg1 = kg_from_edges(10, edges)

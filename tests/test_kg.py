@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign.errors import IntegrityError, ParseError
 from kgalign.kg import (
@@ -115,6 +117,46 @@ class TestSplitAlignment:
             assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
 
+def reference_adjacency(kg, edge_weights=None):
+    """Per-edge loop over a dict of distinct undirected edges: the oracle."""
+    n = kg.n_entities
+    pair_w = {}
+    if edge_weights is not None:
+        for (i, j), w in edge_weights(kg).items():
+            if i != j:
+                pair_w[(i, j) if i < j else (j, i)] = float(w)
+    else:
+        for h, _, t in kg.triples:
+            if h != t:
+                pair_w[(int(h), int(t)) if h < t else (int(t), int(h))] = 1.0
+    degrees = np.ones(n)
+    for (i, j), w in pair_w.items():
+        degrees[i] += w
+        degrees[j] += w
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    rows, cols = list(range(n)), list(range(n))
+    weights = [inv_sqrt[i] * inv_sqrt[i] for i in range(n)]
+    for (i, j), w in sorted(pair_w.items()):
+        wij = w * inv_sqrt[i] * inv_sqrt[j]
+        rows.extend((i, j))
+        cols.extend((j, i))
+        weights.extend((wij, wij))
+    order = np.lexsort((np.array(cols), np.array(rows)))
+    return (
+        np.array(rows, dtype=np.int64)[order],
+        np.array(cols, dtype=np.int64)[order],
+        np.array(weights, dtype=np.float64)[order],
+    )
+
+
+def assert_adjacency_equals_reference(kg, edge_weights=None):
+    adj = adjacency(kg, edge_weights=edge_weights)
+    rows, cols, weights = reference_adjacency(kg, edge_weights)
+    assert np.array_equal(adj.rows, rows)
+    assert np.array_equal(adj.cols, cols)
+    assert np.array_equal(adj.weights, weights)
+
+
 def kg_from_edges(n, edges):
     triples = np.array([(a, 0, b) for a, b in edges], dtype=np.int64).reshape(-1, 3)
     return KnowledgeGraph(
@@ -166,6 +208,30 @@ class TestAdjacency:
         raw = np.array([[1.0, 3.0], [3.0, 1.0]])
         d_inv = np.diag(1.0 / np.sqrt(raw.sum(axis=1)))
         np.testing.assert_allclose(adj.to_dense(), d_inv @ raw @ d_inv)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))))
+    def test_bit_identical_to_reference_loop(self, graph):
+        # Self-loops, repeated and reversed edges, isolated entities.
+        n, edges = graph
+        assert_adjacency_equals_reference(kg_from_edges(n, edges))
+
+    def test_hook_bit_identical_to_reference_loop(self):
+        # Keys that collide once normalised: the last weight wins. Weights
+        # that are not integers make each row sum depend on its order.
+        rng = np.random.default_rng(3)
+        kg = kg_from_edges(9, [(0, 1)])
+        for _ in range(50):
+            keys = [tuple(int(v) for v in rng.integers(0, 9, 2)) for _ in range(30)]
+            table = {key: float(rng.uniform(0.1, 3.0)) for key in keys}
+            assert_adjacency_equals_reference(kg, edge_weights=lambda g: table)
+
+    def test_hook_key_out_of_range(self):
+        with pytest.raises(ValueError):
+            adjacency(kg_from_edges(2, [(0, 1)]), edge_weights=lambda g: {(0, 2): 1.0})
 
 
 class TestNeighbors:

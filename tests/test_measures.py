@@ -132,6 +132,19 @@ class TestSimMatrix:
         with pytest.raises(ValueError):
             sim_matrix(np.zeros((2, 3)), np.zeros((2, 4)), Measure.COSINE)
 
+    def test_bray_curtis_zero_denominator_in_blocks(self):
+        # Coordinates with u + v = 0: (1, -1) counts an event and adds 0,
+        # (0, 0) adds 0 without an event.
+        e1 = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 0.0]])
+        e2 = np.array([[-1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-3.0, 1.0, 0.0]])
+        reset_zero_denominator_events()
+        m = sim_matrix(e1, e2, Measure.BRAY_CURTIS, block=2)
+        events = zero_denominator_events()
+        reset_zero_denominator_events()
+        expected = [[similarity(u, v, Measure.BRAY_CURTIS) for v in e2] for u in e1]
+        assert m.scores.tolist() == expected
+        assert events == zero_denominator_events() == 4
+
 
 class TestSimilarityMatrixType:
     def test_rejects_non_finite(self):
