@@ -106,7 +106,7 @@ def _cmd_features(args) -> int:
             m = string_sim_matrix(
                 [kg1.entity_names[i] for i in test_src],
                 [kg2.entity_names[i] for i in test_tgt],
-                threads=args.threads,
+                threads=default_threads() if args.threads is None else args.threads,
             )
         else:
             raise SystemExit(f"unknown feature {tag!r}")
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=[m.value for m in Measure], default="bc")
     p.add_argument("--features", default="structural,semantic,string")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=default_threads())
+    p.add_argument("--threads", type=int, help="default: KGALIGN_THREADS, else 1")
     p.add_argument("--format", choices=("npy", "tsv"), default="npy")
     p.set_defaults(fn=_cmd_features)
 

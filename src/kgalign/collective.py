@@ -15,6 +15,8 @@ assignment solver are provided as baselines.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,6 +27,9 @@ from .errors import TrainingError
 from .measures import SimilarityMatrix
 
 MODES = ("full", "exclusiveness_only", "coherence_only")
+# Sources ranked per argsort in build_environment: the temporaries stay
+# O(block x residual targets) however many sources there are.
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -101,6 +106,16 @@ class AlignmentEnvironment:
     src_neighbors: tuple[frozenset[int], ...]
     tgt_neighbors: tuple[frozenset[int], ...]
     state_dim: int
+    # The same layout as arrays, row i for source order[i]: candidates and
+    # their scores; the source's graph neighbours; and the target-graph
+    # neighbours of all its candidates, flattened, with each one's
+    # candidate slot. Out-of-range neighbour ids are dropped: they can
+    # never be matched.
+    candidate_rows: np.ndarray
+    score_rows: np.ndarray
+    neighbor_sources: tuple[np.ndarray, ...]
+    candidate_neighbors: tuple[np.ndarray, ...]
+    candidate_slots: tuple[np.ndarray, ...]
 
 
 def _as_scores(m) -> np.ndarray:
@@ -162,6 +177,17 @@ def coherence_vector(
     )
 
 
+def _neighbor_lists(sets: Sequence[frozenset[int]], limit: int):
+    """The ids in [0, limit) of each set, laid out as (start offsets, ids)."""
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    ids = np.fromiter(itertools.chain.from_iterable(sets), np.int64, int(sizes.sum()))
+    kept = (ids >= 0) & (ids < limit)
+    start = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(len(sets)), sizes)[kept],
+                          minlength=len(sets)), out=start[1:])
+    return start, ids[kept]
+
+
 def build_environment(
     m,
     src_neighbors: Sequence[frozenset[int]],
@@ -171,29 +197,57 @@ def build_environment(
     """Apply the preliminary filter and lay out candidates and ordering.
 
     Candidate lists hold the top-ranked residual targets by score, length
-    min(tau, residual targets). Sources with a higher best score come first.
+    min(tau, residual targets), ties to the lower target index. Sources with
+    a higher best score come first, ties to the lower source index.
     """
     scores = _as_scores(m)
+    n_src, n_tgt = scores.shape
+    for name, sets, n in (("src_neighbors", src_neighbors, n_src),
+                          ("tgt_neighbors", tgt_neighbors, n_tgt)):
+        if len(sets) < n:
+            raise ValueError(f"{name} has {len(sets)} entries for {n} entities")
     confirmed, res_src, res_tgt = preliminary_filter(scores, cfg.preliminary_rounds)
     state_dim = min(cfg.tau, res_tgt.size)
-    candidates: dict[int, np.ndarray] = {}
-    best: dict[int, float] = {}
-    for u in res_src:
-        row = scores[u, res_tgt]
-        top = np.argsort(-row, kind="stable")[:state_dim]
-        candidates[int(u)] = res_tgt[top]
-        best[int(u)] = float(row[top[0]]) if top.size else -np.inf
-    order = tuple(sorted(candidates, key=lambda u: (-best[u], u)))
+    top = np.empty((res_src.size, state_dim), dtype=np.int64)
+    for lo in range(0, res_src.size, _ROW_BLOCK):
+        block = scores[np.ix_(res_src[lo:lo + _ROW_BLOCK], res_tgt)]
+        top[lo:lo + _ROW_BLOCK] = np.argsort(-block, axis=1, kind="stable")[:, :state_dim]
+    cand = res_tgt[top]
+    sources = res_src.tolist()
+    best = (scores[res_src, cand[:, 0]].tolist() if state_dim
+            else [-np.inf] * len(sources))
+    rank = sorted(range(len(sources)), key=lambda i: (-best[i], sources[i]))
+    order = tuple(sources[i] for i in rank)
+    rows = cand[np.array(rank, dtype=np.int64)]
+
+    src_start, src_ids = _neighbor_lists(src_neighbors, n_src)
+    tgt_start, tgt_ids = _neighbor_lists(tgt_neighbors, n_tgt)
+    # The target neighbours of every (source, slot) cell, cells in row-major
+    # order: the cell of candidate t reads tgt_ids[tgt_start[t]:][:count].
+    # Row ends cut the flat arrays into one piece per source.
+    counts = (tgt_start[1:] - tgt_start[:-1])[rows].ravel()
+    ends = counts.cumsum()
+    picks = np.arange(ends[-1] if ends.size else 0)
+    picks += np.repeat(tgt_start[rows].ravel() - ends + counts, counts)
+    nbrs = tgt_ids[picks]
+    slots = np.repeat(np.tile(np.arange(state_dim), len(order)), counts)
+    row_ends = ends[state_dim - 1::state_dim].tolist() if state_dim else [0] * len(order)
+    bounds = [0] + row_ends
     return AlignmentEnvironment(
         scores=scores,
         confirmed=tuple(confirmed),
         residual_sources=res_src,
         residual_targets=res_tgt,
-        candidates=candidates,
+        candidates={u: row for u, row in zip(sources, cand)},
         order=order,
         src_neighbors=tuple(frozenset(s) for s in src_neighbors),
         tgt_neighbors=tuple(frozenset(s) for s in tgt_neighbors),
         state_dim=state_dim,
+        candidate_rows=rows,
+        score_rows=scores[np.array(order, dtype=np.int64)[:, None], rows],
+        neighbor_sources=tuple(src_ids[src_start[u]:src_start[u + 1]] for u in order),
+        candidate_neighbors=tuple(nbrs[a:b] for a, b in zip(bounds, bounds[1:])),
+        candidate_slots=tuple(slots[a:b] for a, b in zip(bounds, bounds[1:])),
     )
 
 
@@ -227,14 +281,6 @@ def _actor_pass(
     return pre, hidden, exp / exp.sum()
 
 
-def _actor_grads(s, params, action, pre, hidden, probs):
-    d_logits = -probs
-    d_logits[action] += 1.0
-    g_w2 = d_logits[:, None] * hidden  # np.outer's own product, minus its overhead
-    d_pre = (params.w2.T @ d_logits) * (pre > 0)
-    return d_pre[:, None] * s, d_pre, g_w2, d_logits
-
-
 def actor_forward(s: np.ndarray, params: ActorParameters) -> np.ndarray:
     """Candidate probabilities: softmax(W2 relu(W1 s + b1) + b2)."""
     return _actor_pass(s, params)[2]
@@ -244,7 +290,11 @@ def actor_log_prob_grads(
     s: np.ndarray, params: ActorParameters, action: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of log pi(action | s) with respect to the actor parameters."""
-    return _actor_grads(s, params, action, *_actor_pass(s, params))
+    pre, hidden, probs = _actor_pass(s, params)
+    d_logits = -probs
+    d_logits[action] += 1.0
+    d_pre = (params.w2.T @ d_logits) * (pre > 0)
+    return d_pre[:, None] * s, d_pre, d_logits[:, None] * hidden, d_logits
 
 
 def _critic_pass(
@@ -254,11 +304,6 @@ def _critic_pass(
     pre = params.w3 @ s + params.b3
     hidden = np.maximum(pre, 0.0)
     return pre, hidden, float((params.w4 @ hidden + params.b4)[0])
-
-
-def _critic_grads(s, params, pre, hidden):
-    d_pre = params.w4[0] * (pre > 0)
-    return d_pre[:, None] * s, d_pre, hidden[None, :], np.ones(1)
 
 
 def critic_value(s: np.ndarray, params: CriticParameters) -> float:
@@ -271,7 +316,8 @@ def critic_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the value estimate with respect to the critic parameters."""
     pre, hidden, _ = _critic_pass(s, params)
-    return _critic_grads(s, params, pre, hidden)
+    d_pre = params.w4[0] * (pre > 0)
+    return d_pre[:, None] * s, d_pre, hidden[None, :], np.ones(1)
 
 
 def reward(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, a: int) -> float:
@@ -293,11 +339,14 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _descend(params: tuple[np.ndarray, ...], grads, step: float) -> None:
-    # step is lr * delta, grouped as (lr * delta) * g: regrouping would
-    # change the last bits of every update.
-    for p, g in zip(params, grads):
-        p += step * g
+def _flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous copy of ``arrays`` and views of it shaped like them."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
 
 
 def run_episode(
@@ -311,65 +360,121 @@ def run_episode(
 ) -> dict[int, int]:
     """One pass over the source sequence; updates parameters when training.
 
-    Exclusiveness bookkeeping is by target identity: a boolean mask over
-    targets marks each one taken, so every later candidate list containing
-    it sees s2 = -1. The pass after the last source is terminal (value 0 in
-    the TD target). Each step runs the actor and the critic forward once and
-    reuses their activations for the gradients; the arithmetic is the same
-    as composing ``actor_forward``, ``actor_log_prob_grads``,
-    ``critic_value`` and ``critic_grads``, so parameters match them bit for
-    bit.
+    Exclusiveness bookkeeping is by target identity: a per-target s2 array
+    turns to -1 once the target is taken, so every later candidate list
+    containing it sees s2 = -1. Coherence marks the targets matched to the
+    source's graph neighbours in a boolean mask (so a target picked twice
+    counts once) and sums the mask over each candidate's target neighbours.
+    The pass after the last source is terminal (value 0 in the TD target).
+
+    Each network's parameters live in one flat buffer for the pass, so a
+    training step is one ``p += (lr * delta) * g`` per network; they are
+    written back to ``actor`` and ``critic`` when the pass ends, also when it
+    ends in an error. The arithmetic is otherwise that of composing ``actor_forward``,
+    ``actor_log_prob_grads``, ``critic_value``, ``critic_grads`` and
+    ``coherence_vector``, with the same matrix products, so decisions and
+    parameters match them bit for bit.
     """
     decisions: dict[int, int] = {}
     order = env.order
     if not order:
         return decisions
-    scores, candidates = env.scores, env.candidates
-    src_neighbors, tgt_neighbors = env.src_neighbors, env.tgt_neighbors
+    k = env.state_dim
+    rows, score_rows = env.candidate_rows, env.score_rows
+    neighbor_sources = env.neighbor_sources
+    candidate_neighbors, candidate_slots = env.candidate_neighbors, env.candidate_slots
     exclusive = cfg.mode != "coherence_only"
     coherent = cfg.mode != "exclusiveness_only"
     gamma, actor_lr, critic_lr = cfg.gamma, cfg.actor_lr, cfg.critic_lr
+    n_src, n_tgt = env.scores.shape
+    s2_of = np.ones(n_tgt)
+    # Unmatched sources point at the mask's spare last entry, which no
+    # candidate neighbour reads.
+    match_of = np.full(n_src, n_tgt, dtype=np.int64)
+    for u, v in env.confirmed:
+        match_of[u] = v
+    in_context = np.zeros(n_tgt + 1, dtype=bool)
+    max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
+
+    def state(i: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Network input s1 * s2 + s3 of order[i], and s3 (None if unused)."""
+        s1 = score_rows[i]
+        s = s1 * s2_of[rows[i]] if exclusive else s1
+        if not coherent:
+            return s + 0.0, None  # the same -0.0 -> +0.0 as adding zeros
+        context = match_of[neighbor_sources[i]]
+        in_context[context] = True
+        s3 = np.bincount(candidate_slots[i],
+                         weights=in_context[candidate_neighbors[i]], minlength=k)
+        in_context[context] = False
+        return s + s3, s3
+
     actor_arrays = (actor.w1, actor.b1, actor.w2, actor.b2)
     critic_arrays = (critic.w3, critic.b3, critic.w4, critic.b4)
-    taken = np.zeros(scores.shape[1], dtype=bool)
-    matched: dict[int, int] = dict(env.confirmed)
-
-    def state(u: int) -> tuple[StateVector, np.ndarray]:
-        cand = candidates[u]
-        s2 = np.where(taken[cand], -1.0, 1.0) if exclusive else np.ones(len(cand))
-        s3 = (
-            coherence_vector(u, matched, src_neighbors, tgt_neighbors, cand)
-            if coherent
-            else np.zeros(len(cand))
-        )
-        sv = StateVector(s1=scores[u, cand].astype(np.float64), s2=s2, s3=s3)
-        return sv, sv.combined
-
-    cur, s = state(order[0])
+    actor_flat, (w1, b1, w2, b2) = _flat_views(actor_arrays)
+    critic_flat, (w3, b3, w4, b4) = _flat_views(critic_arrays)
+    actor_grad, (g_w1, g_b1, g_w2, g_b2) = _flat_views(actor_arrays)
+    # Every gradient view is overwritten each step except g_b4, which is 1.
+    critic_grad, (g_w3, g_b3, g_w4, g_b4) = _flat_views(critic_arrays)
+    g_b4[...] = 1.0
+    w2_t, w4_row, c_hidden = w2.T, w4[0], g_w4[0]
+    g_b1_col, g_b2_col, g_b3_col = g_b1[:, None], g_b2[:, None], g_b3[:, None]
+    s, s3 = state(0)
     last = len(order) - 1
-    for idx, u in enumerate(order):
-        pre, hidden, probs = _actor_pass(s, actor)
-        if not np.isfinite(probs).all():
-            raise TrainingError("policy produced non-finite action probabilities")
-        a = _sample(rng, probs) if train else int(probs.argmax())
-        v = int(candidates[u][a])
-        r = float(s[a])
-        if trace is not None:
-            trace.append((u, cur, a, r))
-        taken[v] = True
-        matched[u] = v
-        decisions[u] = v
-        nxt = state(order[idx + 1]) if idx < last else None
-        if train:
-            c_pre, c_hidden, v_s = _critic_pass(s, critic)
-            v_next = _critic_pass(nxt[1], critic)[2] if nxt is not None else 0.0
-            delta = r + gamma * v_next - v_s
-            _descend(critic_arrays, _critic_grads(s, critic, c_pre, c_hidden),
-                     critic_lr * delta)
-            _descend(actor_arrays, _actor_grads(s, actor, a, pre, hidden, probs),
-                     actor_lr * delta)
-        if nxt is not None:
-            cur, s = nxt
+    try:
+        for i, u in enumerate(order):
+            pre = w1 @ s + b1
+            hidden = np.maximum(pre, 0.0)
+            logits = w2 @ hidden + b2
+            logits -= max_reduce(logits)
+            exp = np.exp(logits, out=logits)
+            total = add_reduce(exp)
+            # After the shift the total is either in [1, k], every
+            # probability then finite, or NaN, every probability NaN.
+            if not math.isfinite(total):
+                raise TrainingError("policy produced non-finite action probabilities")
+            probs = exp / total
+            a = _sample(rng, probs) if train else int(probs.argmax())
+            v = int(rows[i, a])
+            r = float(s[a])
+            if trace is not None:
+                traced = StateVector(
+                    s1=score_rows[i].copy(),
+                    s2=s2_of[rows[i]] if exclusive else np.ones(k),
+                    s3=np.zeros(k) if s3 is None else s3,
+                )
+                trace.append((u, traced, a, r))
+            s2_of[v] = -1.0
+            match_of[u] = v
+            decisions[u] = v
+            if i < last:
+                nxt, s3 = state(i + 1)
+            if train:
+                c_pre = w3 @ s + b3
+                np.maximum(c_pre, 0.0, out=c_hidden)  # g_w4 is the hidden layer
+                v_s = float((w4 @ c_hidden)[0] + b4[0])
+                if i < last:
+                    v_next = float((w4 @ np.maximum(w3 @ nxt + b3, 0.0))[0] + b4[0])
+                else:
+                    v_next = 0.0
+                delta = r + gamma * v_next - v_s
+                np.multiply(w4_row, c_pre > 0, out=g_b3)
+                np.multiply(g_b3_col, s, out=g_w3)
+                # Grouped as (lr * delta) * g: regrouping would change the
+                # last bits of every update.
+                critic_flat += (critic_lr * delta) * critic_grad
+                np.negative(probs, out=g_b2)
+                g_b2[a] += 1.0
+                np.multiply(g_b2_col, hidden, out=g_w2)
+                np.multiply(w2_t @ g_b2, pre > 0, out=g_b1)
+                np.multiply(g_b1_col, s, out=g_w1)
+                actor_flat += (actor_lr * delta) * actor_grad
+            if i < last:
+                s = nxt
+    finally:
+        for array, view in zip(actor_arrays + critic_arrays,
+                               (w1, b1, w2, b2, w3, b3, w4, b4)):
+            array[...] = view
     return decisions
 
 

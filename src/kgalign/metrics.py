@@ -14,9 +14,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .collective import AlignmentResult
 from .errors import EvaluationError
 from .names import levenshtein
+
+# Rows per block in gold_ranks: its boolean temporaries stay O(block x columns).
+_RANK_BLOCK = 256
 
 
 @dataclass
@@ -107,6 +112,36 @@ def hits_mrr(
             raise EvaluationError(
                 f"gold target {t!r} missing from the ranked list of {s!r}"
             ) from None
+    return hits_mrr_of_ranks(ranks, ks)
+
+
+def gold_ranks(scores: np.ndarray) -> list[int]:
+    """Rank of column i in row i, for every row: the gold target of source i.
+
+    The rank is 1 + #{j: s[i, j] > s[i, i]} + #{j < i: s[i, j] == s[i, i]},
+    the position of column i in the stable ``argsort(-row)``.
+    """
+    n_rows, n_cols = scores.shape
+    if n_cols < n_rows:
+        raise ValueError(f"{n_rows} rows need at least as many columns, got {n_cols}")
+    ranks = np.empty(n_rows, dtype=np.int64)
+    cols = np.arange(n_cols)
+    for lo in range(0, n_rows, _RANK_BLOCK):
+        rows = scores[lo:lo + _RANK_BLOCK]
+        idx = cols[lo:lo + rows.shape[0], None]
+        gold = np.take_along_axis(rows, idx, axis=1)
+        above = np.count_nonzero(rows > gold, axis=1)
+        tied_before = np.count_nonzero((rows == gold) & (cols < idx), axis=1)
+        ranks[lo:lo + _RANK_BLOCK] = 1 + above + tied_before
+    return ranks.tolist()
+
+
+def hits_mrr_of_ranks(
+    ranks: Sequence[int], ks: Sequence[int] = (1, 10)
+) -> tuple[dict[int, float], float]:
+    """Hits at each k and mean reciprocal rank of 1-based gold ranks, in order."""
+    if not ranks:
+        raise ValueError("need at least one rank")
     n = len(ranks)
     hits = {int(k): sum(1 for r in ranks if r <= k) / n for k in ks}
     mrr = sum(1.0 / r for r in ranks) / n

@@ -210,6 +210,8 @@ def string_sim_matrix(
     """
     if not src_names or not tgt_names:
         raise ValueError("name lists must be nonempty")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     codes, lengths = _encode(tgt_names)
     n_src = len(src_names)
     scores = np.empty((n_src, len(tgt_names)))

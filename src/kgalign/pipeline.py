@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import matio
 from .collective import (
     AlignmentResult,
@@ -39,7 +37,7 @@ from .kg import (
     split_alignment,
 )
 from .measures import Measure, sim_matrix, SimilarityMatrix
-from .metrics import EvalReport, fusion_poc, hits_mrr, prf
+from .metrics import EvalReport, fusion_poc, gold_ranks, hits_mrr_of_ranks, prf
 from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
 STRATEGIES = ("greedy", "stable", "hungarian", "rl")
@@ -47,10 +45,20 @@ FEATURES = ("structural", "semantic", "string")
 
 
 def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("KGALIGN_THREADS", "1")))
-    except ValueError:
+    """Worker threads of the string stage: ``KGALIGN_THREADS``, or 1 if unset.
+
+    A value that is not a positive integer raises ``ValueError``.
+    """
+    raw = os.environ.get("KGALIGN_THREADS")
+    if raw is None:
         return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"KGALIGN_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 @dataclass
@@ -96,6 +104,8 @@ class PipelineConfig:
         if not self.features:
             raise ValueError("need at least one feature")
         Measure(self.measure)  # validates the flag value
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if "semantic" in self.features and not self.vectors:
             raise ValueError("the semantic feature requires a word-vector file")
 
@@ -294,10 +304,7 @@ def _evaluate(cfg: PipelineConfig, out: Path, split, fused, result, corr_cells):
     n_test = len(split.test)
     gold = {i: i for i in range(n_test)}  # row i aligns with column i by split order
     precision, recall, f1 = prf(result, gold)
-    ranked = {
-        i: list(np.argsort(-fused.scores[i], kind="stable")) for i in range(n_test)
-    }
-    hits, mrr = hits_mrr(ranked, gold, ks=(1, 10))
+    hits, mrr = hits_mrr_of_ranks(gold_ranks(fused.scores), ks=(1, 10))
     mulse, multe = count_multiplicities(result)
     report = EvalReport(
         precision=precision,

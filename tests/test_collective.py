@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from kgalign import collective
 from kgalign.collective import (
+    MODES,
     AlignmentResult,
     RlConfig,
     StateVector,
@@ -149,6 +153,60 @@ def random_neighbors(rng, n, p):
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj)
 
 
+def per_row_layout(scores, cfg):
+    """build_environment's candidates and order as a per-source loop builds them."""
+    _, res_src, res_tgt = preliminary_filter(scores, cfg.preliminary_rounds)
+    state_dim = min(cfg.tau, res_tgt.size)
+    candidates, best = {}, {}
+    for u in res_src:
+        row = scores[u, res_tgt]
+        top = np.argsort(-row, kind="stable")[:state_dim]
+        candidates[int(u)] = res_tgt[top]
+        best[int(u)] = float(row[top[0]]) if top.size else -np.inf
+    return candidates, tuple(sorted(candidates, key=lambda u: (-best[u], u)))
+
+
+def param_arrays(actor, critic):
+    return (actor.w1, actor.b1, actor.w2, actor.b2,
+            critic.w3, critic.b3, critic.w4, critic.b4)
+
+
+def run_against_reference(env, cfg, episodes):
+    """Train ``episodes`` episodes and run the greedy pass with run_episode
+    and with reference_episode from the same start.
+
+    Each run gives its per-episode decisions (a TrainingError's message in
+    place of the failing episode's, which ends the run), the parameters
+    before the last episode run and at the end, and the next draw of its
+    generator.
+    """
+    runs = []
+    for episode in (run_episode, reference_episode):
+        rng = np.random.default_rng(cfg.rng_seed)
+        actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
+        critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
+        outcomes = []
+        for train in [True] * episodes + [False]:
+            before = [a.copy() for a in param_arrays(actor, critic)]
+            try:
+                outcomes.append(episode(env, actor, critic, cfg, rng, train))
+            except TrainingError as exc:
+                outcomes.append(str(exc))
+                break
+        after = [a.copy() for a in param_arrays(actor, critic)]
+        runs.append((outcomes, before, after, rng.random()))
+    return runs
+
+
+def assert_same_runs(runs):
+    (got, got_before, got_after, got_draw), (want, _, want_after, want_draw) = runs
+    assert got == want
+    assert got_draw == want_draw
+    for g, w in zip(got_after, want_after):
+        assert g.tobytes() == w.tobytes()  # NaN payloads and signed zeros too
+    return got, got_before, got_after
+
+
 class TestPreliminaryFilter:
     def test_clean_two_by_two(self):
         m = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -182,6 +240,66 @@ class TestPreliminaryFilter:
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
             preliminary_filter(np.eye(2), -1)
+
+
+class TestBuildEnvironment:
+    CASES = [
+        # (rows, cols, distinct score levels or 0 for continuous, tau, rounds)
+        (12, 12, 4, 5, 0),     # ties inside candidate lists and between best scores
+        (12, 12, 0, 5, 2),
+        (15, 4, 3, 10, 1),     # state_dim < tau
+        (5, 9, 2, 3, 1),
+        (1, 6, 0, 10, 0),
+        (6, 6, 0, 4, 0),
+    ]
+
+    @pytest.mark.parametrize("block", [256, 1, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_layout_matches_per_row_loop(self, case, block, monkeypatch):
+        monkeypatch.setattr(collective, "_ROW_BLOCK", block)
+        n_src, n_tgt, levels, tau, rounds = case
+        rng = np.random.default_rng(n_src * 100 + n_tgt)
+        scores = rng.random((n_src, n_tgt))
+        if levels:
+            scores = np.floor(scores * levels) / levels
+        src_nb = random_neighbors(rng, n_src, 0.4)
+        tgt_nb = random_neighbors(rng, n_tgt, 0.4)
+        # Ids no entity has never count as matched neighbours.
+        src_nb = (src_nb[0] | {-1, n_src + 2},) + src_nb[1:]
+        tgt_nb = (tgt_nb[0] | {-3, n_tgt},) + tgt_nb[1:]
+        cfg = RlConfig(tau=tau, preliminary_rounds=rounds)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        candidates, order = per_row_layout(scores, cfg)
+        assert env.order == order
+        assert list(env.candidates) == list(candidates)
+        for u, cand in candidates.items():
+            assert np.array_equal(env.candidates[u], cand)
+        assert env.candidate_rows.shape == env.score_rows.shape == (len(order), env.state_dim)
+        for i, u in enumerate(order):
+            cand = candidates[u]
+            assert np.array_equal(env.candidate_rows[i], cand)
+            assert np.array_equal(env.score_rows[i], scores[u, cand])
+            assert sorted(env.neighbor_sources[i].tolist()) == sorted(
+                w for w in src_nb[u] if 0 <= w < n_src)
+            pairs = list(zip(env.candidate_slots[i].tolist(),
+                             env.candidate_neighbors[i].tolist()))
+            assert sorted(pairs) == sorted(
+                (slot, t) for slot, c in enumerate(cand) for t in tgt_nb[c]
+                if 0 <= t < n_tgt)
+
+    def test_empty_residual(self):
+        env = build_environment(np.eye(4), (frozenset(),) * 4, (frozenset(),) * 4,
+                                RlConfig(preliminary_rounds=1))
+        assert env.order == () and env.candidates == {}
+        assert env.candidate_rows.shape == (0, 0) and env.score_rows.shape == (0, 0)
+        assert env.neighbor_sources == env.candidate_neighbors == env.candidate_slots == ()
+        assert a2c_align(env, RlConfig(preliminary_rounds=1)).pairs == {i: i for i in range(4)}
+
+    def test_short_neighbor_lists_rejected(self):
+        with pytest.raises(ValueError, match="src_neighbors has 1 entries for 2"):
+            build_environment(np.eye(2), (frozenset(),), (frozenset(),) * 2, RlConfig())
+        with pytest.raises(ValueError, match="tgt_neighbors has 1 entries for 2"):
+            build_environment(np.eye(2), (frozenset(),) * 2, (frozenset(),), RlConfig())
 
 
 class TestCoherenceVector:
@@ -411,6 +529,85 @@ class TestA2cAlign:
         assert got_decisions == want_decisions
         for got, want in zip(got_arrays, want_arrays):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shared_targets_and_confirmed_context_match_reference(self, mode):
+        # More residual sources than residual targets, so targets are picked
+        # twice, and dense graphs, so a later source often has two matched
+        # neighbours on one target, or a confirmed neighbour.
+        rng = np.random.default_rng(5)
+        scores = rng.random((12, 7))
+        src_nb = random_neighbors(rng, 12, 0.5)
+        tgt_nb = random_neighbors(rng, 7, 0.4)
+        cfg = RlConfig(tau=6, epochs=4, rng_seed=2, preliminary_rounds=1,
+                       mode=mode, actor_lr=0.01, critic_lr=0.05)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        assert env.state_dim < cfg.tau
+        confirmed = dict(env.confirmed)
+        assert any(w in confirmed for u in env.order for w in src_nb[u])
+        outcomes, _, _ = assert_same_runs(run_against_reference(env, cfg, cfg.epochs))
+        shared = 0
+        for decisions in outcomes:
+            matched = dict(confirmed)
+            for u, v in decisions.items():
+                picks = [matched[w] for w in src_nb[u] if w in matched]
+                shared += len(picks) > len(set(picks))
+                matched[u] = v
+        assert shared > 0
+
+    def test_training_error_mid_episode_matches_reference(self):
+        # Large scores and learning rates diverge in the second episode,
+        # after that episode has already updated the parameters.
+        rng = np.random.default_rng(0)
+        scores = rng.normal(size=(20, 20)) * 3
+        src_nb = random_neighbors(rng, 20, 0.2)
+        tgt_nb = random_neighbors(rng, 20, 0.2)
+        cfg = RlConfig(tau=6, epochs=5, rng_seed=0, preliminary_rounds=1,
+                       actor_lr=0.5, critic_lr=0.5)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        with np.errstate(all="ignore"):
+            runs = run_against_reference(env, cfg, cfg.epochs)
+        outcomes, before, after = assert_same_runs(runs)
+        assert len(outcomes) == 2 and "non-finite" in outcomes[-1]
+        assert any(b.tobytes() != a.tobytes() for b, a in zip(before, after))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_src=st.integers(1, 9),
+           n_tgt=st.integers(1, 9), mode=st.sampled_from(MODES),
+           rounds=st.integers(0, 2), tau=st.integers(1, 6),
+           density=st.floats(0.0, 1.0))
+    def test_traced_state_matches_public_helpers(self, seed, n_src, n_tgt, mode,
+                                                 rounds, tau, density):
+        rng = np.random.default_rng(seed)
+        scores = rng.random((n_src, n_tgt))
+        src_nb = random_neighbors(rng, n_src, density)
+        tgt_nb = random_neighbors(rng, n_tgt, density)
+        cfg = RlConfig(tau=tau, rng_seed=seed, preliminary_rounds=rounds, mode=mode,
+                       actor_lr=0.01, critic_lr=0.05)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        assume(env.state_dim > 0)  # a2c_align runs no episode otherwise
+        actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
+        critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
+        trace = []
+        decisions = run_episode(env, actor, critic, cfg, rng, True, trace=trace)
+        assert [u for u, *_ in trace] == list(decisions) == list(env.order)
+        matched = dict(env.confirmed)
+        chosen = set()
+        for u, state, a, r in trace:
+            cand = env.candidates[u]
+            assert np.array_equal(state.s1, scores[u, cand])
+            if mode == "coherence_only":
+                assert np.array_equal(state.s2, np.ones(len(cand)))
+            else:
+                assert np.array_equal(state.s2, [-1.0 if t in chosen else 1.0 for t in cand])
+            if mode == "exclusiveness_only":
+                assert np.array_equal(state.s3, np.zeros(len(cand)))
+            else:
+                assert np.array_equal(state.s3, coherence_vector(
+                    u, matched, src_nb, tgt_nb, cand))
+            assert r == state.combined[a]
+            matched[u] = decisions[u]
+            chosen.add(decisions[u])
 
     def test_coordination_beats_greedy_on_scenario(self):
         wins = 0

@@ -1,10 +1,23 @@
 """Evaluation metrics and diagnostics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgalign import metrics
 from kgalign.errors import EvaluationError
-from kgalign.metrics import EvalReport, fusion_poc, hits_mrr, name_distance_stats, prf
+from kgalign.metrics import (
+    EvalReport,
+    fusion_poc,
+    gold_ranks,
+    hits_mrr,
+    hits_mrr_of_ranks,
+    name_distance_stats,
+    prf,
+)
 
 
 class TestPrf:
@@ -82,6 +95,47 @@ class TestHitsMrr:
     def test_missing_list_is_an_error(self):
         with pytest.raises(EvaluationError):
             hits_mrr({}, {0: 5}, ks=(1,))
+
+
+def argsort_ranked(scores):
+    """The per-row ranked lists the pipeline built before gold_ranks."""
+    return {i: list(np.argsort(-scores[i], kind="stable")) for i in range(scores.shape[0])}
+
+
+class TestGoldRanks:
+    # Few distinct values, both signed zeros, so ties are common; some
+    # matrices have more columns than rows.
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 9), st.integers(0, 2)).flatmap(lambda shape: st.lists(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]),
+                 min_size=sum(shape), max_size=sum(shape)),
+        min_size=shape[0], max_size=shape[0])), st.integers(1, 10))
+    def test_equals_stable_argsort_position(self, rows, block):
+        scores = np.array(rows)
+        n = scores.shape[0]
+        ranked = argsort_ranked(scores)
+        with mock.patch.object(metrics, "_RANK_BLOCK", block):
+            got = gold_ranks(scores)
+        assert got == [ranked[i].index(i) + 1 for i in range(n)]
+        gold = {i: i for i in range(n)}
+        assert hits_mrr_of_ranks(got, ks=(1, 2, 10)) == hits_mrr(ranked, gold, ks=(1, 2, 10))
+
+    def test_same_report_floats_as_ranked_lists(self):
+        rng = np.random.default_rng(8)
+        scores = np.round(rng.random((300, 300)) * 50) / 50
+        gold = {i: i for i in range(300)}
+        with mock.patch.object(metrics, "_RANK_BLOCK", 64):
+            ranks = gold_ranks(scores)
+        assert all(type(r) is int for r in ranks)
+        assert hits_mrr_of_ranks(ranks) == hits_mrr(argsort_ranked(scores), gold)
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError):
+            gold_ranks(np.zeros((3, 2)))
+
+    def test_no_ranks_rejected(self):
+        with pytest.raises(ValueError):
+            hits_mrr_of_ranks([])
 
 
 class TestNameDistanceStats:

@@ -1,16 +1,17 @@
 """Synthetic benchmark generation, pipeline caching, and the CLI surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from kgalign.cli import main
+from kgalign.cli import build_parser, main
 from kgalign.collective import greedy_independent
 from kgalign.matio import load_matrix, load_result, save_matrix
 from kgalign.metrics import prf
 from kgalign.names import string_sim_matrix
-from kgalign.pipeline import PipelineConfig, run_pipeline
+from kgalign.pipeline import PipelineConfig, default_threads, run_pipeline
 from kgalign.synth import gen_synthetic, write_synthetic
 
 
@@ -262,3 +263,42 @@ class TestCli:
                          "--out", str(out)]) == 0
             rows = load_result(out)
             assert rows and all(prov == strategy for _, _, prov in rows)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
+    def test_bad_variable_raises_naming_it(self, monkeypatch, raw):
+        monkeypatch.setenv("KGALIGN_THREADS", raw)
+        with pytest.raises(ValueError, match=f"KGALIGN_THREADS.*{re.escape(repr(raw))}"):
+            default_threads()
+
+    def test_variable_or_one(self, monkeypatch):
+        monkeypatch.setenv("KGALIGN_THREADS", "3")
+        assert default_threads() == 3
+        monkeypatch.delenv("KGALIGN_THREADS")
+        assert default_threads() == 1
+
+    def test_config_rejects_fewer_than_one(self, synth_dir, tmp_path):
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            small_config(synth_dir, tmp_path, threads=0)
+
+    def test_string_sim_rejects_fewer_than_one(self):
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            string_sim_matrix(["a"], ["b"], threads=0)
+
+    def test_cli_reads_variable_only_where_used(self, synth_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("KGALIGN_THREADS", "abc")
+        build_parser()
+        (tmp_path / "pred.tsv").write_text("a\tx\tgreedy\n", encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("a\tx\n", encoding="utf-8")
+        assert main(["eval", "--pred", str(tmp_path / "pred.tsv"),
+                     "--gold", str(tmp_path / "gold.tsv")]) == 0
+        features = ["features", "--triples1", str(synth_dir["triples1"]),
+                    "--names1", str(synth_dir["names1"]),
+                    "--triples2", str(synth_dir["triples2"]),
+                    "--names2", str(synth_dir["names2"]),
+                    "--test", str(synth_dir["gold"]), "--features", "string",
+                    "--out", str(tmp_path / "feats")]
+        with pytest.raises(ValueError, match="KGALIGN_THREADS"):
+            main(features)
+        assert main([*features, "--threads", "2"]) == 0
