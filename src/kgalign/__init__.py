@@ -43,30 +43,18 @@ from .kg import (
     load_alignment,
     load_kg,
     neighbor_sets,
-    neighbors,
     save_alignment,
     save_kg,
     split_alignment,
 )
-from .measures import (
-    Measure,
-    SimilarityMatrix,
-    bray_curtis,
-    bray_curtis_textbook,
-    cosine_sim,
-    euclidean,
-    manhattan,
-    sim_matrix,
-    similarity,
-)
-from .metrics import EvalReport, fusion_poc, hits_mrr, name_distance_stats, prf
+from .measures import Measure, SimilarityMatrix, sim_matrix
+from .metrics import EvalReport, fusion_poc, hits_mrr, prf
 from .names import (
     NameEmbeddingMatrix,
     WordVectorTable,
     lev_ratio,
     levenshtein,
     load_word_vectors,
-    name_embedding,
     name_embedding_matrix,
     string_sim_matrix,
 )

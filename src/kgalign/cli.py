@@ -17,23 +17,22 @@ import sys
 from pathlib import Path
 
 from . import matio
-from .collective import (
-    AlignmentResult,
-    RlConfig,
-    a2c_align,
-    build_environment,
-    count_multiplicities,
-    greedy_independent,
-    hungarian,
-    stable_matching,
-)
+from .collective import AlignmentResult, RlConfig, count_multiplicities
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
-from .kg import load_alignment, load_kg, neighbor_sets
-from .measures import Measure, SimilarityMatrix, sim_matrix
+from .kg import load_alignment, load_kg
+from .measures import Measure, SimilarityMatrix
 from .metrics import EvalReport, hits_mrr, prf
-from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
-from .pipeline import PipelineConfig, default_threads, run_pipeline
+from .pipeline import (
+    FEATURES,
+    STRATEGIES,
+    PipelineConfig,
+    decode,
+    default_threads,
+    feature_matrix,
+    index_pairs,
+    run_pipeline,
+)
 from .synth import write_synthetic
 
 MODE_FLAGS = {"full": "full", "excl": "exclusiveness_only", "coh": "coherence_only"}
@@ -44,12 +43,6 @@ def _add_kg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--names1", required=True)
     p.add_argument("--triples2", required=True)
     p.add_argument("--names2", required=True)
-
-
-def _load_pairs_indexed(path, kg1, kg2):
-    return [
-        (kg1.entity_index[s], kg2.entity_index[t]) for s, t in load_alignment(path)
-    ]
 
 
 def _cmd_synth(args) -> int:
@@ -65,7 +58,7 @@ def _cmd_synth(args) -> int:
 def _cmd_embed(args) -> int:
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
-    seeds = _load_pairs_indexed(args.train, kg1, kg2)
+    seeds = index_pairs(load_alignment(args.train), kg1, kg2)
     cfg = TrainConfig(
         dim=args.dim, margin=args.margin, epochs=args.epochs,
         negatives=args.negatives, learning_rate=args.lr, rng_seed=args.seed,
@@ -84,33 +77,29 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    # Every tag and the flags it needs are checked before anything is written.
+    tags = args.features.split(",")
+    for tag in tags:
+        if tag not in FEATURES:
+            args.error(f"unknown feature {tag!r} in --features; "
+                       f"choose from {', '.join(FEATURES)}")
+    if "structural" in tags and not (args.z1 and args.z2):
+        args.error("the structural feature needs --z1 and --z2")
+    if "semantic" in tags and not args.vectors:
+        args.error("the semantic feature needs --vectors")
+    threads = default_threads() if args.threads is None else args.threads
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
-    test = _load_pairs_indexed(args.test, kg1, kg2)
-    test_src = [s for s, _ in test]
-    test_tgt = [t for _, t in test]
+    test = index_pairs(load_alignment(args.test), kg1, kg2)
+    z1 = z2 = None
+    if "structural" in tags:
+        z1, z2 = matio.load_matrix(args.z1), matio.load_matrix(args.z2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    for tag in args.features.split(","):
-        if tag == "structural":
-            z1 = matio.load_matrix(args.z1)
-            z2 = matio.load_matrix(args.z2)
-            m = sim_matrix(z1[test_src], z2[test_tgt], Measure(args.measure), tag)
-        elif tag == "semantic":
-            table = load_word_vectors(args.vectors)
-            n1 = name_embedding_matrix([kg1.entity_names[i] for i in test_src], table)
-            n2 = name_embedding_matrix([kg2.entity_names[i] for i in test_tgt], table)
-            m = sim_matrix(n1.rows, n2.rows, Measure(args.measure), tag)
-        elif tag == "string":
-            m = string_sim_matrix(
-                [kg1.entity_names[i] for i in test_src],
-                [kg2.entity_names[i] for i in test_tgt],
-                threads=default_threads() if args.threads is None else args.threads,
-            )
-        else:
-            raise SystemExit(f"unknown feature {tag!r}")
-        path = out / f"sim_{tag}.{ext}"
+    for tag in tags:
+        m = feature_matrix(tag, kg1, kg2, test, args.measure, z1, z2,
+                           args.vectors, threads)
+        path = out / f"sim_{tag}.{args.format}"
         matio.save_matrix(path, m.scores, args.format)
         print(f"{tag}\t{path}")
     return 0
@@ -141,34 +130,16 @@ def _cmd_align(args) -> int:
     scores = matio.load_matrix(args.matrix)
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
-    test = _load_pairs_indexed(args.test, kg1, kg2)
-    test_src = [s for s, _ in test]
-    test_tgt = [t for _, t in test]
-    if args.strategy == "greedy":
-        result = greedy_independent(scores)
-    elif args.strategy == "stable":
-        result = stable_matching(scores)
-    elif args.strategy == "hungarian":
-        result = hungarian(scores)
-    else:
-        cfg = RlConfig(
-            tau=args.tau, epochs=args.epochs, rng_seed=args.seed,
-            preliminary_rounds=args.prelim_rounds, mode=MODE_FLAGS[args.mode],
-        )
-        sets1 = neighbor_sets(kg1)
-        sets2 = neighbor_sets(kg2)
-        src_pos = {e: i for i, e in enumerate(test_src)}
-        tgt_pos = {e: i for i, e in enumerate(test_tgt)}
-        src_nb = [frozenset(src_pos[w] for w in sets1[e] if w in src_pos)
-                  for e in test_src]
-        tgt_nb = [frozenset(tgt_pos[w] for w in sets2[e] if w in tgt_pos)
-                  for e in test_tgt]
-        env = build_environment(scores, src_nb, tgt_nb, cfg)
-        result = a2c_align(env, cfg)
+    test = index_pairs(load_alignment(args.test), kg1, kg2)
+    rl_cfg = RlConfig(
+        tau=args.tau, epochs=args.epochs, rng_seed=args.seed,
+        preliminary_rounds=args.prelim_rounds, mode=MODE_FLAGS[args.mode],
+    )
+    result = decode(args.strategy, scores, kg1, kg2, test, rl_cfg)
     matio.save_result(
         args.out, result,
-        [kg1.entity_ids[i] for i in test_src],
-        [kg2.entity_ids[i] for i in test_tgt],
+        [kg1.entity_ids[s] for s, _ in test],
+        [kg2.entity_ids[t] for _, t in test],
     )
     mulse, multe = count_multiplicities(result)
     print(f"pairs\t{len(result.pairs)}")
@@ -273,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, help="default: KGALIGN_THREADS, else 1")
     p.add_argument("--format", choices=("npy", "tsv"), default="npy")
-    p.set_defaults(fn=_cmd_features)
+    p.set_defaults(fn=_cmd_features, error=p.error)
 
     p = sub.add_parser("fuse", help="adaptively fuse similarity matrices")
     p.add_argument("--inputs", nargs="+", required=True, metavar="TAG=PATH")
@@ -287,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kg_args(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--strategy", choices=("greedy", "stable", "hungarian", "rl"),
-                   default="rl")
+    p.add_argument("--strategy", choices=STRATEGIES, default="rl")
     p.add_argument("--mode", choices=tuple(MODE_FLAGS), default="full")
     p.add_argument("--tau", type=int, default=10)
     p.add_argument("--epochs", type=int, default=100)
@@ -323,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
-    p.add_argument("--strategy", choices=("greedy", "stable", "hungarian", "rl"))
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--mode", choices=tuple(MODE_FLAGS))
     p.add_argument("--tau", type=int)
     p.add_argument("--rl-epochs", type=int, dest="rl_epochs")

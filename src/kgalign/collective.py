@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -75,19 +75,6 @@ class CriticParameters:
 
 
 @dataclass
-class StateVector:
-    """Per-candidate signals; the network input is s1 * s2 + s3."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-
-    @property
-    def combined(self) -> np.ndarray:
-        return self.s1 * self.s2 + self.s3
-
-
-@dataclass
 class AlignmentResult:
     """Chosen target per source plus which stage decided it."""
 
@@ -101,16 +88,12 @@ class AlignmentEnvironment:
     confirmed: tuple[tuple[int, int], ...]
     residual_sources: np.ndarray
     residual_targets: np.ndarray
-    candidates: dict[int, np.ndarray]
     order: tuple[int, ...]
-    src_neighbors: tuple[frozenset[int], ...]
-    tgt_neighbors: tuple[frozenset[int], ...]
     state_dim: int
-    # The same layout as arrays, row i for source order[i]: candidates and
-    # their scores; the source's graph neighbours; and the target-graph
-    # neighbours of all its candidates, flattened, with each one's
-    # candidate slot. Out-of-range neighbour ids are dropped: they can
-    # never be matched.
+    # Row i is for source order[i]: its candidates and their scores; its
+    # graph neighbours; and the target-graph neighbours of all its
+    # candidates, flattened, with each one's candidate slot. Out-of-range
+    # neighbour ids are dropped: they can never be matched.
     candidate_rows: np.ndarray
     score_rows: np.ndarray
     neighbor_sources: tuple[np.ndarray, ...]
@@ -154,27 +137,6 @@ def preliminary_filter(
         keep_tgt[best_tgt[mutual]] = False
         tgt = tgt[keep_tgt]
     return confirmed, src, tgt
-
-
-def coherence_vector(
-    u: int,
-    matched: Mapping[int, int],
-    src_neighbors: Sequence[frozenset[int]],
-    tgt_neighbors: Sequence[frozenset[int]],
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """Count, per candidate, the already-chosen neighbor targets adjacent to it.
-
-    The context is the set of targets picked by u's matched neighbors in the
-    source graph; a candidate scores 1 for each context target it touches in
-    the target graph.
-    """
-    context = {matched[w] for w in src_neighbors[u] if w in matched}
-    if not context:
-        return np.zeros(len(candidates))
-    return np.array(
-        [float(len(context & tgt_neighbors[int(c)])) for c in candidates]
-    )
 
 
 def _neighbor_lists(sets: Sequence[frozenset[int]], limit: int):
@@ -238,10 +200,7 @@ def build_environment(
         confirmed=tuple(confirmed),
         residual_sources=res_src,
         residual_targets=res_tgt,
-        candidates={u: row for u, row in zip(sources, cand)},
         order=order,
-        src_neighbors=tuple(frozenset(s) for s in src_neighbors),
-        tgt_neighbors=tuple(frozenset(s) for s in tgt_neighbors),
         state_dim=state_dim,
         candidate_rows=rows,
         score_rows=scores[np.array(order, dtype=np.int64)[:, None], rows],
@@ -356,7 +315,6 @@ def run_episode(
     cfg: RlConfig,
     rng: np.random.Generator,
     train: bool,
-    trace: list | None = None,
 ) -> dict[int, int]:
     """One pass over the source sequence; updates parameters when training.
 
@@ -366,20 +324,19 @@ def run_episode(
     source's graph neighbours in a boolean mask (so a target picked twice
     counts once) and sums the mask over each candidate's target neighbours.
     The pass after the last source is terminal (value 0 in the TD target).
+    With no candidates (``state_dim == 0``) there is nothing to decide.
 
     Each network's parameters live in one flat buffer for the pass, so a
     training step is one ``p += (lr * delta) * g`` per network; they are
     written back to ``actor`` and ``critic`` when the pass ends, also when it
     ends in an error. The arithmetic is otherwise that of composing ``actor_forward``,
-    ``actor_log_prob_grads``, ``critic_value``, ``critic_grads`` and
-    ``coherence_vector``, with the same matrix products, so decisions and
-    parameters match them bit for bit.
+    ``actor_log_prob_grads``, ``critic_value`` and ``critic_grads``, with the
+    same matrix products, so decisions and parameters match them bit for bit.
     """
     decisions: dict[int, int] = {}
-    order = env.order
-    if not order:
+    order, k = env.order, env.state_dim
+    if not order or k == 0:
         return decisions
-    k = env.state_dim
     rows, score_rows = env.candidate_rows, env.score_rows
     neighbor_sources = env.neighbor_sources
     candidate_neighbors, candidate_slots = env.candidate_neighbors, env.candidate_slots
@@ -396,18 +353,18 @@ def run_episode(
     in_context = np.zeros(n_tgt + 1, dtype=bool)
     max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
 
-    def state(i: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Network input s1 * s2 + s3 of order[i], and s3 (None if unused)."""
+    def state(i: int) -> np.ndarray:
+        """Network input s1 * s2 + s3 of order[i]."""
         s1 = score_rows[i]
         s = s1 * s2_of[rows[i]] if exclusive else s1
         if not coherent:
-            return s + 0.0, None  # the same -0.0 -> +0.0 as adding zeros
+            return s + 0.0  # the same -0.0 -> +0.0 as adding zeros
         context = match_of[neighbor_sources[i]]
         in_context[context] = True
         s3 = np.bincount(candidate_slots[i],
                          weights=in_context[candidate_neighbors[i]], minlength=k)
         in_context[context] = False
-        return s + s3, s3
+        return s + s3
 
     actor_arrays = (actor.w1, actor.b1, actor.w2, actor.b2)
     critic_arrays = (critic.w3, critic.b3, critic.w4, critic.b4)
@@ -419,7 +376,7 @@ def run_episode(
     g_b4[...] = 1.0
     w2_t, w4_row, c_hidden = w2.T, w4[0], g_w4[0]
     g_b1_col, g_b2_col, g_b3_col = g_b1[:, None], g_b2[:, None], g_b3[:, None]
-    s, s3 = state(0)
+    s = state(0)
     last = len(order) - 1
     try:
         for i, u in enumerate(order):
@@ -437,18 +394,11 @@ def run_episode(
             a = _sample(rng, probs) if train else int(probs.argmax())
             v = int(rows[i, a])
             r = float(s[a])
-            if trace is not None:
-                traced = StateVector(
-                    s1=score_rows[i].copy(),
-                    s2=s2_of[rows[i]] if exclusive else np.ones(k),
-                    s3=np.zeros(k) if s3 is None else s3,
-                )
-                trace.append((u, traced, a, r))
             s2_of[v] = -1.0
             match_of[u] = v
             decisions[u] = v
             if i < last:
-                nxt, s3 = state(i + 1)
+                nxt = state(i + 1)
             if train:
                 c_pre = w3 @ s + b3
                 np.maximum(c_pre, 0.0, out=c_hidden)  # g_w4 is the hidden layer

@@ -28,9 +28,6 @@ Cell = tuple[int, int]
 class FusionConfig:
     theta1: float = 0.99  # scores above this are damped
     theta2: float = 0.48  # replacement weight for damped detections
-    # When both the 1/q division and the damping apply, the default replaces
-    # 1/q with theta2 outright; the switch scales theta2 by 1/q instead.
-    theta2_before_division: bool = False
 
     def __post_init__(self):
         if self.theta2 <= 0:
@@ -119,7 +116,7 @@ def correspondence_weights(
         weights: dict[str, float] = {}
         for tag, score in scores_by_feature.items():
             if score > cfg.theta1:
-                weights[tag] = cfg.theta2 / q if cfg.theta2_before_division else cfg.theta2
+                weights[tag] = cfg.theta2
             else:
                 weights[tag] = 1.0 / q
         out[cell] = weights

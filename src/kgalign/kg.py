@@ -15,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import IntegrityError, ParseError
-
-EdgeWeightFn = Callable[["KnowledgeGraph"], dict[tuple[int, int], float]]
-
 
 @dataclass
 class KnowledgeGraph:
@@ -66,10 +63,6 @@ class KnowledgeGraph:
     def entity_index(self) -> dict[str, int]:
         return {eid: i for i, eid in enumerate(self.entity_ids)}
 
-    @cached_property
-    def relation_index(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.relation_ids)}
-
 
 @dataclass
 class AlignmentDataset:
@@ -95,9 +88,6 @@ class AlignmentDataset:
                     )
                 seen_src[s] = label
                 seen_tgt[t] = label
-
-    def all_pairs(self) -> tuple[tuple, ...]:
-        return self.train + self.val + self.test
 
 
 @dataclass
@@ -131,9 +121,6 @@ class AdjacencyMatrix:
         if x.shape[0] != self.n:
             raise ValueError(f"expected {self.n} rows, got {x.shape[0]}")
         return self.to_csr() @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
 
 
 def _read_tsv(path: Path, n_fields: int):
@@ -252,42 +239,20 @@ def split_alignment(
     )
 
 
-def adjacency(kg: KnowledgeGraph, edge_weights: EdgeWeightFn | None = None) -> AdjacencyMatrix:
+def adjacency(kg: KnowledgeGraph) -> AdjacencyMatrix:
     """Build D^(-1/2) (A + I) D^(-1/2) over the undirected entity graph.
 
-    ``edge_weights`` is a hook for alternative weighting schemes: it maps a
-    KG to {(i, j): w} over unordered pairs i < j. The default weights every
-    distinct undirected edge 1. Isolated entities keep only the self-loop.
+    Every distinct undirected edge weighs 1. Isolated entities keep only the
+    self-loop.
     """
     n = kg.n_entities
-    if edge_weights is None:
-        ends = kg.triples[:, [0, 2]]
-        w = np.ones(len(ends))
-    else:
-        pair_w = edge_weights(kg)
-        ends = np.array(list(pair_w), dtype=np.int64).reshape(-1, 2)
-        w = np.array([float(v) for v in pair_w.values()])
-        if ends.size and (ends.min() < 0 or ends.max() >= n):
-            raise ValueError(f"edge weight key outside the {n} entities")
-    keep = ends[:, 0] != ends[:, 1]
-    ends, w = np.sort(ends[keep], axis=1), w[keep]
-    # A distinct edge keeps the position of its first listing and the weight
-    # of its last, as repeated dict assignment does.
-    key = ends[:, 0] * n + ends[:, 1]
-    _, first = np.unique(key, return_index=True)
-    _, last_reversed = np.unique(key[::-1], return_index=True)
-    listed = np.argsort(first)
-    i, j = ends[first[listed]].T
-    w = w[len(key) - 1 - last_reversed[listed]]
-
-    # Row sums add the self-loop's 1 first, then each edge's weight at both
-    # ends in listing order: a fixed order, as sums of non-integer hook
-    # weights depend on it.
-    sum_at = np.concatenate([np.arange(n), np.stack([i, j], axis=1).ravel()])
-    sum_w = np.concatenate([np.ones(n), np.repeat(w, 2)])
-    degrees = np.bincount(sum_at, weights=sum_w, minlength=n)
+    ends = kg.triples[:, [0, 2]]
+    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+    i, j = np.divmod(np.unique(ends[:, 0] * n + ends[:, 1]), n)
+    # Degrees are integer counts, so they are exact whatever the summation order.
+    degrees = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    wij = w * inv_sqrt[i] * inv_sqrt[j]
+    wij = inv_sqrt[i] * inv_sqrt[j]
 
     diag = np.arange(n)
     rows = np.concatenate([diag, i, j])
@@ -299,20 +264,6 @@ def adjacency(kg: KnowledgeGraph, edge_weights: EdgeWeightFn | None = None) -> A
         cols=cols[order],
         weights=np.concatenate([inv_sqrt * inv_sqrt, wij, wij])[order],
     )
-
-
-def neighbors(kg: KnowledgeGraph, e: int) -> set[int]:
-    """Entities sharing any triple with ``e`` in either direction, minus ``e``."""
-    if not 0 <= e < kg.n_entities:
-        raise ValueError(f"entity index {e} out of range [0, {kg.n_entities})")
-    out: set[int] = set()
-    for h, _, t in kg.triples:
-        if h == e:
-            out.add(int(t))
-        if t == e:
-            out.add(int(h))
-    out.discard(e)
-    return out
 
 
 def neighbor_sets(kg: KnowledgeGraph) -> tuple[frozenset[int], ...]:

@@ -2,15 +2,13 @@
 
 Precision counts correct matches over produced matches, recall over gold
 matches, F1 is their harmonic mean. Ranking metrics (hits at k, mean
-reciprocal rank) apply when full ranked candidate lists are available.
-Edit-distance statistics over gold pairs and the precision of confident
-correspondences support dataset and fusion diagnostics.
+reciprocal rank) apply when full ranked candidate lists are available. The
+precision of confident correspondences supports fusion diagnostics.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -18,7 +16,6 @@ import numpy as np
 
 from .collective import AlignmentResult
 from .errors import EvaluationError
-from .names import levenshtein
 
 # Rows per block in gold_ranks: its boolean temporaries stay O(block x columns).
 _RANK_BLOCK = 256
@@ -146,35 +143,6 @@ def hits_mrr_of_ranks(
     hits = {int(k): sum(1 for r in ranks if r <= k) / n for k in ks}
     mrr = sum(1.0 / r for r in ranks) / n
     return hits, mrr
-
-
-def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile: the ceil(q * n)-th smallest value."""
-    n = len(sorted_values)
-    rank = max(1, math.ceil(q * n))
-    return sorted_values[rank - 1]
-
-
-def name_distance_stats(
-    pairs: Sequence[tuple[int, int]],
-    src_names: Sequence[str],
-    tgt_names: Sequence[str],
-) -> tuple[float, float, float, float]:
-    """(average, median, p10, p90) of per-pair name edit distances.
-
-    Percentiles use the nearest-rank rule, which stays on the observed
-    integer distances.
-    """
-    if not pairs:
-        raise ValueError("need at least one gold pair")
-    dists = sorted(levenshtein(src_names[s], tgt_names[t]) for s, t in pairs)
-    average = sum(dists) / len(dists)
-    return (
-        average,
-        float(_nearest_rank(dists, 0.5)),
-        float(_nearest_rank(dists, 0.1)),
-        float(_nearest_rank(dists, 0.9)),
-    )
 
 
 def fusion_poc(corrs: Iterable, gold: Mapping) -> float | None:

@@ -88,14 +88,6 @@ def load_word_vectors(path) -> WordVectorTable:
     return WordVectorTable(vectors=vectors, dim=dim)
 
 
-def name_embedding(name: str, table: WordVectorTable) -> np.ndarray:
-    """Average the vectors of in-vocabulary tokens; zero vector if none."""
-    hits = [table.vectors[t] for t in tokenize(name) if t in table.vectors]
-    if not hits:
-        return np.zeros(table.dim)
-    return np.mean(hits, axis=0)
-
-
 def name_embedding_matrix(
     names: Sequence[str], table: WordVectorTable
 ) -> NameEmbeddingMatrix:

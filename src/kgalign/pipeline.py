@@ -1,7 +1,11 @@
 """End-to-end pipeline: features, fusion, collective decoding, evaluation.
 
-Each stage writes its artifact into the output directory; with resume
-enabled, a stage whose artifact already exists is loaded instead of
+``index_pairs``, ``feature_matrix`` and ``decode`` are the stage layer: the
+pipeline and the command-line stages both build features and decode
+through them.
+
+Each pipeline stage writes its artifact into the output directory; with
+resume enabled, a stage whose artifact already exists is loaded instead of
 recomputed, which never changes downstream results because artifacts
 round-trip bit-exactly. Any stage failure aborts with the stage name and
 the original cause.
@@ -36,7 +40,7 @@ from .kg import (
     neighbor_sets,
     split_alignment,
 )
-from .measures import Measure, sim_matrix, SimilarityMatrix
+from .measures import Measure, SimilarityMatrix, sim_matrix
 from .metrics import EvalReport, fusion_poc, gold_ranks, hits_mrr_of_ranks, prf
 from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
@@ -172,14 +176,71 @@ def _stage(name: str):
     return wrap
 
 
+def index_pairs(pairs, kg1, kg2) -> list[tuple[int, int]]:
+    """External (source id, target id) pairs as (kg1 index, kg2 index)."""
+    return [(kg1.entity_index[s], kg2.entity_index[t]) for s, t in pairs]
+
+
+def feature_matrix(
+    tag: str, kg1, kg2, test_pairs, measure, z1, z2, vectors, threads: int
+) -> SimilarityMatrix:
+    """One feature's similarity matrix over the test pairs, rows and columns
+    in ``test_pairs`` order.
+
+    ``structural`` compares the rows of the embeddings ``z1``/``z2`` under
+    ``measure``; ``semantic`` compares averaged word vectors read from the
+    file ``vectors`` under ``measure``; ``string`` scores the names' edit
+    distance on ``threads`` threads. Inputs a feature does not use may be None.
+    """
+    test_src = [s for s, _ in test_pairs]
+    test_tgt = [t for _, t in test_pairs]
+    if tag == "structural":
+        return sim_matrix(z1[test_src], z2[test_tgt], measure, tag)
+    src_names = [kg1.entity_names[i] for i in test_src]
+    tgt_names = [kg2.entity_names[i] for i in test_tgt]
+    if tag == "semantic":
+        table = load_word_vectors(vectors)
+        n1 = name_embedding_matrix(src_names, table)
+        n2 = name_embedding_matrix(tgt_names, table)
+        return sim_matrix(n1.rows, n2.rows, measure, tag)
+    if tag == "string":
+        return string_sim_matrix(src_names, tgt_names, threads=threads)
+    raise ValueError(f"unknown feature {tag!r}; choose from {FEATURES}")
+
+
+def decode(
+    strategy: str, scores, kg1, kg2, test_pairs, rl_cfg: RlConfig
+) -> AlignmentResult:
+    """Decode matches from a test-pair score matrix with one of STRATEGIES.
+
+    ``rl`` projects each graph's neighbours onto the test pairs, so row and
+    column indices double as entity positions, and trains with ``rl_cfg``.
+    """
+    if strategy == "greedy":
+        return greedy_independent(scores)
+    if strategy == "stable":
+        return stable_matching(scores)
+    if strategy == "hungarian":
+        return hungarian(scores)
+    if strategy != "rl":
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    sets1 = neighbor_sets(kg1)
+    sets2 = neighbor_sets(kg2)
+    src_pos = {s: i for i, (s, _) in enumerate(test_pairs)}
+    tgt_pos = {t: i for i, (_, t) in enumerate(test_pairs)}
+    src_nb = [frozenset(src_pos[w] for w in sets1[s] if w in src_pos)
+              for s, _ in test_pairs]
+    tgt_nb = [frozenset(tgt_pos[w] for w in sets2[t] if w in tgt_pos)
+              for _, t in test_pairs]
+    env = build_environment(scores, src_nb, tgt_nb, rl_cfg)
+    return a2c_align(env, rl_cfg)
+
+
 @_stage("load")
 def _load_inputs(cfg: PipelineConfig):
     kg1 = load_kg(cfg.triples1, cfg.names1)
     kg2 = load_kg(cfg.triples2, cfg.names2)
-    pairs = load_alignment(cfg.gold)
-    indexed = [
-        (kg1.entity_index[s], kg2.entity_index[t]) for s, t in pairs
-    ]
+    indexed = index_pairs(load_alignment(cfg.gold), kg1, kg2)
     split = split_alignment(indexed, cfg.train_frac, cfg.val_frac, cfg.seed)
     return kg1, kg2, split
 
@@ -198,8 +259,6 @@ def _embed(cfg: PipelineConfig, out: Path, kg1, kg2, split: AlignmentDataset):
 
 @_stage("features")
 def _features(cfg: PipelineConfig, out: Path, kg1, kg2, split, z1, z2):
-    test_src = [s for s, _ in split.test]
-    test_tgt = [t for _, t in split.test]
     ext = "npy" if cfg.matrix_format == "npy" else "tsv"
     matrices: list[SimilarityMatrix] = []
     for tag in cfg.features:
@@ -207,19 +266,8 @@ def _features(cfg: PipelineConfig, out: Path, kg1, kg2, split, z1, z2):
         if cfg.resume and path.exists():
             matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
             continue
-        if tag == "structural":
-            m = sim_matrix(z1[test_src], z2[test_tgt], cfg.measure, tag)
-        elif tag == "semantic":
-            table = load_word_vectors(cfg.vectors)
-            n1 = name_embedding_matrix([kg1.entity_names[i] for i in test_src], table)
-            n2 = name_embedding_matrix([kg2.entity_names[i] for i in test_tgt], table)
-            m = sim_matrix(n1.rows, n2.rows, cfg.measure, tag)
-        else:
-            m = string_sim_matrix(
-                [kg1.entity_names[i] for i in test_src],
-                [kg2.entity_names[i] for i in test_tgt],
-                threads=cfg.threads,
-            )
+        m = feature_matrix(tag, kg1, kg2, split.test, cfg.measure, z1, z2,
+                           cfg.vectors, cfg.threads)
         matio.save_matrix(path, m.scores, cfg.matrix_format)
         matrices.append(m)
     return matrices
@@ -262,11 +310,9 @@ def _fuse(cfg: PipelineConfig, out: Path, matrices):
 
 @_stage("align")
 def _align(cfg: PipelineConfig, out: Path, kg1, kg2, split, fused):
-    test_src = [s for s, _ in split.test]
-    test_tgt = [t for _, t in split.test]
     result_path = out / "result.tsv"
-    src_ids = [kg1.entity_ids[i] for i in test_src]
-    tgt_ids = [kg2.entity_ids[i] for i in test_tgt]
+    src_ids = [kg1.entity_ids[s] for s, _ in split.test]
+    tgt_ids = [kg2.entity_ids[t] for _, t in split.test]
     if cfg.resume and result_path.exists():
         rows = matio.load_result(result_path)
         src_pos = {eid: i for i, eid in enumerate(src_ids)}
@@ -274,27 +320,7 @@ def _align(cfg: PipelineConfig, out: Path, kg1, kg2, split, fused):
         pairs = {src_pos[s]: tgt_pos[t] for s, t, _ in rows}
         prov = {src_pos[s]: p for s, _, p in rows}
         return AlignmentResult(pairs=pairs, provenance=prov)
-    if cfg.strategy == "greedy":
-        result = greedy_independent(fused)
-    elif cfg.strategy == "stable":
-        result = stable_matching(fused)
-    elif cfg.strategy == "hungarian":
-        result = hungarian(fused)
-    else:
-        sets1 = neighbor_sets(kg1)
-        sets2 = neighbor_sets(kg2)
-        src_pos = {e: i for i, e in enumerate(test_src)}
-        tgt_pos = {e: i for i, e in enumerate(test_tgt)}
-        src_nb = [
-            frozenset(src_pos[w] for w in sets1[e] if w in src_pos)
-            for e in test_src
-        ]
-        tgt_nb = [
-            frozenset(tgt_pos[w] for w in sets2[e] if w in tgt_pos)
-            for e in test_tgt
-        ]
-        env = build_environment(fused, src_nb, tgt_nb, cfg.rl_config())
-        result = a2c_align(env, cfg.rl_config())
+    result = decode(cfg.strategy, fused, kg1, kg2, split.test, cfg.rl_config())
     matio.save_result(result_path, result, src_ids, tgt_ids)
     return result
 

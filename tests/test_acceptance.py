@@ -48,7 +48,7 @@ from kgalign.gcn import (
     train,
 )
 from kgalign.kg import adjacency, neighbor_sets, split_alignment
-from kgalign.measures import Measure, bray_curtis, cosine_sim, euclidean, manhattan, sim_matrix
+from kgalign.measures import Measure, sim_matrix
 from kgalign.metrics import hits_mrr, prf
 from kgalign.names import name_embedding_matrix, string_sim_matrix, WordVectorTable
 from kgalign.synth import gen_synthetic, synth_word_vectors
@@ -60,6 +60,7 @@ from test_collective import (
     brute_force_best,
     mutual_argmax_oracle,
 )
+from reference import bray_curtis, cosine_sim, euclidean, manhattan
 from test_gcn import finite_difference, random_kg
 
 

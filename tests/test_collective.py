@@ -1,10 +1,11 @@
 """Collective decoding: filtering, the actor-critic aligner, and baselines."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign import collective
@@ -12,13 +13,11 @@ from kgalign.collective import (
     MODES,
     AlignmentResult,
     RlConfig,
-    StateVector,
     _sample,
     a2c_align,
     actor_forward,
     actor_log_prob_grads,
     build_environment,
-    coherence_vector,
     count_multiplicities,
     critic_grads,
     critic_value,
@@ -32,6 +31,8 @@ from kgalign.collective import (
     stable_matching,
 )
 from kgalign.errors import TrainingError
+
+from reference import StateVector, coherence_vector
 
 # A 4-source scenario where decoding strategy drives accuracy: the gold
 # match is the diagonal, greedy lands 1/4, a 1-to-1 matching lands 2/4, and
@@ -87,9 +88,12 @@ def mutual_argmax_oracle(scores, rounds):
     return confirmed, src, tgt
 
 
-def reference_state(env, u, chosen, matched, mode):
-    """The state as the per-step loop built it: a chosen set and np.isin."""
-    cand = env.candidates[u]
+def reference_state(env, idx, neighbors, chosen, matched, mode):
+    """The state of order[idx] as the per-step loop built it: every target
+    chosen so far in a set, np.isin, and coherence_vector over the neighbour
+    lists given to build_environment."""
+    u = env.order[idx]
+    cand = env.candidate_rows[idx]
     s1 = env.scores[u, cand].astype(np.float64)
     s2 = np.ones(len(cand))
     if mode != "coherence_only" and chosen:
@@ -97,19 +101,20 @@ def reference_state(env, u, chosen, matched, mode):
     if mode == "exclusiveness_only":
         s3 = np.zeros(len(cand))
     else:
-        s3 = coherence_vector(u, matched, env.src_neighbors, env.tgt_neighbors, cand)
+        s3 = coherence_vector(u, matched, *neighbors, cand)
     return StateVector(s1=s1, s2=s2, s3=s3)
 
 
-def reference_episode(env, actor, critic, cfg, rng, train):
-    """run_episode composed from the public helpers, one call per quantity."""
+def reference_episode(env, actor, critic, cfg, rng, train, neighbors):
+    """run_episode composed from the public helpers, one call per quantity;
+    ``neighbors`` is the (source, target) neighbour lists of the environment."""
     chosen = set()
     matched = dict(env.confirmed)
     decisions = {}
     order = env.order
-    if not order:
+    if not order or env.state_dim == 0:
         return decisions
-    state = reference_state(env, order[0], chosen, matched, cfg.mode)
+    state = reference_state(env, 0, neighbors, chosen, matched, cfg.mode)
     for idx, u in enumerate(order):
         probs = actor_forward(state.combined, actor)
         if not np.all(np.isfinite(probs)):
@@ -118,13 +123,13 @@ def reference_episode(env, actor, critic, cfg, rng, train):
             a = int(rng.choice(len(probs), p=probs))
         else:
             a = int(np.argmax(probs))
-        v = int(env.candidates[u][a])
+        v = int(env.candidate_rows[idx, a])
         r = reward(state.s1, state.s2, state.s3, a)
         chosen.add(v)
         matched[u] = v
         decisions[u] = v
         next_state = (
-            reference_state(env, order[idx + 1], chosen, matched, cfg.mode)
+            reference_state(env, idx + 1, neighbors, chosen, matched, cfg.mode)
             if idx + 1 < len(order)
             else None
         )
@@ -171,7 +176,7 @@ def param_arrays(actor, critic):
             critic.w3, critic.b3, critic.w4, critic.b4)
 
 
-def run_against_reference(env, cfg, episodes):
+def run_against_reference(env, neighbors, cfg, episodes):
     """Train ``episodes`` episodes and run the greedy pass with run_episode
     and with reference_episode from the same start.
 
@@ -181,7 +186,8 @@ def run_against_reference(env, cfg, episodes):
     generator.
     """
     runs = []
-    for episode in (run_episode, reference_episode):
+    reference = functools.partial(reference_episode, neighbors=neighbors)
+    for episode in (run_episode, reference):
         rng = np.random.default_rng(cfg.rng_seed)
         actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
         critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
@@ -271,9 +277,6 @@ class TestBuildEnvironment:
         env = build_environment(scores, src_nb, tgt_nb, cfg)
         candidates, order = per_row_layout(scores, cfg)
         assert env.order == order
-        assert list(env.candidates) == list(candidates)
-        for u, cand in candidates.items():
-            assert np.array_equal(env.candidates[u], cand)
         assert env.candidate_rows.shape == env.score_rows.shape == (len(order), env.state_dim)
         for i, u in enumerate(order):
             cand = candidates[u]
@@ -290,7 +293,7 @@ class TestBuildEnvironment:
     def test_empty_residual(self):
         env = build_environment(np.eye(4), (frozenset(),) * 4, (frozenset(),) * 4,
                                 RlConfig(preliminary_rounds=1))
-        assert env.order == () and env.candidates == {}
+        assert env.order == ()
         assert env.candidate_rows.shape == (0, 0) and env.score_rows.shape == (0, 0)
         assert env.neighbor_sources == env.candidate_neighbors == env.candidate_slots == ()
         assert a2c_align(env, RlConfig(preliminary_rounds=1)).pairs == {i: i for i in range(4)}
@@ -475,19 +478,16 @@ class TestA2cAlign:
         assert hits >= 8
 
     def test_exclusiveness_flag_never_reverts_within_episode(self):
+        # The reference state flags every target chosen earlier in the
+        # episode, so a flag that reverted would change the decisions and
+        # the trained parameters. Targets are chosen twice, which is when a
+        # flag could revert.
         env, cfg = scenario_env(seed=1, epochs=1)
-        rng = np.random.default_rng(0)
-        actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
-        critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
-        trace = []
-        run_episode(env, actor, critic, cfg, rng, train=True, trace=trace)
-        chosen = set()
-        for u, state, action, _ in trace:
-            cand = env.candidates[u]
-            for slot, target in enumerate(cand):
-                expected = -1.0 if int(target) in chosen else 1.0
-                assert state.s2[slot] == expected
-            chosen.add(int(cand[action]))
+        neighbors = (SCENARIO_NEIGHBORS, SCENARIO_NEIGHBORS)
+        outcomes, _, _ = assert_same_runs(
+            run_against_reference(env, neighbors, cfg, cfg.epochs))
+        assert all(list(decisions) == list(env.order) for decisions in outcomes)
+        assert any(len(set(d.values())) < len(d) for d in outcomes[:-1])
 
     def test_preliminary_provenance_kept(self):
         env, cfg = scenario_env(seed=0, epochs=5, prelim_rounds=2)
@@ -516,7 +516,8 @@ class TestA2cAlign:
         env = build_environment(scores, src_nb, tgt_nb, cfg)
         assert len(env.order) >= 8
         runs = []
-        for episode in (run_episode, reference_episode):
+        reference = functools.partial(reference_episode, neighbors=(src_nb, tgt_nb))
+        for episode in (run_episode, reference):
             rng = np.random.default_rng(cfg.rng_seed)
             actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
             critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
@@ -545,7 +546,8 @@ class TestA2cAlign:
         assert env.state_dim < cfg.tau
         confirmed = dict(env.confirmed)
         assert any(w in confirmed for u in env.order for w in src_nb[u])
-        outcomes, _, _ = assert_same_runs(run_against_reference(env, cfg, cfg.epochs))
+        outcomes, _, _ = assert_same_runs(
+            run_against_reference(env, (src_nb, tgt_nb), cfg, cfg.epochs))
         shared = 0
         for decisions in outcomes:
             matched = dict(confirmed)
@@ -566,7 +568,7 @@ class TestA2cAlign:
                        actor_lr=0.5, critic_lr=0.5)
         env = build_environment(scores, src_nb, tgt_nb, cfg)
         with np.errstate(all="ignore"):
-            runs = run_against_reference(env, cfg, cfg.epochs)
+            runs = run_against_reference(env, (src_nb, tgt_nb), cfg, cfg.epochs)
         outcomes, before, after = assert_same_runs(runs)
         assert len(outcomes) == 2 and "non-finite" in outcomes[-1]
         assert any(b.tobytes() != a.tobytes() for b, a in zip(before, after))
@@ -578,6 +580,9 @@ class TestA2cAlign:
            density=st.floats(0.0, 1.0))
     def test_traced_state_matches_public_helpers(self, seed, n_src, n_tgt, mode,
                                                  rounds, tau, density):
+        # Every state run_episode builds feeds the policy, the reward and
+        # the updates, so equal decisions, parameters and generator state
+        # against the reference episode check each state it visits.
         rng = np.random.default_rng(seed)
         scores = rng.random((n_src, n_tgt))
         src_nb = random_neighbors(rng, n_src, density)
@@ -585,29 +590,25 @@ class TestA2cAlign:
         cfg = RlConfig(tau=tau, rng_seed=seed, preliminary_rounds=rounds, mode=mode,
                        actor_lr=0.01, critic_lr=0.05)
         env = build_environment(scores, src_nb, tgt_nb, cfg)
-        assume(env.state_dim > 0)  # a2c_align runs no episode otherwise
-        actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
-        critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
-        trace = []
-        decisions = run_episode(env, actor, critic, cfg, rng, True, trace=trace)
-        assert [u for u, *_ in trace] == list(decisions) == list(env.order)
-        matched = dict(env.confirmed)
-        chosen = set()
-        for u, state, a, r in trace:
-            cand = env.candidates[u]
-            assert np.array_equal(state.s1, scores[u, cand])
-            if mode == "coherence_only":
-                assert np.array_equal(state.s2, np.ones(len(cand)))
-            else:
-                assert np.array_equal(state.s2, [-1.0 if t in chosen else 1.0 for t in cand])
-            if mode == "exclusiveness_only":
-                assert np.array_equal(state.s3, np.zeros(len(cand)))
-            else:
-                assert np.array_equal(state.s3, coherence_vector(
-                    u, matched, src_nb, tgt_nb, cand))
-            assert r == state.combined[a]
-            matched[u] = decisions[u]
-            chosen.add(decisions[u])
+        outcomes, _, _ = assert_same_runs(
+            run_against_reference(env, (src_nb, tgt_nb), cfg, 1))
+        # With no residual target there is no candidate and nothing to decide.
+        decided = list(env.order) if env.state_dim else []
+        assert all(list(decisions) == decided for decisions in outcomes)
+
+    def test_no_candidates_no_decisions(self):
+        # The filter confirms the one target, leaving one source and no target.
+        cfg = RlConfig(preliminary_rounds=1)
+        env = build_environment(np.array([[0.9], [0.1]]), (frozenset(),) * 2,
+                                (frozenset(),), cfg)
+        assert env.order == (1,) and env.state_dim == 0
+        rng = np.random.default_rng(0)
+        actor = init_actor(rng, 0, cfg.hidden_dim)
+        critic = init_critic(rng, 0, cfg.critic_hidden_dim)
+        state = rng.bit_generator.state
+        assert run_episode(env, actor, critic, cfg, rng, True) == {}
+        assert rng.bit_generator.state == state
+        assert a2c_align(env, cfg).pairs == {0: 0}
 
     def test_coordination_beats_greedy_on_scenario(self):
         wins = 0

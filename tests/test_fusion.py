@@ -90,15 +90,6 @@ class TestCorrespondenceWeights:
         w = correspondence_weights(per_feature, self.CFG)
         assert w[(2, 3)] == {"a": 1.0}
 
-    def test_division_before_override_switch(self):
-        cfg = FusionConfig(theta1=0.95, theta2=0.48, theta2_before_division=True)
-        per_feature = {
-            "a": [ConfidentCorrespondence(0, 0, 0.99, "a")],
-            "b": [ConfidentCorrespondence(0, 0, 0.99, "b")],
-        }
-        w = correspondence_weights(per_feature, cfg)
-        assert w[(0, 0)] == {"a": 0.24, "b": 0.24}
-
 
 class TestFeatureWeights:
     def test_normalized_ratio(self):

@@ -20,6 +20,7 @@ from kgalign.gcn import (
 )
 from kgalign.kg import KnowledgeGraph, adjacency
 
+from reference import to_dense
 from test_kg import kg_from_edges
 
 
@@ -90,7 +91,7 @@ class TestGcnForward:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
         params = init_parameters(rng, 4)
-        dense = adj.to_dense()
+        dense = to_dense(adj)
         expected = dense @ np.maximum(dense @ x @ params.w1, 0) @ params.w2
         np.testing.assert_allclose(gcn_forward(adj, x, params), expected, atol=1e-10)
 

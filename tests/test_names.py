@@ -11,11 +11,12 @@ from kgalign.names import (
     lev_ratio,
     levenshtein,
     load_word_vectors,
-    name_embedding,
     name_embedding_matrix,
     string_sim_matrix,
     tokenize,
 )
+
+from reference import name_embedding
 
 
 def dp_levenshtein(a, b):

@@ -6,13 +6,23 @@ import re
 import numpy as np
 import pytest
 
+from kgalign import pipeline
 from kgalign.cli import build_parser, main
-from kgalign.collective import greedy_independent
+from kgalign.collective import RlConfig, greedy_independent
+from kgalign.kg import load_kg, save_alignment
 from kgalign.matio import load_matrix, load_result, save_matrix
 from kgalign.metrics import prf
 from kgalign.names import string_sim_matrix
-from kgalign.pipeline import PipelineConfig, default_threads, run_pipeline
+from kgalign.pipeline import (
+    FEATURES,
+    PipelineConfig,
+    decode,
+    default_threads,
+    run_pipeline,
+)
 from kgalign.synth import gen_synthetic, write_synthetic
+
+from test_kg import kg_from_edges
 
 
 class TestGenSynthetic:
@@ -147,7 +157,91 @@ class TestPipeline:
         assert cfg.seed == 3  # absent flag keeps file value
 
 
+def kg_flags(data):
+    return ["--triples1", str(data["triples1"]), "--names1", str(data["names1"]),
+            "--triples2", str(data["triples2"]), "--names2", str(data["names2"])]
+
+
+class TestStageLayer:
+    def test_decode_projects_neighbours_onto_test_pairs(self, monkeypatch):
+        # Rows and columns are test-pair positions; neighbours outside the
+        # test pairs are dropped.
+        kg1 = kg_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        kg2 = kg_from_edges(5, [(0, 3), (3, 2), (1, 0), (4, 4)])
+        test_pairs = [(2, 0), (1, 3), (3, 1), (4, 4)]
+        seen = []
+
+        def build(scores, src_nb, tgt_nb, cfg):
+            seen.append((list(src_nb), list(tgt_nb)))
+            return build_environment(scores, src_nb, tgt_nb, cfg)
+
+        build_environment = pipeline.build_environment
+        monkeypatch.setattr(pipeline, "build_environment", build)
+        scores = np.random.default_rng(0).random((4, 4))
+        decode("rl", scores, kg1, kg2, test_pairs, RlConfig(epochs=2))
+        assert seen == [([{1, 2}, {0}, {0, 3}, {2}], [{1, 2}, {0}, {0}, set()])]
+
+    def test_decode_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="strategy must be one of"):
+            decode("bogus", np.eye(2), None, None, [(0, 0), (1, 1)], RlConfig())
+
+
 class TestCli:
+    def test_stages_write_the_pipeline_bytes(self, synth_dir, tmp_path):
+        # features, fuse and align on the pipeline's test split and
+        # embeddings reproduce its artifacts byte for byte.
+        runs = {}
+        for strategy in ("rl", "hungarian"):
+            cfg = small_config(synth_dir, tmp_path / strategy, strategy=strategy,
+                               tau=3, prelim_rounds=0)
+            runs[strategy] = run_pipeline(cfg)
+        run = tmp_path / "rl"
+        kg1 = load_kg(synth_dir["triples1"], synth_dir["names1"])
+        kg2 = load_kg(synth_dir["triples2"], synth_dir["names2"])
+        test = tmp_path / "test.tsv"
+        save_alignment([(kg1.entity_ids[s], kg2.entity_ids[t])
+                        for s, t in runs["rl"].test_pairs], test)
+        stage = [*kg_flags(synth_dir), "--test", str(test)]
+        feats = tmp_path / "feats"
+        assert main(["features", *stage, "--z1", str(run / "z1.npy"),
+                     "--z2", str(run / "z2.npy"), "--vectors", str(synth_dir["vectors"]),
+                     "--measure", cfg.measure, "--out", str(feats)]) == 0
+        fused = tmp_path / "fused"
+        assert main(["fuse", "--inputs", *[f"{tag}={feats / f'sim_{tag}.npy'}"
+                                           for tag in FEATURES],
+                     "--out", str(fused)]) == 0
+        for tag in FEATURES:
+            assert (feats / f"sim_{tag}.npy").read_bytes() == \
+                (run / f"sim_{tag}.npy").read_bytes()
+        for name in ("sim_fused.npy", "fusion_report.txt"):
+            assert (fused / name).read_bytes() == (run / name).read_bytes()
+        for strategy in runs:
+            result = tmp_path / f"result_{strategy}.tsv"
+            assert main(["align", *stage, "--matrix", str(fused / "sim_fused.npy"),
+                         "--strategy", strategy, "--tau", str(cfg.tau),
+                         "--epochs", str(cfg.rl_epochs), "--seed", str(cfg.seed),
+                         "--prelim-rounds", str(cfg.prelim_rounds),
+                         "--out", str(result)]) == 0
+            assert result.read_bytes() == (tmp_path / strategy / "result.tsv").read_bytes()
+
+    @pytest.mark.parametrize("features,flags,message", [
+        ("string,structural", ["--vectors", "v.vec"],
+         "the structural feature needs --z1 and --z2"),
+        ("string,semantic", ["--z1", "z1.npy"], "the semantic feature needs --vectors"),
+        ("string,bogus", [], "unknown feature 'bogus' in --features"),
+    ])
+    def test_features_rejects_flags_before_writing(self, synth_dir, tmp_path, capsys,
+                                                   features, flags, message):
+        out = tmp_path / "feats"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["features", *kg_flags(synth_dir), "--test", str(synth_dir["gold"]),
+                  "--features", features, *flags, "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kgalign features")
+        assert f"kgalign features: error: {message}" in err
+        assert not out.exists()
+
     def test_synth_then_pipeline(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main([
