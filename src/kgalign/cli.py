@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import matio
 from .collective import AlignmentResult, RlConfig, count_multiplicities
-from .fusion import FusionConfig, adaptive_fuse
+from .fusion import FusionConfig
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
 from .measures import Measure, SimilarityMatrix
@@ -30,6 +30,7 @@ from .pipeline import (
     decode,
     default_threads,
     feature_matrix,
+    fuse_features,
     index_pairs,
     run_pipeline,
 )
@@ -46,10 +47,13 @@ def _add_kg_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_synth(args) -> int:
-    paths = write_synthetic(
-        args.out, args.n, args.edge_prob, args.name_noise, args.seed,
-        edge_noise=args.edge_noise, vec_dim=args.vec_dim,
-    )
+    try:  # write_synthetic checks every argument before it writes anything
+        paths = write_synthetic(
+            args.out, args.n, args.edge_prob, args.name_noise, args.seed,
+            edge_noise=args.edge_noise, vec_dim=args.vec_dim,
+        )
+    except ValueError as exc:
+        args.error(str(exc))
     for key, path in paths.items():
         print(f"{key}\t{path}")
     return 0
@@ -112,15 +116,15 @@ def _cmd_fuse(args) -> int:
         if not path:
             raise SystemExit(f"expected tag=path, got {item!r}")
         matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
-    fused, report = adaptive_fuse(
+    fused, summary, report_text = fuse_features(
         matrices, FusionConfig(theta1=args.theta1, theta2=args.theta2)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     matio.save_matrix(out / f"sim_fused.{ext}", fused.scores, args.format)
-    matio.save_text(out / "fusion_report.txt", report.to_text())
-    for tag, w in sorted(report.feature_weights.weights.items()):
+    matio.save_text(out / "fusion_report.txt", report_text)
+    for tag, w in sorted(summary["weights"].items()):
         print(f"feature_weight\t{tag}\t{w!r}")
     print(f"fused\t{out / f'sim_fused.{ext}'}")
     return 0
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vec-dim", type=int, default=16)
-    p.set_defaults(fn=_cmd_synth)
+    p.set_defaults(fn=_cmd_synth, error=p.error)
 
     p = sub.add_parser("embed", help="train structural embeddings")
     _add_kg_args(p)

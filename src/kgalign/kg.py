@@ -184,12 +184,14 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
 
 def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:
     """Write a KG back to the TSV layout accepted by :func:`load_kg`."""
+    ids, rels = kg.entity_ids, kg.relation_ids
     with open(names_path, "w", encoding="utf-8") as fh:
-        for eid, name in zip(kg.entity_ids, kg.entity_names):
-            fh.write(f"{eid}\t{name}\n")
+        fh.writelines(f"{eid}\t{name}\n" for eid, name in zip(ids, kg.entity_names))
     with open(triples_path, "w", encoding="utf-8") as fh:
-        for h, r, t in kg.triples:
-            fh.write(f"{kg.entity_ids[h]}\t{kg.relation_ids[r]}\t{kg.entity_ids[t]}\n")
+        # Bounded blocks of rows as Python ints keep memory flat.
+        for lo in range(0, len(kg.triples), 4096):
+            fh.writelines(f"{ids[h]}\t{rels[r]}\t{ids[t]}\n"
+                          for h, r, t in kg.triples[lo:lo + 4096].tolist())
 
 
 def load_alignment(path) -> list[tuple[str, str]]:
@@ -211,8 +213,7 @@ def load_alignment(path) -> list[tuple[str, str]]:
 
 def save_alignment(pairs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s, t in pairs:
-            fh.write(f"{s}\t{t}\n")
+        fh.writelines(f"{s}\t{t}\n" for s, t in pairs)
 
 
 def split_alignment(

@@ -10,6 +10,7 @@ can report coverage.
 from __future__ import annotations
 
 import re
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +55,12 @@ def load_word_vectors(path) -> WordVectorTable:
     """Parse a text vector file: optional ``count dim`` header, then one
     ``token v1 ... v_d`` line per word (fastText .vec compatible).
 
-    A repeated token keeps its first occurrence.
+    A repeated token keeps its first occurrence. The vectors are rows of one
+    float64 array, parsed value by value with ``float``.
     """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+    tokens: list[str] = []
+    values = array("d")
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -67,38 +70,59 @@ def load_word_vectors(path) -> WordVectorTable:
             if line_no == 1 and len(fields) == 2:
                 try:
                     _, dim = int(fields[0]), int(fields[1])
-                    continue
                 except ValueError:
                     pass  # not a header; fall through to vector parsing
-            token, values = fields[0], fields[1:]
+                else:
+                    if dim < 1:
+                        raise ParseError(path, line_no, f"dimension {dim} is below 1")
+                    continue
+            start = len(values)
             try:
-                vec = np.array([float(x) for x in values], dtype=np.float64)
+                values.extend(map(float, fields[1:]))
             except ValueError as exc:
                 raise ParseError(path, line_no, f"bad float value: {exc}") from None
             if dim is None:
-                dim = len(vec)
-            if len(vec) != dim:
+                dim = len(fields) - 1
+                if dim == 0:
+                    raise ParseError(path, line_no, "a vector needs at least one value")
+            if len(values) - start != dim:
                 raise ParseError(
-                    path, line_no, f"expected {dim} values, got {len(vec)}"
+                    path, line_no, f"expected {dim} values, got {len(values) - start}"
                 )
-            if token not in vectors:
-                vectors[token] = vec
+            tokens.append(fields[0])
     if dim is None:
         raise ParseError(path, 1, "empty vector file")
+    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
+    vectors: dict[str, np.ndarray] = {}
+    for token, row in zip(tokens, rows):
+        vectors.setdefault(token, row)
     return WordVectorTable(vectors=vectors, dim=dim)
 
 
 def name_embedding_matrix(
     names: Sequence[str], table: WordVectorTable
 ) -> NameEmbeddingMatrix:
+    """Each name's row is the mean of its in-vocabulary tokens' vectors.
+
+    Names with the same number of hits are averaged together: the same
+    row-by-row sum ``np.mean`` forms, then one divide, so every row equals
+    ``np.mean(hits, axis=0)`` bit for bit. An all-OOV name gets a zero row.
+    """
     rows = np.zeros((len(names), table.dim))
-    oov = np.zeros(len(names), dtype=bool)
-    for i, name in enumerate(names):
-        hits = [table.vectors[t] for t in tokenize(name) if t in table.vectors]
-        if hits:
-            rows[i] = np.mean(hits, axis=0)
-        else:
-            oov[i] = True
+    hits = [[table.vectors[t] for t in tokenize(name) if t in table.vectors]
+            for name in names]
+    by_count: dict[int, list[int]] = {}
+    for i, vecs in enumerate(hits):
+        by_count.setdefault(len(vecs), []).append(i)
+    for count, members in by_count.items():
+        if count == 0:
+            continue
+        stacked = np.array([hits[i] for i in members])  # (names, count, dim)
+        total = np.zeros((len(members), table.dim))
+        for k in range(count):
+            total += stacked[:, k]
+        rows[members] = total / count
+    oov = np.array([not vecs for vecs in hits], dtype=bool)
     return NameEmbeddingMatrix(rows=rows, oov_mask=oov)
 
 

@@ -208,6 +208,31 @@ def feature_matrix(
     raise ValueError(f"unknown feature {tag!r}; choose from {FEATURES}")
 
 
+def fuse_features(
+    matrices: list[SimilarityMatrix], cfg: FusionConfig
+) -> tuple[SimilarityMatrix, dict, str]:
+    """Fuse the feature matrices; return the fused matrix, the ``fusion.json``
+    payload (confident cells, feature weights, fallback flag) and the
+    ``fusion_report.txt`` text.
+
+    A single matrix passes through with weight 1.0: its cells are its own
+    confident correspondences and no fallback applies.
+    """
+    if len(matrices) == 1:
+        (m,) = matrices
+        cells = sorted({(c.source, c.target) for c in confident_correspondences(m)})
+        summary = {"cells": [list(c) for c in cells], "weights": {m.feature_tag: 1.0}}
+        return (SimilarityMatrix(m.scores, "fused"), summary,
+                f"feature_weight\t{m.feature_tag}\t1.0\n")
+    fused, report = adaptive_fuse(matrices, cfg)
+    summary = {
+        "cells": [list(c) for c in sorted(report.correspondence_weights)],
+        "weights": report.feature_weights.weights,
+        "fallback": report.feature_weights.fallback,
+    }
+    return fused, summary, report.to_text()
+
+
 def decode(
     strategy: str, scores, kg1, kg2, test_pairs, rl_cfg: RlConfig
 ) -> AlignmentResult:
@@ -280,32 +305,13 @@ def _fuse(cfg: PipelineConfig, out: Path, matrices):
     corr_path = out / "fusion.json"
     if cfg.resume and fused_path.exists() and corr_path.exists():
         fused = SimilarityMatrix(matio.load_matrix(fused_path), "fused")
-        payload = matio.load_json(corr_path)
-        corr_cells = [tuple(cell) for cell in payload["cells"]]
-        return fused, corr_cells
-    if len(matrices) == 1:
-        fused = SimilarityMatrix(matrices[0].scores, "fused")
-        corrs = confident_correspondences(matrices[0])
-        cells = sorted({(c.source, c.target) for c in corrs})
+        summary = matio.load_json(corr_path)
+    else:
+        fused, summary, report_text = fuse_features(matrices, cfg.fusion_config())
         matio.save_matrix(fused_path, fused.scores, cfg.matrix_format)
-        matio.save_json(corr_path, {"cells": [list(c) for c in cells],
-                                    "weights": {matrices[0].feature_tag: 1.0}})
-        matio.save_text(out / "fusion_report.txt",
-                        f"feature_weight\t{matrices[0].feature_tag}\t1.0\n")
-        return fused, cells
-    fused, report = adaptive_fuse(matrices, cfg.fusion_config())
-    matio.save_matrix(fused_path, fused.scores, cfg.matrix_format)
-    matio.save_text(out / "fusion_report.txt", report.to_text())
-    cells = sorted(report.correspondence_weights)
-    matio.save_json(
-        corr_path,
-        {
-            "cells": [list(c) for c in cells],
-            "weights": report.feature_weights.weights,
-            "fallback": report.feature_weights.fallback,
-        },
-    )
-    return fused, cells
+        matio.save_text(out / "fusion_report.txt", report_text)
+        matio.save_json(corr_path, summary)
+    return fused, [tuple(cell) for cell in summary["cells"]]
 
 
 @_stage("align")

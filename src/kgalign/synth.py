@@ -4,6 +4,16 @@ A random graph is generated once and duplicated; the copy gets fresh ids,
 optional edge rewiring, and character-level noise on entity names, so the
 pair behaves like a small benchmark where every feature carries partial
 signal. The gold alignment is the identity mapping between the two copies.
+
+Stream-exact contract: every file ``write_synthetic`` writes is byte-equal to
+what the plain scalar generator writes (tests/reference.py keeps it as the
+oracle), which makes one ``rng.random()`` call per entity pair, per copied
+triple and per noisy name character, plus ``rng.integers`` for relations,
+rewired tails and noise letters. The three per-draw loops replay exactly
+those draws from raw PCG64 words (``_WordStream``), so the generator ends in
+the state the scalar loops leave. Changing the order or number of draws
+changes the generated inputs; that is a benchmark change, which re-pins
+``perfbench/fingerprints.json`` (``python3 perfbench/pin.py``).
 """
 
 from __future__ import annotations
@@ -16,6 +26,114 @@ import numpy as np
 from .kg import KnowledgeGraph, save_alignment, save_kg
 
 _LETTERS = string.ascii_lowercase
+_BLOCK = 1 << 12  # most words one read from the bit generator takes
+_UNIT = 2.0**-53
+
+
+class _WordStream:
+    """A PCG64 ``Generator``'s ``random()`` and ``integers(m)`` draws, replayed
+    from the raw 64-bit words of its bit generator.
+
+    ``random()`` is ``(word >> 11) * 2**-53`` of one word. ``integers(m)``
+    for ``1 <= m < 2**32`` is Lemire's method on 32-bit draws:
+    ``(u * m) >> 32``, redrawn while ``(u * m) mod 2**32 < 2**32 mod m``;
+    ``m == 1`` draws nothing. A 32-bit draw takes the low half of a new word
+    and keeps its high half in the bit generator's ``has_uint32``/``uinteger``
+    buffer, which the next 32-bit draw uses instead of a word; ``random()``
+    leaves that buffer alone.
+
+    Words are read in blocks no longer than the count of words the caller
+    has promised to read (``reserve``, less the words read since), so the
+    stream never reads a word the scalar draws would not; ``close`` writes
+    the 32-bit buffer back, after which the generator continues exactly as
+    after the scalar draws.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        self._has32 = state["has_uint32"]
+        self._u32 = state["uinteger"]
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self._due = 0  # words the caller will still read, at least
+        self._hits: list[int] = []  # positions in _words below _hit_level
+        self._hit_level: float | None = None
+        self._hit_next = 0
+
+    def reserve(self, words: int) -> None:
+        """Promise that at least ``words`` more words will be read."""
+        self._due = words
+
+    def _refill(self) -> None:
+        self._words = self._bitgen.random_raw(min(max(self._due, 1), _BLOCK))
+        self._pos = 0
+        self._hit_level = None
+
+    def _take(self, count: int) -> None:
+        self._pos += count
+        self._due -= count
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._refill()
+        word = int(self._words[self._pos])
+        self._take(1)
+        return word
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _UNIT
+
+    def integers(self, m: int) -> int:
+        if m == 1:
+            return 0
+        threshold = (1 << 32) % m
+        while True:
+            if self._has32:
+                self._has32 = 0
+                u = self._u32
+            else:
+                word = self._word()
+                self._has32, self._u32 = 1, word >> 32
+                u = word & 0xFFFFFFFF
+            scaled = u * m
+            if scaled & 0xFFFFFFFF >= threshold:
+                return scaled >> 32
+
+    def scan(self, level: float, limit: int) -> tuple[int, float | None]:
+        """Draw ``random()`` up to ``limit`` times, stopping at the first draw
+        below ``level``; return the number of draws at or above it and the
+        stopping draw, or None if all ``limit`` were at or above it.
+        """
+        passed = 0
+        while passed < limit:
+            if self._pos == len(self._words):
+                self._refill()
+            if self._hit_level != level:
+                units = (self._words >> 11) * _UNIT
+                self._hits = np.flatnonzero(units < level).tolist()
+                self._hit_level, self._hit_next = level, 0
+            hits, k = self._hits, self._hit_next
+            while k < len(hits) and hits[k] < self._pos:
+                k += 1
+            self._hit_next = k
+            stop = min(len(self._words), self._pos + limit - passed)
+            if k < len(hits) and hits[k] < stop:
+                hit = hits[k]
+                passed += hit - self._pos
+                self._take(hit + 1 - self._pos)
+                return passed, (int(self._words[hit]) >> 11) * _UNIT
+            passed += stop - self._pos
+            self._take(stop - self._pos)
+        return passed, None
+
+    def close(self) -> None:
+        """Write the 32-bit buffer back into the generator."""
+        if self._pos != len(self._words):
+            raise RuntimeError("word stream read past the scalar draws")
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = self._has32, self._u32
+        self._bitgen.state = state
 
 
 def _random_word(rng: np.random.Generator) -> str:
@@ -23,22 +141,89 @@ def _random_word(rng: np.random.Generator) -> str:
     return "".join(_LETTERS[i] for i in rng.integers(len(_LETTERS), size=length))
 
 
-def _noisy(name: str, noise: float, rng: np.random.Generator) -> str:
+def _edges(n: int, edge_prob: float, n_relations: int,
+           stream: _WordStream) -> np.ndarray:
+    """The scalar pair loop: for each i < j in order, ``random() < edge_prob``
+    makes an edge with relation ``integers(n_relations)``, pointing i -> j if
+    the next ``random() < 0.5`` and j -> i otherwise.
+    """
+    n_pairs = n * (n - 1) // 2
+    found, rels, forward = [], [], []
+    done = 0
+    while done < n_pairs:
+        stream.reserve(n_pairs - done)  # one word per pair at least
+        passed, hit = stream.scan(edge_prob, n_pairs - done)
+        done += passed
+        if hit is None:
+            break
+        found.append(done)
+        rels.append(stream.integers(n_relations))
+        forward.append(stream.random() < 0.5)
+        done += 1
+    # Pair p is (i, j) with i the last row whose first pair index is <= p.
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2
+    pair = np.array(found, dtype=np.int64)
+    i = np.searchsorted(first, pair, side="right") - 1
+    j = pair - first[i] + i + 1
+    forward = np.array(forward, dtype=bool)
+    return np.column_stack([np.where(forward, i, j), rels,
+                            np.where(forward, j, i)]).astype(np.int64)
+
+
+def _rewire(triples: np.ndarray, n: int, edge_noise: float,
+            stream: _WordStream) -> np.ndarray:
+    """The scalar rewiring loop: each triple whose ``random() < edge_noise``
+    gets the tail ``integers(n)``, redrawn while it equals the head."""
+    out = triples.copy()
+    done = 0
+    while done < len(out):
+        stream.reserve(len(out) - done)
+        passed, hit = stream.scan(edge_noise, len(out) - done)
+        done += passed
+        if hit is None:
+            break
+        head = int(out[done, 0])
+        tail = stream.integers(n)
+        while tail == head:
+            tail = stream.integers(n)
+        out[done, 2] = tail
+        done += 1
+    return out
+
+
+def _noisy(names: list[str], noise: float, stream: _WordStream) -> list[str]:
+    """Per character, ``op = random()``: below ``noise / 3`` deletes it, below
+    ``2 * noise / 3`` substitutes ``integers(26)``'s letter, below ``noise``
+    inserts that letter after it, else keeps it. A name left empty stays as
+    it was."""
     if noise <= 0:
-        return name
+        return list(names)
+    left = sum(map(len, names))
     out = []
-    for ch in name:
-        op = rng.random()
-        if op < noise / 3:
-            continue  # delete
-        if op < 2 * noise / 3:
-            out.append(_LETTERS[int(rng.integers(len(_LETTERS)))])  # substitute
-        elif op < noise:
-            out.append(ch)
-            out.append(_LETTERS[int(rng.integers(len(_LETTERS)))])  # insert after
-        else:
-            out.append(ch)
-    return "".join(out) or name
+    for name in names:
+        stream.reserve(left)
+        left -= len(name)
+        pieces = []
+        at = 0
+        while at < len(name):
+            passed, op = stream.scan(noise, len(name) - at)
+            pieces.append(name[at:at + passed])
+            at += passed
+            if op is None:
+                break
+            if op >= noise / 3:
+                letter = _LETTERS[stream.integers(len(_LETTERS))]
+                pieces.append(letter if op < 2 * noise / 3 else name[at] + letter)
+            at += 1
+        out.append("".join(pieces) or name)
+    return out
+
+
+def _check_unit(**values: float) -> None:
+    for key, value in values.items():
+        if not 0 <= value <= 1:
+            raise ValueError(f"{key} must be in [0, 1], got {value}")
 
 
 def gen_synthetic(
@@ -52,10 +237,11 @@ def gen_synthetic(
 
     ``edge_prob`` controls graph density; ``name_noise`` is the per-character
     corruption rate applied to the copy's names; ``edge_noise`` rewires that
-    fraction of the copy's triples to a random tail.
+    fraction of the copy's triples to a random tail. All three lie in [0, 1].
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    _check_unit(edge_prob=edge_prob, name_noise=name_noise, edge_noise=edge_noise)
     rng = np.random.default_rng(rng_seed)
     n_relations = max(2, n // 20)
     vocab = [_random_word(rng) for _ in range(max(20, n // 2))]
@@ -71,37 +257,24 @@ def gen_synthetic(
                 names.append(name)
                 break
 
-    triples: list[tuple[int, int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                rel = int(rng.integers(n_relations))
-                if rng.random() < 0.5:
-                    triples.append((i, rel, j))
-                else:
-                    triples.append((j, rel, i))
+    stream = _WordStream(rng)
+    triples = _edges(n, edge_prob, n_relations, stream)
+    copy_triples = _rewire(triples, n, edge_noise, stream)
+    copy_names = _noisy(names, name_noise, stream)
+    stream.close()
 
     kg1 = KnowledgeGraph(
         entity_ids=tuple(f"s{i}" for i in range(n)),
         relation_ids=tuple(f"r{k}" for k in range(n_relations)),
-        triples=np.array(triples, dtype=np.int64).reshape(-1, 3),
+        triples=triples,
         entity_names=tuple(names),
     )
-
-    copy_triples = []
-    for h, r, t in triples:
-        if rng.random() < edge_noise:
-            t = int(rng.integers(n))
-            while t == h:
-                t = int(rng.integers(n))
-        copy_triples.append((h, r, t))
     kg2 = KnowledgeGraph(
         entity_ids=tuple(f"t{i}" for i in range(n)),
         relation_ids=tuple(f"q{k}" for k in range(n_relations)),
-        triples=np.array(copy_triples, dtype=np.int64).reshape(-1, 3),
-        entity_names=tuple(_noisy(name, name_noise, rng) for name in names),
+        triples=copy_triples,
+        entity_names=tuple(copy_names),
     )
-
     gold = [(f"s{i}", f"t{i}") for i in range(n)]
     return kg1, kg2, gold
 
@@ -112,18 +285,20 @@ def synth_word_vectors(
     dim: int,
     rng_seed: int,
 ) -> dict[str, np.ndarray]:
-    """One random unit vector per token appearing in either KG's names."""
+    """One random unit vector per token appearing in either KG's names.
+
+    Token k in sorted order gets the k-th ``dim`` normal draws, divided by
+    their norm ``sqrt(v.dot(v))`` (what ``np.linalg.norm`` computes).
+    """
     from .names import tokenize
 
     tokens = sorted(
         {t for name in kg1.entity_names + kg2.entity_names for t in tokenize(name)}
     )
-    rng = np.random.default_rng(rng_seed)
-    out = {}
-    for token in tokens:
-        vec = rng.normal(size=dim)
-        out[token] = vec / np.linalg.norm(vec)
-    return out
+    draws = np.random.default_rng(rng_seed).normal(size=(len(tokens), dim))
+    for vec in draws:
+        vec /= np.sqrt(vec.dot(vec))
+    return dict(zip(tokens, draws))
 
 
 def write_synthetic(
@@ -138,11 +313,14 @@ def write_synthetic(
     """Generate a pair and write it in the benchmark file layout.
 
     Produces triples/names TSVs for both KGs, the gold alignment, and a
-    word-vector file covering every name token.
+    word-vector file covering every name token. A bad argument raises
+    ``ValueError`` before anything is written.
     """
+    if vec_dim < 1:
+        raise ValueError(f"vec_dim must be >= 1, got {vec_dim}")
+    kg1, kg2, gold = gen_synthetic(n, edge_prob, name_noise, rng_seed, edge_noise)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kg1, kg2, gold = gen_synthetic(n, edge_prob, name_noise, rng_seed, edge_noise)
     paths = {
         "triples1": out_dir / "triples1.tsv",
         "names1": out_dir / "names1.tsv",
@@ -157,6 +335,6 @@ def write_synthetic(
     vectors = synth_word_vectors(kg1, kg2, vec_dim, rng_seed)
     with open(paths["vectors"], "w", encoding="utf-8") as fh:
         fh.write(f"{len(vectors)} {vec_dim}\n")
-        for token, vec in vectors.items():
-            fh.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+        fh.writelines(token + " " + " ".join(map(repr, vec.tolist())) + "\n"
+                      for token, vec in vectors.items())
     return paths

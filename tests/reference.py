@@ -1,14 +1,16 @@
 """Scalar reference implementations the tests compare the library against.
 
 Each one computes a single quantity the plain way (one vector pair, one
-entity, one candidate list), so it is easy to check by hand; the library's
-array kernels must agree with them.
+entity, one candidate list, one random draw), so it is easy to check by
+hand; the library's array kernels must agree with them.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -173,3 +175,117 @@ def coherence_vector(
     return np.array(
         [float(len(context & tgt_neighbors[int(c)])) for c in candidates]
     )
+
+
+# -- word vectors and synthetic pairs -------------------------------------------
+
+def load_word_vectors(path) -> WordVectorTable:
+    """Parse a vector file one line and one array at a time."""
+    vectors: dict[str, np.ndarray] = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if line_no == 1 and len(fields) == 2:
+                try:
+                    _, dim = int(fields[0]), int(fields[1])
+                    continue
+                except ValueError:
+                    pass
+            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            if dim is None:
+                dim = len(vec)
+            assert len(vec) == dim
+            vectors.setdefault(fields[0], vec)
+    return WordVectorTable(vectors=vectors, dim=dim)
+
+
+_LETTERS = string.ascii_lowercase
+
+
+def _random_word(rng: np.random.Generator) -> str:
+    length = int(rng.integers(4, 9))
+    return "".join(_LETTERS[i] for i in rng.integers(len(_LETTERS), size=length))
+
+
+def noisy(name: str, noise: float, rng: np.random.Generator) -> str:
+    """One ``rng.random()`` per character: delete, substitute, insert or keep."""
+    if noise <= 0:
+        return name
+    out = []
+    for ch in name:
+        op = rng.random()
+        if op < noise / 3:
+            continue  # delete
+        if op < 2 * noise / 3:
+            out.append(_LETTERS[int(rng.integers(len(_LETTERS)))])  # substitute
+        elif op < noise:
+            out.append(ch)
+            out.append(_LETTERS[int(rng.integers(len(_LETTERS)))])  # insert after
+        else:
+            out.append(ch)
+    return "".join(out) or name
+
+
+def gen_synthetic(n, edge_prob, name_noise, rng_seed, edge_noise=0.0):
+    """The scalar generator: one draw at a time, pair by pair and triple by triple."""
+    rng = np.random.default_rng(rng_seed)
+    n_relations = max(2, n // 20)
+    vocab = [_random_word(rng) for _ in range(max(20, n // 2))]
+    names: list[str] = []
+    seen: set[str] = set()
+    for _ in range(n):
+        while True:
+            name = " ".join(vocab[int(i)] for i in rng.integers(len(vocab), size=3))
+            if name not in seen:
+                seen.add(name)
+                names.append(name)
+                break
+    triples = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                rel = int(rng.integers(n_relations))
+                if rng.random() < 0.5:
+                    triples.append((i, rel, j))
+                else:
+                    triples.append((j, rel, i))
+    copy_triples = []
+    for h, r, t in triples:
+        if rng.random() < edge_noise:
+            t = int(rng.integers(n))
+            while t == h:
+                t = int(rng.integers(n))
+        copy_triples.append((h, r, t))
+    copy_names = [noisy(name, name_noise, rng) for name in names]
+    return names, triples, copy_names, copy_triples
+
+
+def write_synthetic(out_dir, n, edge_prob, name_noise, rng_seed, edge_noise=0.0,
+                    vec_dim=16) -> None:
+    """The scalar generator's six files, written one line at a time."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names, triples, copy_names, copy_triples = gen_synthetic(
+        n, edge_prob, name_noise, rng_seed, edge_noise)
+    sides = [("s", "r", names, triples), ("t", "q", copy_names, copy_triples)]
+    for side, (prefix, rel, ents, edges) in enumerate(sides, start=1):
+        with open(out_dir / f"names{side}.tsv", "w", encoding="utf-8") as fh:
+            for i, name in enumerate(ents):
+                fh.write(f"{prefix}{i}\t{name}\n")
+        with open(out_dir / f"triples{side}.tsv", "w", encoding="utf-8") as fh:
+            for h, r, t in edges:
+                fh.write(f"{prefix}{h}\t{rel}{r}\t{prefix}{t}\n")
+    with open(out_dir / "gold.tsv", "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(f"s{i}\tt{i}\n")
+    tokens = sorted({t for name in names + copy_names for t in tokenize(name)})
+    rng = np.random.default_rng(rng_seed)
+    with open(out_dir / "vectors.vec", "w", encoding="utf-8") as fh:
+        fh.write(f"{len(tokens)} {vec_dim}\n")
+        for token in tokens:
+            vec = rng.normal(size=vec_dim)
+            vec = vec / np.linalg.norm(vec)
+            fh.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")

@@ -1,5 +1,8 @@
 """Word-vector loading, name embeddings, and edit-distance similarity."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from kgalign.names import (
     tokenize,
 )
 
+import reference
 from reference import name_embedding
 
 
@@ -62,6 +66,46 @@ class TestLoadWordVectors:
             load_word_vectors(path)
         assert err.value.line_no == 2
 
+    def test_bad_float_names_its_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_text("cat 1 2\ndog 4 x\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="bad float value") as err:
+            load_word_vectors(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text", ["3 0\n", "3 0\ncat\n", "cat\ndog\n"])
+    def test_zero_dimension_rejected(self, tmp_path, text):
+        path = tmp_path / "v.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_word_vectors(path)
+        assert err.value.line_no == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=st.booleans(), dim=st.integers(1, 6), data=st.data())
+    def test_matches_per_line_loop(self, header, dim, data):
+        value = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["0", "-0", "1e3", "+.5", "-2.5E-3", "1_0", "INF"]),
+        )
+        lines = data.draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(["a", "b", "c", "d"]),
+                      st.lists(value, min_size=dim, max_size=dim)).map(
+                          lambda tv: " ".join([tv[0], *tv[1]])),
+            st.just(""),
+        ), max_size=12))
+        if not any(lines):
+            lines.append("a " + " ".join(["1.5"] * dim))
+        text = "\n".join(([f"{len(lines)} {dim}"] if header else []) + lines) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.vec"
+            path.write_text(text, encoding="utf-8")
+            got, want = load_word_vectors(path), reference.load_word_vectors(path)
+        assert got.dim == want.dim
+        assert list(got.vectors) == list(want.vectors)
+        for token, vec in want.vectors.items():
+            assert got.vectors[token].tobytes() == vec.tobytes()
+
 
 TABLE = WordVectorTable(
     vectors={"red": np.array([1.0, 0.0]), "fox": np.array([0.0, 1.0])}, dim=2
@@ -89,6 +133,24 @@ class TestNameEmbedding:
         np.testing.assert_array_equal(
             name_embedding("red fox", TABLE), name_embedding("fox red", TABLE)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_matrix_matches_per_name_mean(self, data, dim):
+        vocab = ["ant", "bee", "cat", "dog", "eel"]
+        value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1e-300]))
+        vectors = data.draw(st.dictionaries(
+            st.sampled_from(vocab), st.lists(value, min_size=dim, max_size=dim)))
+        table = WordVectorTable({t: np.array(v) for t, v in vectors.items()}, dim)
+        names = data.draw(st.lists(
+            st.lists(st.sampled_from(vocab + ["oov"]), max_size=7).map(" ".join),
+            max_size=12))
+        mat = name_embedding_matrix(names, table)
+        want = np.array([name_embedding(name, table) for name in names])
+        want = want.reshape(-1, dim)
+        assert mat.rows.tobytes() == want.tobytes()
+        assert mat.oov_mask.tolist() == [
+            not any(t in vectors for t in tokenize(name)) for name in names]
 
     def test_tokenizer_strips_punctuation_and_underscores(self):
         assert tokenize("Red_Fox (animal)") == ["red", "fox", "animal"]

@@ -215,6 +215,15 @@ class TestCli:
                 (run / f"sim_{tag}.npy").read_bytes()
         for name in ("sim_fused.npy", "fusion_report.txt"):
             assert (fused / name).read_bytes() == (run / name).read_bytes()
+        # One feature passes through fusion unweighted in both.
+        one = tmp_path / "semantic"
+        run_pipeline(small_config(synth_dir, one, features=("semantic",),
+                                  strategy="greedy"))
+        fused_one = tmp_path / "fused_one"
+        assert main(["fuse", "--inputs", f"semantic={feats / 'sim_semantic.npy'}",
+                     "--out", str(fused_one)]) == 0
+        for name in ("sim_fused.npy", "fusion_report.txt"):
+            assert (fused_one / name).read_bytes() == (one / name).read_bytes()
         for strategy in runs:
             result = tmp_path / f"result_{strategy}.tsv"
             assert main(["align", *stage, "--matrix", str(fused / "sim_fused.npy"),
