@@ -31,12 +31,9 @@ from .gcn import (
     TrainConfig,
     gcn_forward,
     init_features,
-    margin_loss,
-    sample_negatives,
     train,
 )
 from .kg import (
-    AdjacencyMatrix,
     AlignmentDataset,
     KnowledgeGraph,
     adjacency,

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SamplingError, TrainingError
-from .kg import AdjacencyMatrix, KnowledgeGraph, adjacency
+from .kg import KnowledgeGraph, adjacency
+from .stream import Stream, lemire
 
 Pair = tuple[int, int]
 
@@ -29,7 +31,6 @@ class TrainConfig:
     negatives: int = 5
     learning_rate: float = 1.0
     rng_seed: int = 0
-    resample_negatives: bool = True  # fresh corruption every epoch
 
     def __post_init__(self):
         if self.dim < 1:
@@ -77,29 +78,17 @@ def init_features(n: int, dim: int, rng_seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def gcn_forward(adj: AdjacencyMatrix, x: np.ndarray, params: GcnParameters) -> np.ndarray:
+def gcn_forward(adj: sp.csr_matrix, x: np.ndarray, params: GcnParameters) -> np.ndarray:
     """Z = A_hat relu(A_hat X W1) W2."""
-    if adj.n != x.shape[0]:
-        raise ValueError(f"adjacency is {adj.n} nodes but X has {x.shape[0]} rows")
+    n = adj.shape[0]
+    if n != x.shape[0]:
+        raise ValueError(f"adjacency is {n} nodes but X has {x.shape[0]} rows")
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(
             f"X has {x.shape[1]} columns but W1 expects {params.w1.shape[0]}"
         )
-    hidden = np.maximum(adj.matmul(x) @ params.w1, 0.0)
-    return adj.matmul(hidden) @ params.w2
-
-
-def _grouped_negatives(
-    positives: Sequence[Pair], negatives: Sequence[Sequence[Pair]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(negatives) != len(positives):
-        raise ValueError("need one negative group per positive")
-    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    counts = [len(group) for group in negatives]
-    flat = [pair for group in negatives for pair in group]
-    neg = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(positives)), counts)
-    return pos, neg, owner
+    hidden = np.maximum((adj @ x) @ params.w1, 0.0)
+    return (adj @ hidden) @ params.w2
 
 
 def _margin_terms(
@@ -118,25 +107,8 @@ def _margin_terms(
     return diff_pos, diff_neg, d_pos[owner] - d_neg + margin
 
 
-def margin_loss(
-    z1: np.ndarray,
-    z2: np.ndarray,
-    positives: Sequence[Pair],
-    negatives: Sequence[Sequence[Pair]],
-    margin: float,
-) -> float:
-    """Sum over pairs of max(0, d1(pos) - d1(neg) + margin) with L1 distances."""
-    pos, neg, owner = _grouped_negatives(positives, negatives)
-    terms = _margin_terms(z1, z2, pos, neg, owner, margin)[2]
-    return float(np.maximum(terms, 0.0).sum())
-
-
 _MAX_ATTEMPTS = 100
-_WORD = 2**32  # numpy draws an integer below 2**32 from 32-bit words
-
-
-def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.integers(0, _WORD, size=count, dtype=np.uint32).astype(np.uint64)
+_BLOCK = 64  # fewest words per stream read: a replayed attempt rarely reads alone
 
 
 def _sample_negative_array(
@@ -148,24 +120,24 @@ def _sample_negative_array(
 ) -> np.ndarray:
     """(len(pos) * k, 2) corrupted pairs, k per positive in order.
 
+    Each replaces exactly one side of its positive with an entity drawn
+    uniformly from that side's KG; a candidate colliding with any positive
+    is redrawn, at most 100 times per slot before :class:`SamplingError`.
+
     Bit-for-bit the draws of a scalar loop that, per attempt, flips a coin
     with ``rng.integers(2)``, draws the replacement with ``rng.integers(n)``
-    from the chosen side's pool and redraws on a collision with a positive,
-    at most 100 times per slot. numpy answers ``rng.integers(n)`` for
-    ``n <= 2**32`` with Lemire's method on 32-bit words: ``(word * n) >> 32``,
-    unless ``(word * n) mod 2**32 < (2**32 - n) mod n``, when it rejects the
-    word and reads the next; a pool of one entity reads no word, but its
-    only entity is the positive's own, so that attempt collides. So while
-    no attempt collides or rejects, attempt i reads words 2i (coin) and
+    from the chosen side's pool and redraws on a collision. Each of those is
+    one 32-bit draw unless Lemire's method rejects it, and a pool of one
+    entity draws nothing, but its only entity is the positive's own, so that
+    attempt collides (:mod:`kgalign.stream` has the draw model). So while no
+    attempt collides or rejects, attempt i takes 32-bit draws 2i (coin) and
     2i + 1 (replacement), and a run of attempts is one array computation.
-    The first attempt that does either is replayed word by word, and the
-    scan resumes after it. A filled slot reads at least two words, and words
-    are drawn only as far as that bound, so the generator ends where the
-    loop's would; on :class:`SamplingError` it is rewound and advanced by
-    the words read.
+    The first attempt that does either is replayed draw by draw, and the
+    scan resumes after it. The stream is closed on every exit, so the
+    generator ends where the loop's would, on :class:`SamplingError` too.
     """
     pools = (n_source, n_target)
-    if not all(1 <= n <= _WORD for n in pools):
+    if not all(1 <= n <= 2**32 for n in pools):
         raise ValueError(f"entity pools must hold 1 to 2**32 entities, got {pools}")
     if pos.size and (pos.min() < 0 or (pos.max(axis=0) >= pools).any()):
         raise ValueError("a positive pair is outside the entity pools")
@@ -173,7 +145,6 @@ def _sample_negative_array(
     # part its slot keeps (row 0: target kept, row 1: source kept) plus the
     # replacement times its place value.
     bounds = np.array(pools, dtype=np.uint64)
-    thresholds = (_WORD - bounds) % bounds
     place = np.array([n_target, 1], dtype=np.uint64)
     src, tgt = np.repeat(pos.astype(np.uint64), k, axis=0).T
     kept = np.stack([tgt, src * bounds[1]])
@@ -181,94 +152,49 @@ def _sample_negative_array(
     pos_key_set = set(pos_keys.tolist())
     slots = kept.shape[1]
     keys = np.empty(slots, dtype=np.uint64)
-    start = rng.bit_generator.state
-    words = np.empty(0, dtype=np.uint64)  # drawn but not yet read
-    drawn = done = failures = 0
+    done = failures = 0
+    stream = Stream(rng, _BLOCK)
+    try:
+        while done < slots:
+            draws = stream.peek32(2 * (slots - done))
+            side = (draws[0::2] >> 31).astype(np.intp)
+            value, accepted = lemire(draws[1::2], bounds[side])
+            run = kept[side, np.arange(done, slots)] + value * place[side]
+            nearest = np.minimum(np.searchsorted(pos_keys, run), len(pos_keys) - 1)
+            stop = np.flatnonzero((pos_keys[nearest] == run) | ~accepted)
+            ok = int(stop[0]) if len(stop) else len(run)
+            keys[done:done + ok] = run[:ok]
+            stream.take32(2 * ok)
+            done += ok
+            if ok:
+                failures = 0
+            if done == slots:
+                break
 
-    def draw(count: int) -> None:
-        nonlocal words, drawn
-        words = np.concatenate([words, _draw_words(rng, count)])
-        drawn += count
-
-    def read() -> int:
-        nonlocal words
-        if not len(words):
-            draw(1)
-        word, words = int(words[0]), words[1:]
-        return word
-
-    while done < slots:
-        short = 2 * (slots - done) - len(words)
-        if short > 0:
-            draw(short)
-        span = slots - done
-        side = (words[0:2 * span:2] >> 31).astype(np.intp)
-        scaled = words[1:2 * span:2] * bounds[side]
-        run = kept[side, np.arange(done, done + span)] + (scaled >> 32) * place[side]
-        nearest = np.minimum(np.searchsorted(pos_keys, run), len(pos_keys) - 1)
-        hit = pos_keys[nearest] == run
-        rejected = (scaled & 0xFFFFFFFF) < thresholds[side]
-        stop = np.flatnonzero(hit | rejected)
-        ok = int(stop[0]) if len(stop) else span
-        keys[done:done + ok] = run[:ok]
-        words = words[2 * ok:]
-        done += ok
-        if ok:
-            failures = 0
-        if done == slots:
-            break
-
-        # Replay the next attempt one word at a time.
-        coin = read() >> 31
-        m = 0
-        if pools[coin] > 1:
-            m = read() * pools[coin]
-            while m % _WORD < thresholds[coin]:
-                m = read() * pools[coin]
-        key = int(kept[coin, done]) + (m >> 32) * int(place[coin])
-        if key not in pos_key_set:
-            keys[done] = key
-            done += 1
-            failures = 0
-            continue
-        failures += 1
-        if failures == _MAX_ATTEMPTS:
-            # The loop stops here, short of the slots words were drawn for.
-            rng.bit_generator.state = start
-            _draw_words(rng, drawn - len(words))
-            s, t = pos[done // k]
-            raise SamplingError(
-                f"could not corrupt pair ({s}, {t}) without colliding with "
-                f"a positive; entity pools too small"
-            )
+            # Replay the next attempt one draw at a time.
+            coin = stream.integers(2)
+            key = int(kept[coin, done]) + stream.integers(pools[coin]) * int(place[coin])
+            if key not in pos_key_set:
+                keys[done] = key
+                done += 1
+                failures = 0
+                continue
+            failures += 1
+            if failures == _MAX_ATTEMPTS:
+                s, t = pos[done // k]
+                raise SamplingError(
+                    f"could not corrupt pair ({s}, {t}) without colliding with "
+                    f"a positive; entity pools too small"
+                )
+    finally:
+        stream.close()
     return np.stack(np.divmod(keys, bounds[1]), axis=1).astype(np.int64)
 
 
-def sample_negatives(
-    positives: Sequence[Pair],
-    k: int,
-    rng: np.random.Generator,
-    n_source: int,
-    n_target: int,
-) -> list[list[Pair]]:
-    """k corrupted pairs per positive, each replacing exactly one side.
-
-    The replacement entity is drawn uniformly from the owning KG; a candidate
-    colliding with any positive pair is redrawn, at most 100 times per
-    slot before :class:`SamplingError`.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    neg = _sample_negative_array(pos, k, rng, n_source, n_target)
-    pairs = list(zip(neg[:, 0].tolist(), neg[:, 1].tolist()))
-    return [pairs[i:i + k] for i in range(0, len(pairs), k)]
-
-
 def _loss_and_gradients(
-    adj1: AdjacencyMatrix,
+    a1: sp.csr_matrix,
     ax1: np.ndarray,
-    adj2: AdjacencyMatrix,
+    a2: sp.csr_matrix,
     ax2: np.ndarray,
     params: GcnParameters,
     pos: np.ndarray,
@@ -277,7 +203,6 @@ def _loss_and_gradients(
     margin: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The epoch step, given A X and the pairs as index arrays."""
-    a1, a2 = adj1.to_csr(), adj2.to_csr()
     p1 = ax1 @ params.w1
     p2 = ax2 @ params.w1
     h1 = np.maximum(p1, 0.0)
@@ -314,23 +239,6 @@ def _loss_and_gradients(
     return loss, g_w1, g_w2
 
 
-def loss_and_gradients(
-    adj1: AdjacencyMatrix,
-    x1: np.ndarray,
-    adj2: AdjacencyMatrix,
-    x2: np.ndarray,
-    params: GcnParameters,
-    positives: Sequence[Pair],
-    negatives: Sequence[Sequence[Pair]],
-    margin: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Margin loss and its analytic gradients with respect to W1 and W2."""
-    pos, neg, owner = _grouped_negatives(positives, negatives)
-    return _loss_and_gradients(
-        adj1, adj1.matmul(x1), adj2, adj2.matmul(x2), params, pos, neg, owner, margin
-    )
-
-
 def init_parameters(rng: np.random.Generator, dim: int) -> GcnParameters:
     limit = np.sqrt(3.0 / dim)
     return GcnParameters(
@@ -348,8 +256,8 @@ def train(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train structural embeddings for both KGs and return (Z1, Z2).
 
-    Runs ``cfg.epochs`` full-batch gradient steps; negatives are redrawn
-    every epoch unless ``cfg.resample_negatives`` is off. ``on_epoch`` is
+    Runs ``cfg.epochs`` full-batch gradient steps with negatives redrawn
+    every epoch. ``on_epoch`` is
     called with (epoch, loss) after each update, where the loss is that of
     the parameters before the update.
     """
@@ -362,15 +270,13 @@ def train(
     x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
     params = init_parameters(rng, cfg.dim)
 
-    ax1, ax2 = adj1.matmul(x1), adj2.matmul(x2)  # X is fixed, so A X is too
+    ax1, ax2 = adj1 @ x1, adj2 @ x2  # X is fixed, so A X is too
     pos = np.asarray(seeds, dtype=np.int64).reshape(-1, 2)
     owner = np.repeat(np.arange(len(pos)), cfg.negatives)
-    neg = None
     for epoch in range(cfg.epochs):
-        if neg is None or cfg.resample_negatives:
-            neg = _sample_negative_array(
-                pos, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
-            )
+        neg = _sample_negative_array(
+            pos, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
+        )
         loss, g_w1, g_w2 = _loss_and_gradients(
             adj1, ax1, adj2, ax2, params, pos, neg, owner, cfg.margin
         )

@@ -12,7 +12,7 @@ share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -88,39 +88,6 @@ class AlignmentDataset:
                     )
                 seen_src[s] = label
                 seen_tgt[t] = label
-
-
-@dataclass
-class AdjacencyMatrix:
-    """Symmetrically normalized undirected adjacency with self-loops.
-
-    Stored as coordinate triplets sorted by (row, col); the weights for
-    (i, j) and (j, i) are one computed value, so symmetry is bitwise.
-    """
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for arr in (self.rows, self.cols, self.weights):
-            arr.setflags(write=False)
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ValueError("adjacency weights must be finite and nonnegative")
-
-    def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.weights, (self.rows, self.cols)), shape=(self.n, self.n)
-            )
-        return self._csr
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} rows, got {x.shape[0]}")
-        return self.to_csr() @ x
 
 
 def _read_tsv(path: Path, n_fields: int):
@@ -240,11 +207,13 @@ def split_alignment(
     )
 
 
-def adjacency(kg: KnowledgeGraph) -> AdjacencyMatrix:
-    """Build D^(-1/2) (A + I) D^(-1/2) over the undirected entity graph.
+def adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
+    """Build D^(-1/2) (A + I) D^(-1/2) over the undirected entity graph, as
+    CSR with sorted column indices.
 
     Every distinct undirected edge weighs 1. Isolated entities keep only the
-    self-loop.
+    self-loop. The weights of (i, j) and (j, i) are one computed value, so
+    symmetry is bitwise.
     """
     n = kg.n_entities
     ends = kg.triples[:, [0, 2]]
@@ -256,15 +225,13 @@ def adjacency(kg: KnowledgeGraph) -> AdjacencyMatrix:
     wij = inv_sqrt[i] * inv_sqrt[j]
 
     diag = np.arange(n)
-    rows = np.concatenate([diag, i, j])
-    cols = np.concatenate([diag, j, i])
-    order = np.lexsort((cols, rows))
-    return AdjacencyMatrix(
-        n=n,
-        rows=rows[order],
-        cols=cols[order],
-        weights=np.concatenate([inv_sqrt * inv_sqrt, wij, wij])[order],
+    adj = sp.csr_matrix(
+        (np.concatenate([inv_sqrt * inv_sqrt, wij, wij]),
+         (np.concatenate([diag, i, j]), np.concatenate([diag, j, i]))),
+        shape=(n, n),
     )
+    adj.sort_indices()
+    return adj
 
 
 def neighbor_sets(kg: KnowledgeGraph) -> tuple[frozenset[int], ...]:

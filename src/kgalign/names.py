@@ -55,13 +55,14 @@ def load_word_vectors(path) -> WordVectorTable:
     """Parse a text vector file: optional ``count dim`` header, then one
     ``token v1 ... v_d`` line per word (fastText .vec compatible).
 
-    A repeated token keeps its first occurrence. The vectors are rows of one
-    float64 array, parsed value by value with ``float``.
+    A header's count must equal the number of vector lines. A repeated token
+    keeps its first occurrence. The vectors are rows of one float64 array,
+    parsed value by value with ``float``.
     """
     path = Path(path)
     tokens: list[str] = []
     values = array("d")
-    dim: int | None = None
+    count = dim = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
@@ -69,7 +70,7 @@ def load_word_vectors(path) -> WordVectorTable:
                 continue
             if line_no == 1 and len(fields) == 2:
                 try:
-                    _, dim = int(fields[0]), int(fields[1])
+                    count, dim = int(fields[0]), int(fields[1])
                 except ValueError:
                     pass  # not a header; fall through to vector parsing
                 else:
@@ -92,6 +93,10 @@ def load_word_vectors(path) -> WordVectorTable:
             tokens.append(fields[0])
     if dim is None:
         raise ParseError(path, 1, "empty vector file")
+    if count is not None and count != len(tokens):
+        raise ParseError(
+            path, 1, f"header promises {count} vectors, file has {len(tokens)}"
+        )
     rows = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
     vectors: dict[str, np.ndarray] = {}
     for token, row in zip(tokens, rows):

@@ -10,7 +10,8 @@ what the plain scalar generator writes (tests/reference.py keeps it as the
 oracle), which makes one ``rng.random()`` call per entity pair, per copied
 triple and per noisy name character, plus ``rng.integers`` for relations,
 rewired tails and noise letters. The three per-draw loops replay exactly
-those draws from raw PCG64 words (``_WordStream``), so the generator ends in
+those draws through :class:`kgalign.stream.Stream`, whose module states the
+draw model and the read-ahead/step-back contract, so the generator ends in
 the state the scalar loops leave. Changing the order or number of draws
 changes the generated inputs; that is a benchmark change, which re-pins
 ``perfbench/fingerprints.json`` (``python3 perfbench/pin.py``).
@@ -24,116 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .kg import KnowledgeGraph, save_alignment, save_kg
+from .stream import Stream
 
 _LETTERS = string.ascii_lowercase
-_BLOCK = 1 << 12  # most words one read from the bit generator takes
-_UNIT = 2.0**-53
-
-
-class _WordStream:
-    """A PCG64 ``Generator``'s ``random()`` and ``integers(m)`` draws, replayed
-    from the raw 64-bit words of its bit generator.
-
-    ``random()`` is ``(word >> 11) * 2**-53`` of one word. ``integers(m)``
-    for ``1 <= m < 2**32`` is Lemire's method on 32-bit draws:
-    ``(u * m) >> 32``, redrawn while ``(u * m) mod 2**32 < 2**32 mod m``;
-    ``m == 1`` draws nothing. A 32-bit draw takes the low half of a new word
-    and keeps its high half in the bit generator's ``has_uint32``/``uinteger``
-    buffer, which the next 32-bit draw uses instead of a word; ``random()``
-    leaves that buffer alone.
-
-    Words are read in blocks no longer than the count of words the caller
-    has promised to read (``reserve``, less the words read since), so the
-    stream never reads a word the scalar draws would not; ``close`` writes
-    the 32-bit buffer back, after which the generator continues exactly as
-    after the scalar draws.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._bitgen = rng.bit_generator
-        state = self._bitgen.state
-        self._has32 = state["has_uint32"]
-        self._u32 = state["uinteger"]
-        self._words = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._due = 0  # words the caller will still read, at least
-        self._hits: list[int] = []  # positions in _words below _hit_level
-        self._hit_level: float | None = None
-        self._hit_next = 0
-
-    def reserve(self, words: int) -> None:
-        """Promise that at least ``words`` more words will be read."""
-        self._due = words
-
-    def _refill(self) -> None:
-        self._words = self._bitgen.random_raw(min(max(self._due, 1), _BLOCK))
-        self._pos = 0
-        self._hit_level = None
-
-    def _take(self, count: int) -> None:
-        self._pos += count
-        self._due -= count
-
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._refill()
-        word = int(self._words[self._pos])
-        self._take(1)
-        return word
-
-    def random(self) -> float:
-        return (self._word() >> 11) * _UNIT
-
-    def integers(self, m: int) -> int:
-        if m == 1:
-            return 0
-        threshold = (1 << 32) % m
-        while True:
-            if self._has32:
-                self._has32 = 0
-                u = self._u32
-            else:
-                word = self._word()
-                self._has32, self._u32 = 1, word >> 32
-                u = word & 0xFFFFFFFF
-            scaled = u * m
-            if scaled & 0xFFFFFFFF >= threshold:
-                return scaled >> 32
-
-    def scan(self, level: float, limit: int) -> tuple[int, float | None]:
-        """Draw ``random()`` up to ``limit`` times, stopping at the first draw
-        below ``level``; return the number of draws at or above it and the
-        stopping draw, or None if all ``limit`` were at or above it.
-        """
-        passed = 0
-        while passed < limit:
-            if self._pos == len(self._words):
-                self._refill()
-            if self._hit_level != level:
-                units = (self._words >> 11) * _UNIT
-                self._hits = np.flatnonzero(units < level).tolist()
-                self._hit_level, self._hit_next = level, 0
-            hits, k = self._hits, self._hit_next
-            while k < len(hits) and hits[k] < self._pos:
-                k += 1
-            self._hit_next = k
-            stop = min(len(self._words), self._pos + limit - passed)
-            if k < len(hits) and hits[k] < stop:
-                hit = hits[k]
-                passed += hit - self._pos
-                self._take(hit + 1 - self._pos)
-                return passed, (int(self._words[hit]) >> 11) * _UNIT
-            passed += stop - self._pos
-            self._take(stop - self._pos)
-        return passed, None
-
-    def close(self) -> None:
-        """Write the 32-bit buffer back into the generator."""
-        if self._pos != len(self._words):
-            raise RuntimeError("word stream read past the scalar draws")
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = self._has32, self._u32
-        self._bitgen.state = state
+_BLOCK = 1 << 12  # words the stream reads from the bit generator at a time
 
 
 def _random_word(rng: np.random.Generator) -> str:
@@ -142,7 +37,7 @@ def _random_word(rng: np.random.Generator) -> str:
 
 
 def _edges(n: int, edge_prob: float, n_relations: int,
-           stream: _WordStream) -> np.ndarray:
+           stream: Stream) -> np.ndarray:
     """The scalar pair loop: for each i < j in order, ``random() < edge_prob``
     makes an edge with relation ``integers(n_relations)``, pointing i -> j if
     the next ``random() < 0.5`` and j -> i otherwise.
@@ -151,7 +46,6 @@ def _edges(n: int, edge_prob: float, n_relations: int,
     found, rels, forward = [], [], []
     done = 0
     while done < n_pairs:
-        stream.reserve(n_pairs - done)  # one word per pair at least
         passed, hit = stream.scan(edge_prob, n_pairs - done)
         done += passed
         if hit is None:
@@ -172,13 +66,12 @@ def _edges(n: int, edge_prob: float, n_relations: int,
 
 
 def _rewire(triples: np.ndarray, n: int, edge_noise: float,
-            stream: _WordStream) -> np.ndarray:
+            stream: Stream) -> np.ndarray:
     """The scalar rewiring loop: each triple whose ``random() < edge_noise``
     gets the tail ``integers(n)``, redrawn while it equals the head."""
     out = triples.copy()
     done = 0
     while done < len(out):
-        stream.reserve(len(out) - done)
         passed, hit = stream.scan(edge_noise, len(out) - done)
         done += passed
         if hit is None:
@@ -192,18 +85,15 @@ def _rewire(triples: np.ndarray, n: int, edge_noise: float,
     return out
 
 
-def _noisy(names: list[str], noise: float, stream: _WordStream) -> list[str]:
+def _noisy(names: list[str], noise: float, stream: Stream) -> list[str]:
     """Per character, ``op = random()``: below ``noise / 3`` deletes it, below
     ``2 * noise / 3`` substitutes ``integers(26)``'s letter, below ``noise``
     inserts that letter after it, else keeps it. A name left empty stays as
     it was."""
     if noise <= 0:
         return list(names)
-    left = sum(map(len, names))
     out = []
     for name in names:
-        stream.reserve(left)
-        left -= len(name)
         pieces = []
         at = 0
         while at < len(name):
@@ -257,7 +147,7 @@ def gen_synthetic(
                 names.append(name)
                 break
 
-    stream = _WordStream(rng)
+    stream = Stream(rng, _BLOCK)
     triples = _edges(n, edge_prob, n_relations, stream)
     copy_triples = _rewire(triples, n, edge_noise, stream)
     copy_names = _noisy(names, name_noise, stream)

@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from kgalign.kg import AdjacencyMatrix, KnowledgeGraph
+from kgalign.gcn import (
+    GcnParameters,
+    _loss_and_gradients,
+    _margin_terms,
+    _sample_negative_array,
+)
+from kgalign.kg import KnowledgeGraph
 from kgalign.measures import Measure
 from kgalign.names import WordVectorTable, levenshtein, tokenize
 
@@ -137,8 +143,68 @@ def neighbors(kg: KnowledgeGraph, e: int) -> set[int]:
     return out
 
 
-def to_dense(adj: AdjacencyMatrix) -> np.ndarray:
-    return adj.to_csr().toarray()
+# -- structural encoder -----------------------------------------------------------
+
+Pair = tuple[int, int]
+
+
+def _grouped_negatives(
+    positives: Sequence[Pair], negatives: Sequence[Sequence[Pair]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if len(negatives) != len(positives):
+        raise ValueError("need one negative group per positive")
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    counts = [len(group) for group in negatives]
+    flat = [pair for group in negatives for pair in group]
+    neg = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(positives)), counts)
+    return pos, neg, owner
+
+
+def margin_loss(
+    z1: np.ndarray,
+    z2: np.ndarray,
+    positives: Sequence[Pair],
+    negatives: Sequence[Sequence[Pair]],
+    margin: float,
+) -> float:
+    """Sum over pairs of max(0, d1(pos) - d1(neg) + margin) with L1 distances."""
+    pos, neg, owner = _grouped_negatives(positives, negatives)
+    terms = _margin_terms(z1, z2, pos, neg, owner, margin)[2]
+    return float(np.maximum(terms, 0.0).sum())
+
+
+def sample_negatives(
+    positives: Sequence[Pair],
+    k: int,
+    rng: np.random.Generator,
+    n_source: int,
+    n_target: int,
+) -> list[list[Pair]]:
+    """The training sampler's k corrupted pairs per positive, as lists."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    neg = _sample_negative_array(pos, k, rng, n_source, n_target)
+    pairs = list(zip(neg[:, 0].tolist(), neg[:, 1].tolist()))
+    return [pairs[i:i + k] for i in range(0, len(pairs), k)]
+
+
+def loss_and_gradients(
+    adj1,
+    x1: np.ndarray,
+    adj2,
+    x2: np.ndarray,
+    params: GcnParameters,
+    positives: Sequence[Pair],
+    negatives: Sequence[Sequence[Pair]],
+    margin: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Margin loss and its analytic gradients with respect to W1 and W2."""
+    pos, neg, owner = _grouped_negatives(positives, negatives)
+    return _loss_and_gradients(
+        adj1, adj1 @ x1, adj2, adj2 @ x2, params, pos, neg, owner, margin
+    )
 
 
 # -- collective decoding ------------------------------------------------------

@@ -42,9 +42,6 @@ from kgalign.gcn import (
     gcn_forward,
     init_features,
     init_parameters,
-    loss_and_gradients,
-    margin_loss,
-    sample_negatives,
     train,
 )
 from kgalign.kg import adjacency, neighbor_sets, split_alignment
@@ -60,7 +57,15 @@ from test_collective import (
     brute_force_best,
     mutual_argmax_oracle,
 )
-from reference import bray_curtis, cosine_sim, euclidean, manhattan
+from reference import (
+    bray_curtis,
+    cosine_sim,
+    euclidean,
+    loss_and_gradients,
+    manhattan,
+    margin_loss,
+    sample_negatives,
+)
 from test_gcn import finite_difference, random_kg
 
 

@@ -59,6 +59,15 @@ class TestLoadWordVectors:
         assert len(table.vectors) == 2
         assert table.dim == 3
 
+    @pytest.mark.parametrize("text", ["5 2\na 1 2\n", "1 2\na 1 2\nb 3 4\n",
+                                      "1 2\n"])
+    def test_header_count_must_match(self, tmp_path, text):
+        path = tmp_path / "v.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="header promises") as err:
+            load_word_vectors(path)
+        assert err.value.line_no == 1
+
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "v.vec"
         path.write_text("cat 1 2 3\ndog 4 5\n", encoding="utf-8")
@@ -96,7 +105,8 @@ class TestLoadWordVectors:
         ), max_size=12))
         if not any(lines):
             lines.append("a " + " ".join(["1.5"] * dim))
-        text = "\n".join(([f"{len(lines)} {dim}"] if header else []) + lines) + "\n"
+        count = sum(map(bool, lines))  # blank lines are not vectors
+        text = "\n".join(([f"{count} {dim}"] if header else []) + lines) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "v.vec"
             path.write_text(text, encoding="utf-8")

@@ -1,11 +1,12 @@
-"""The synthetic generator: its word stream, its files and its argument checks."""
+"""The synthetic generator: the word stream it shares with the negative sampler,
+its files and its argument checks."""
 
+import copy
 import json
 import math
 import runpy
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from kgalign import synth
 from kgalign.cli import main
+from kgalign.stream import Stream
 from kgalign.synth import write_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -23,12 +24,16 @@ FILES = ("triples1.tsv", "names1.tsv", "triples2.tsv", "names2.tsv", "gold.tsv",
 
 
 def scalar_scan(rng, level, limit):
-    """The loop ``_WordStream.scan`` replays: draw until one is below level."""
+    """The loop ``Stream.scan`` replays: draw until one is below level."""
     for passed in range(limit):
         u = rng.random()
         if u < level:
             return passed, u
     return limit, None
+
+
+def draws32(rng, count):
+    return rng.integers(0, 2**32, size=count, dtype=np.uint32).tolist()
 
 
 # Bounds near 2**31 and 2**32 reject about half the 32-bit draws.
@@ -38,35 +43,46 @@ OPS = st.lists(st.one_of(
     st.just(("random",)),
     st.tuples(st.just("integers"), BOUNDS),
     st.tuples(st.just("scan"), st.floats(0, 1), st.integers(1, 30)),
+    st.tuples(st.just("peek32"), st.integers(0, 9)),
+    st.tuples(st.just("take32"), st.integers(0, 9)),
 ), max_size=40)
 
 
 class TestWordStream:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), full=st.booleans(), ops=OPS,
-           block=st.sampled_from([1, 2, 3, 7, 1 << 12]))
-    def test_replays_interleaved_scalar_draws(self, seed, full, ops, block):
+           block=st.sampled_from([1, 2, 3, 7, 1 << 12]), ahead=st.integers(0, 9))
+    def test_replays_interleaved_scalar_draws(self, seed, full, ops, block, ahead):
         scalar = np.random.default_rng(seed)
         replay = np.random.default_rng(seed)
         if full:  # one 32-bit draw leaves the other half of its word buffered
             scalar.integers(5)
             replay.integers(5)
         assert replay.bit_generator.state["has_uint32"] == full
-        with mock.patch.object(synth, "_BLOCK", block):
-            stream = synth._WordStream(replay)
-            # Every random() and every scan reads at least one word.
-            stream.reserve(sum(op[0] != "integers" for op in ops))
-            for op in ops:
-                if op[0] == "random":
-                    assert stream.random() == scalar.random()
-                elif op[0] == "integers":
-                    assert stream.integers(op[1]) == int(scalar.integers(op[1]))
-                else:
-                    assert stream.scan(*op[1:]) == scalar_scan(scalar, *op[1:])
-            stream.close()
+        stream = Stream(replay, block)
+        for op in ops:
+            if op[0] == "random":
+                assert stream.random() == scalar.random()
+            elif op[0] == "integers":
+                assert stream.integers(op[1]) == int(scalar.integers(op[1]))
+            elif op[0] == "scan":
+                assert stream.scan(*op[1:]) == scalar_scan(scalar, *op[1:])
+            elif op[0] == "peek32":  # the scalar side draws from a copy
+                twin = copy.deepcopy(scalar)
+                assert stream.peek32(op[1]).tolist() == draws32(twin, op[1])
+            else:
+                stream.take32(op[1])
+                draws32(scalar, op[1])
+        # Reading ahead leaves words for close() to step back over.
+        stream.peek32(ahead)
+        stream.close()
         assert replay.bit_generator.state == scalar.bit_generator.state
         np.testing.assert_array_equal(replay.integers(1000, size=3),
                                       scalar.integers(1000, size=3))
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            Stream(np.random.Generator(np.random.MT19937(0)), 1)
 
 
 def probability(special):
