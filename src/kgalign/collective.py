@@ -308,77 +308,88 @@ def _flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def run_episode(
-    env: AlignmentEnvironment,
-    actor: ActorParameters,
-    critic: CriticParameters,
-    cfg: RlConfig,
-    rng: np.random.Generator,
-    train: bool,
-) -> dict[int, int]:
-    """One pass over the source sequence; updates parameters when training.
+class _Episodes:
+    """The buffers of one policy's episodes over one environment.
 
-    Exclusiveness bookkeeping is by target identity: a per-target s2 array
-    turns to -1 once the target is taken, so every later candidate list
-    containing it sees s2 = -1. Coherence marks the targets matched to the
-    source's graph neighbours in a boolean mask (so a target picked twice
-    counts once) and sums the mask over each candidate's target neighbours.
-    The pass after the last source is terminal (value 0 in the TD target).
-    With no candidates (``state_dim == 0``) there is nothing to decide.
-
-    Each network's parameters live in one flat buffer for the pass, so a
-    training step is one ``p += (lr * delta) * g`` per network; they are
-    written back to ``actor`` and ``critic`` when the pass ends, also when it
-    ends in an error. The arithmetic is otherwise that of composing ``actor_forward``,
-    ``actor_log_prob_grads``, ``critic_value`` and ``critic_grads``, with the
-    same matrix products, so decisions and parameters match them bit for bit.
+    Each network's parameters live in one flat buffer (with a gradient
+    buffer of the same layout), so a training step is one
+    ``p += (lr * delta) * g`` per network. The buffers, the per-target s2
+    array, the match template and the context mask are built once; each
+    episode only resets the bookkeeping. ``write_back`` copies the flat
+    parameters into the ``actor`` and ``critic`` they were built from.
     """
-    decisions: dict[int, int] = {}
-    order, k = env.order, env.state_dim
-    if not order or k == 0:
-        return decisions
-    rows, score_rows = env.candidate_rows, env.score_rows
-    neighbor_sources = env.neighbor_sources
-    candidate_neighbors, candidate_slots = env.candidate_neighbors, env.candidate_slots
-    exclusive = cfg.mode != "coherence_only"
-    coherent = cfg.mode != "exclusiveness_only"
-    gamma, actor_lr, critic_lr = cfg.gamma, cfg.actor_lr, cfg.critic_lr
-    n_src, n_tgt = env.scores.shape
-    s2_of = np.ones(n_tgt)
-    # Unmatched sources point at the mask's spare last entry, which no
-    # candidate neighbour reads.
-    match_of = np.full(n_src, n_tgt, dtype=np.int64)
-    for u, v in env.confirmed:
-        match_of[u] = v
-    in_context = np.zeros(n_tgt + 1, dtype=bool)
-    max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
 
-    def state(i: int) -> np.ndarray:
-        """Network input s1 * s2 + s3 of order[i]."""
-        s1 = score_rows[i]
-        s = s1 * s2_of[rows[i]] if exclusive else s1
-        if not coherent:
-            return s + 0.0  # the same -0.0 -> +0.0 as adding zeros
-        context = match_of[neighbor_sources[i]]
-        in_context[context] = True
-        s3 = np.bincount(candidate_slots[i],
-                         weights=in_context[candidate_neighbors[i]], minlength=k)
-        in_context[context] = False
-        return s + s3
+    def __init__(self, env: AlignmentEnvironment, actor: ActorParameters,
+                 critic: CriticParameters, cfg: RlConfig):
+        self.env, self.cfg = env, cfg
+        self.arrays = (actor.w1, actor.b1, actor.w2, actor.b2,
+                       critic.w3, critic.b3, critic.w4, critic.b4)
+        self.actor_flat, actor_views = _flat_views(self.arrays[:4])
+        self.critic_flat, critic_views = _flat_views(self.arrays[4:])
+        self.views = actor_views + critic_views
+        self.actor_grad, actor_grads = _flat_views(self.arrays[:4])
+        # Every gradient view is overwritten each step except g_b4, which is 1.
+        self.critic_grad, critic_grads = _flat_views(self.arrays[4:])
+        critic_grads[3][...] = 1.0
+        self.grads = actor_grads + critic_grads[:3]
+        n_src, n_tgt = env.scores.shape
+        self.s2_of = np.ones(n_tgt)
+        # Unmatched sources point at the mask's spare last entry, which no
+        # candidate neighbour reads.
+        self.match_template = np.full(n_src, n_tgt, dtype=np.int64)
+        for u, v in env.confirmed:
+            self.match_template[u] = v
+        self.match_of = self.match_template.copy()
+        self.in_context = np.zeros(n_tgt + 1, dtype=bool)
 
-    actor_arrays = (actor.w1, actor.b1, actor.w2, actor.b2)
-    critic_arrays = (critic.w3, critic.b3, critic.w4, critic.b4)
-    actor_flat, (w1, b1, w2, b2) = _flat_views(actor_arrays)
-    critic_flat, (w3, b3, w4, b4) = _flat_views(critic_arrays)
-    actor_grad, (g_w1, g_b1, g_w2, g_b2) = _flat_views(actor_arrays)
-    # Every gradient view is overwritten each step except g_b4, which is 1.
-    critic_grad, (g_w3, g_b3, g_w4, g_b4) = _flat_views(critic_arrays)
-    g_b4[...] = 1.0
-    w2_t, w4_row, c_hidden = w2.T, w4[0], g_w4[0]
-    g_b1_col, g_b2_col, g_b3_col = g_b1[:, None], g_b2[:, None], g_b3[:, None]
-    s = state(0)
-    last = len(order) - 1
-    try:
+    def write_back(self) -> None:
+        for array, view in zip(self.arrays, self.views):
+            array[...] = view
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.actor_flat).all()
+                    and np.isfinite(self.critic_flat).all())
+
+    def run(self, rng: np.random.Generator, train: bool) -> dict[int, int]:
+        """One episode; see ``run_episode``."""
+        env, cfg = self.env, self.cfg
+        decisions: dict[int, int] = {}
+        order, k = env.order, env.state_dim
+        if not order or k == 0:
+            return decisions
+        rows, score_rows = env.candidate_rows, env.score_rows
+        neighbor_sources = env.neighbor_sources
+        candidate_neighbors, candidate_slots = env.candidate_neighbors, env.candidate_slots
+        exclusive = cfg.mode != "coherence_only"
+        coherent = cfg.mode != "exclusiveness_only"
+        gamma, actor_lr, critic_lr = cfg.gamma, cfg.actor_lr, cfg.critic_lr
+        s2_of, match_of, in_context = self.s2_of, self.match_of, self.in_context
+        s2_of.fill(1.0)
+        match_of[...] = self.match_template
+        in_context.fill(False)
+        max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
+
+        def state(i: int) -> np.ndarray:
+            """Network input s1 * s2 + s3 of order[i]."""
+            s1 = score_rows[i]
+            s = s1 * s2_of[rows[i]] if exclusive else s1
+            if not coherent:
+                return s + 0.0  # the same -0.0 -> +0.0 as adding zeros
+            context = match_of[neighbor_sources[i]]
+            in_context[context] = True
+            s3 = np.bincount(candidate_slots[i],
+                             weights=in_context[candidate_neighbors[i]], minlength=k)
+            in_context[context] = False
+            return s + s3
+
+        actor_flat, critic_flat = self.actor_flat, self.critic_flat
+        actor_grad, critic_grad = self.actor_grad, self.critic_grad
+        w1, b1, w2, b2, w3, b3, w4, b4 = self.views
+        g_w1, g_b1, g_w2, g_b2, g_w3, g_b3, g_w4 = self.grads
+        w2_t, w4_row, c_hidden = w2.T, w4[0], g_w4[0]
+        g_b1_col, g_b2_col, g_b3_col = g_b1[:, None], g_b2[:, None], g_b3[:, None]
+        s = state(0)
+        last = len(order) - 1
         for i, u in enumerate(order):
             pre = w1 @ s + b1
             hidden = np.maximum(pre, 0.0)
@@ -421,19 +432,38 @@ def run_episode(
                 actor_flat += (actor_lr * delta) * actor_grad
             if i < last:
                 s = nxt
+        return decisions
+
+
+def run_episode(
+    env: AlignmentEnvironment,
+    actor: ActorParameters,
+    critic: CriticParameters,
+    cfg: RlConfig,
+    rng: np.random.Generator,
+    train: bool,
+) -> dict[int, int]:
+    """One pass over the source sequence; updates parameters when training.
+
+    Exclusiveness bookkeeping is by target identity: a per-target s2 array
+    turns to -1 once the target is taken, so every later candidate list
+    containing it sees s2 = -1. Coherence marks the targets matched to the
+    source's graph neighbours in a boolean mask (so a target picked twice
+    counts once) and sums the mask over each candidate's target neighbours.
+    The pass after the last source is terminal (value 0 in the TD target).
+    With no candidates (``state_dim == 0``) there is nothing to decide.
+
+    The parameters are updated in flat buffers (see ``_Episodes``) and
+    written back to ``actor`` and ``critic`` when the pass ends, also when it
+    ends in an error. The arithmetic is otherwise that of composing ``actor_forward``,
+    ``actor_log_prob_grads``, ``critic_value`` and ``critic_grads``, with the
+    same matrix products, so decisions and parameters match them bit for bit.
+    """
+    episodes = _Episodes(env, actor, critic, cfg)
+    try:
+        return episodes.run(rng, train)
     finally:
-        for array, view in zip(actor_arrays + critic_arrays,
-                               (w1, b1, w2, b2, w3, b3, w4, b4)):
-            array[...] = view
-    return decisions
-
-
-def _params_finite(actor: ActorParameters, critic: CriticParameters) -> bool:
-    arrays = (
-        actor.w1, actor.b1, actor.w2, actor.b2,
-        critic.w3, critic.b3, critic.w4, critic.b4,
-    )
-    return all(np.all(np.isfinite(a)) for a in arrays)
+        episodes.write_back()
 
 
 def a2c_align(env: AlignmentEnvironment, cfg: RlConfig) -> AlignmentResult:
@@ -441,6 +471,8 @@ def a2c_align(env: AlignmentEnvironment, cfg: RlConfig) -> AlignmentResult:
 
     The confirmed pairs from the preliminary filter are kept as-is; the
     greedy pass (argmax of the learned policy) decides the residual sources.
+    Every episode runs on one set of buffers, so the result equals
+    ``cfg.epochs`` training ``run_episode`` calls and one greedy call.
     """
     pairs = {s: t for s, t in env.confirmed}
     provenance = {s: "preliminary" for s in pairs}
@@ -449,14 +481,15 @@ def a2c_align(env: AlignmentEnvironment, cfg: RlConfig) -> AlignmentResult:
     rng = np.random.default_rng(cfg.rng_seed)
     actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
     critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
+    episodes = _Episodes(env, actor, critic, cfg)
     for epoch in range(cfg.epochs):
         try:
-            run_episode(env, actor, critic, cfg, rng, train=True)
+            episodes.run(rng, train=True)
         except TrainingError as exc:
             raise TrainingError(f"epoch {epoch}: {exc}") from None
-        if not _params_finite(actor, critic):
+        if not episodes.finite():
             raise TrainingError(f"parameters became non-finite at epoch {epoch}")
-    decisions = run_episode(env, actor, critic, cfg, rng, train=False)
+    decisions = episodes.run(rng, train=False)
     for u, v in decisions.items():
         pairs[u] = v
         provenance[u] = "rl"

@@ -495,6 +495,48 @@ class TestA2cAlign:
         assert set(result.pairs) == {0, 1, 2, 3}
         assert any(p == "preliminary" for p in result.provenance.values())
 
+    @pytest.mark.parametrize("prelim_rounds", [0, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_run_episode_calls(self, mode, prelim_rounds):
+        # a2c_align keeps one set of buffers for all its episodes; each
+        # episode must still run as a fresh run_episode call would.
+        rng = np.random.default_rng(11)
+        scores = rng.random((30, 30))
+        src_nb = random_neighbors(rng, 30, 0.2)
+        tgt_nb = random_neighbors(rng, 30, 0.2)
+        cfg = RlConfig(tau=6, epochs=6, rng_seed=4, preliminary_rounds=prelim_rounds,
+                       mode=mode, actor_lr=0.01, critic_lr=0.05)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        assert len(env.order) >= 6
+        rng = np.random.default_rng(cfg.rng_seed)
+        actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
+        critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
+        for _ in range(cfg.epochs):
+            run_episode(env, actor, critic, cfg, rng, True)
+        decisions = run_episode(env, actor, critic, cfg, rng, False)
+        result = a2c_align(env, cfg)
+        confirmed = dict(env.confirmed)
+        assert result.pairs == {**confirmed, **decisions}
+        assert result.provenance == {**{u: "preliminary" for u in confirmed},
+                                     **{u: "rl" for u in decisions}}
+
+    def test_training_error_names_the_run_episode_epoch(self):
+        # The diverging set-up of the mid-episode reference test: the
+        # second training episode fails.
+        rng = np.random.default_rng(0)
+        scores = rng.normal(size=(20, 20)) * 3
+        src_nb = random_neighbors(rng, 20, 0.2)
+        tgt_nb = random_neighbors(rng, 20, 0.2)
+        cfg = RlConfig(tau=6, epochs=5, rng_seed=0, preliminary_rounds=1,
+                       actor_lr=0.5, critic_lr=0.5)
+        env = build_environment(scores, src_nb, tgt_nb, cfg)
+        with np.errstate(all="ignore"):
+            outcomes, _, _ = assert_same_runs(
+                run_against_reference(env, (src_nb, tgt_nb), cfg, cfg.epochs))
+            with pytest.raises(TrainingError) as err:
+                a2c_align(env, cfg)
+        assert str(err.value) == f"epoch {len(outcomes) - 1}: {outcomes[-1]}"
+
     def test_non_finite_parameters_raise_training_error(self):
         env, cfg = scenario_env(seed=0, epochs=3)
         rng = np.random.default_rng(0)

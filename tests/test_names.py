@@ -1,6 +1,7 @@
 """Word-vector loading, name embeddings, and edit-distance similarity."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgalign import names
 from kgalign.errors import ParseError
 from kgalign.names import (
     WordVectorTable,
@@ -41,6 +43,14 @@ NAMES = st.one_of(
     st.text(NAME_ALPHABET, max_size=3),
     st.text(NAME_ALPHABET, min_size=15, max_size=40),
 )
+# Names on both sides of the 64-code-point word of the bit-parallel kernel.
+WORD_NAMES = st.text(st.sampled_from(list("ab") + ["\u00e9"]), min_size=60, max_size=70)
+
+
+def assert_matches_lev_ratio(names1, names2, **kwargs):
+    m = string_sim_matrix(names1, names2, **kwargs)
+    want = [[lev_ratio(a, b) for b in names2] for a in names1]
+    assert m.scores.tobytes() == np.array(want).reshape(m.scores.shape).tobytes()
 
 
 class TestLoadWordVectors:
@@ -267,6 +277,60 @@ class TestStringSimMatrix:
         one = string_sim_matrix(names1, names2, threads=1)
         two = string_sim_matrix(names1, names2, threads=2)
         assert np.array_equal(one.scores, two.scores)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(NAMES, WORD_NAMES), min_size=1, max_size=5),
+           st.lists(st.one_of(NAMES, WORD_NAMES), min_size=1, max_size=5))
+    def test_bit_identical_across_the_word_length(self, names1, names2):
+        assert_matches_lev_ratio(names1, names2)
+
+    def test_sixty_four_and_sixty_five_code_points(self):
+        rng = np.random.default_rng(3)
+        word = "".join(rng.choice(list("abc"), size=70))
+        names1 = [word[:64], word[:65], word[1:65], word[:63] + "\U0001d518", "a"]
+        # Targets of 64 and of 65 code points: both kernels run in one call.
+        names2 = [word[:64], word[:65], word[2:66], "", word[5:69], "cab"]
+        assert_matches_lev_ratio(names1, names2)
+        assert_matches_lev_ratio(names2, names1)
+        assert_matches_lev_ratio(names1, [word[:64], word[3:67]], threads=2)
+
+    def test_large_alphabet(self):
+        # About 3,000 distinct CJK code points, most in one name only.
+        rng = np.random.default_rng(4)
+        chars = [chr(c) for c in range(0x4E00, 0x4E00 + 3000)]
+        names1 = ["".join(rng.choice(chars, size=rng.integers(0, 65))) for _ in range(100)]
+        names2 = ["".join(rng.choice(chars, size=rng.integers(0, 65))) for _ in range(100)]
+        names2[:10] = [name[::-1] for name in names1[:10]]
+        assert len(set("".join(names1 + names2))) > 2500
+        assert_matches_lev_ratio(names1, names2)
+
+    @pytest.mark.parametrize("names1, names2", [
+        ([""], [""]),
+        (["", "a", "abc"], ["abc"]),
+        (["abc", "a"], ["", "b", ""]),
+        (["", ""], ["", "x" * 64, "x" * 65]),
+    ])
+    def test_empty_names(self, names1, names2):
+        assert_matches_lev_ratio(names1, names2)
+
+    @pytest.mark.parametrize("cells", [1, 7, 16])
+    def test_sources_across_block_boundaries(self, cells, monkeypatch):
+        # 3 targets and a budget of 7 cells put 2 sources in a block, so 11
+        # sources fill 5 blocks and part of a sixth.
+        monkeypatch.setattr(names, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(5)
+        names1 = ["".join(rng.choice(list("abcd"), size=rng.integers(0, 12)))
+                  for _ in range(11)]
+        assert_matches_lev_ratio(names1, ["abcab", "", "dcba"])
+        assert_matches_lev_ratio(names1, ["abcab", "", "dcba"], threads=2)
+
+    def test_no_numpy_warnings_at_full_word(self):
+        # Every bit operand is a uint64; no scalar shift reaches 1 << 64.
+        names1 = ["ab" * 32, "ba" * 32, "a" * 64, ""]
+        names2 = ["ab" * 32, "b" * 64, "a" * 63]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_lev_ratio(names1, names2)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
