@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("npy", "tsv"), default="npy")
+    p.add_argument("--format", choices=matio.FORMATS, default="npy")
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("features", help="build per-feature similarity matrices")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="structural,semantic,string")
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, help="default: KGALIGN_THREADS, else 1")
-    p.add_argument("--format", choices=("npy", "tsv"), default="npy")
+    p.add_argument("--format", choices=matio.FORMATS, default="npy")
     p.set_defaults(fn=_cmd_features, error=p.error)
 
     p = sub.add_parser("fuse", help="adaptively fuse similarity matrices")
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float, default=0.99)
     p.add_argument("--theta2", type=float, default=0.48)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("npy", "tsv"), default="npy")
+    p.add_argument("--format", choices=matio.FORMATS, default="npy")
     p.set_defaults(fn=_cmd_fuse)
 
     p = sub.add_parser("align", help="decode matches from a similarity matrix")

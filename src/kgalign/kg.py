@@ -92,18 +92,19 @@ class AlignmentDataset:
 
 def _read_tsv(path: Path, n_fields: int):
     """Yield (line_no, fields) for each nonempty line, enforcing field count."""
+    # Text mode turns \r\n and a lone \r into \n; no other character ends a line.
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    path, line_no,
-                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
-                )
-            yield line_no, fields
+        lines = fh.read().split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                path, line_no,
+                f"expected {n_fields} tab-separated fields, got {len(fields)}",
+            )
+        yield line_no, fields
 
 
 def load_kg(triples_path, names_path) -> KnowledgeGraph:
@@ -147,6 +148,12 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
         triples=np.array(rows, dtype=np.int64).reshape(-1, 3),
         entity_names=tuple(entity_names),
     )
+
+
+def load_entity_ids(names_path) -> tuple[str, ...]:
+    """The external ids of a names TSV in file order, which is the order of
+    :func:`load_kg`'s ``entity_ids``."""
+    return tuple(fields[0] for _, fields in _read_tsv(Path(names_path), 2))
 
 
 def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:

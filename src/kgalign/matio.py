@@ -17,6 +17,8 @@ import numpy as np
 from .collective import AlignmentResult
 from .errors import ParseError
 
+FORMATS = ("npy", "tsv")
+
 
 def save_matrix(path, matrix: np.ndarray, fmt: str = "npy") -> None:
     path = Path(path)
@@ -89,9 +91,9 @@ def load_result(path) -> list[tuple[str, str, str]]:
 
 
 def save_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON plus a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path):

@@ -62,6 +62,13 @@ class EvalReport:
             sort_keys=True,
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> "EvalReport":
+        """The report whose ``to_json`` is ``text``; ``hits`` keys come back as ints."""
+        payload = json.loads(text)
+        payload["hits"] = {int(k): v for k, v in payload["hits"].items()}
+        return cls(**payload)
+
 
 def _pairs_of(pred) -> dict:
     if isinstance(pred, AlignmentResult):

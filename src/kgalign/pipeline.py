@@ -4,19 +4,33 @@
 pipeline and the command-line stages both build features and decode
 through them.
 
-Each pipeline stage writes its artifact into the output directory; with
-resume enabled, a stage whose artifact already exists is loaded instead of
-recomputed, which never changes downstream results because artifacts
-round-trip bit-exactly. Any stage failure aborts with the stage name and
-the original cause.
+The pipeline's stages are load, embed (structural feature only), one
+features stage per feature, fuse, align and eval. Each writes its artifacts
+into the output directory. Each has a key: a sha256 over its file names,
+the settings it reads and the keys of the stages it reads from, which
+starts from the bytes of the input files (triples, names and gold for load,
+the word vectors for the semantic feature). ``manifest.json`` holds the key
+of every stage whose artifacts are complete, written after them and always
+whole.
+
+With resume, every key is computed before any artifact is opened. A stage
+runs again when its manifest key is missing or differs or one of its files
+is missing, and so does every stage that reads from it. Other stages are
+current: their artifacts are read back only where a stage that runs, or the
+returned ``PipelineArtifacts``, needs them, and artifacts round-trip
+bit-exactly. A fully current directory is answered from ``report.json``,
+``split.json``, ``result.tsv`` and the names files' id columns. Any stage
+failure aborts with the stage name and the original cause.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import matio
@@ -36,6 +50,7 @@ from .gcn import TrainConfig, train
 from .kg import (
     AlignmentDataset,
     load_alignment,
+    load_entity_ids,
     load_kg,
     neighbor_sets,
     split_alignment,
@@ -46,6 +61,8 @@ from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
 STRATEGIES = ("greedy", "stable", "hungarian", "rl")
 FEATURES = ("structural", "semantic", "string")
+MANIFEST = "manifest.json"
+SPLIT_PARTS = ("train", "val", "test")
 
 
 def default_threads() -> int:
@@ -112,6 +129,13 @@ class PipelineConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if "semantic" in self.features and not self.vectors:
             raise ValueError("the semantic feature requires a word-vector file")
+        if self.matrix_format not in matio.FORMATS:
+            raise ValueError(f"matrix_format must be one of {matio.FORMATS}, "
+                             f"got {self.matrix_format!r}")
+        # Each stage's settings are checked before any stage runs.
+        self.train_config()
+        self.rl_config()
+        self.fusion_config()
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -161,19 +185,6 @@ class PipelineArtifacts:
     result: AlignmentResult
     out_dir: Path
     test_pairs: list[tuple[int, int]]
-
-
-def _stage(name: str):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(f"stage {name!r} failed: {exc}") from exc
-        return inner
-    return wrap
 
 
 def index_pairs(pairs, kg1, kg2) -> list[tuple[int, int]]:
@@ -261,121 +272,240 @@ def decode(
     return a2c_align(env, rl_cfg)
 
 
-@_stage("load")
-def _load_inputs(cfg: PipelineConfig):
-    kg1 = load_kg(cfg.triples1, cfg.names1)
-    kg2 = load_kg(cfg.triples2, cfg.names2)
-    indexed = index_pairs(load_alignment(cfg.gold), kg1, kg2)
-    split = split_alignment(indexed, cfg.train_frac, cfg.val_frac, cfg.seed)
-    return kg1, kg2, split
+def _key(*parts) -> str:
+    """sha256 of the JSON text of ``parts``; JSON prints floats exactly."""
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
-@_stage("embed")
-def _embed(cfg: PipelineConfig, out: Path, kg1, kg2, split: AlignmentDataset):
-    ext = "npy" if cfg.matrix_format == "npy" else "tsv"
-    z1_path, z2_path = out / f"z1.{ext}", out / f"z2.{ext}"
-    if cfg.resume and z1_path.exists() and z2_path.exists():
-        return matio.load_matrix(z1_path), matio.load_matrix(z2_path)
-    z1, z2 = train(kg1, kg2, list(split.train), cfg.train_config())
-    matio.save_matrix(z1_path, z1, cfg.matrix_format)
-    matio.save_matrix(z2_path, z2, cfg.matrix_format)
-    return z1, z2
+def _file_key(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
-@_stage("features")
-def _features(cfg: PipelineConfig, out: Path, kg1, kg2, split, z1, z2):
-    ext = "npy" if cfg.matrix_format == "npy" else "tsv"
-    matrices: list[SimilarityMatrix] = []
+@dataclass(frozen=True)
+class _Stage:
+    key: str
+    files: tuple[str, ...]  # its artifacts in the output directory
+    upstream: tuple[str, ...]  # the stages whose outputs it reads
+
+
+def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
+    """Every stage of ``cfg`` by name, in run order, with its key.
+
+    A key hashes the stage's file names, the settings it reads and the keys
+    of its upstream stages; the chain starts from the bytes of the input
+    files. ``out_dir``, ``resume`` and ``threads`` change no artifact, so no
+    key reads them; ``matrix_format`` enters only as the file names'
+    extension, so an entry never vouches for files of the other format.
+    """
+    ext = cfg.matrix_format
+    plan: dict[str, _Stage] = {}
+
+    def add(name, files, upstream, *settings):
+        key = _key(name, files, [plan[u].key for u in upstream], *settings)
+        plan[name] = _Stage(key, files, upstream)
+
+    inputs = [_file_key(p) for p in
+              (cfg.triples1, cfg.names1, cfg.triples2, cfg.names2, cfg.gold)]
+    add("load", ("split.json",), (), inputs, cfg.seed, cfg.train_frac,
+        cfg.val_frac)
+    if "structural" in cfg.features:
+        add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",),
+            dataclasses.asdict(cfg.train_config()))
     for tag in cfg.features:
-        path = out / f"sim_{tag}.{ext}"
-        if cfg.resume and path.exists():
-            matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
-            continue
-        m = feature_matrix(tag, kg1, kg2, split.test, cfg.measure, z1, z2,
-                           cfg.vectors, cfg.threads)
-        matio.save_matrix(path, m.scores, cfg.matrix_format)
-        matrices.append(m)
-    return matrices
+        files = (f"sim_{tag}.{ext}",)
+        if tag == "structural":
+            add("sim_structural", files, ("embed",), cfg.measure)
+        elif tag == "semantic":
+            add("sim_semantic", files, ("load",), cfg.measure,
+                _file_key(cfg.vectors))
+        else:
+            add(f"sim_{tag}", files, ("load",))
+    add("fuse", (f"sim_fused.{ext}", "fusion.json", "fusion_report.txt"),
+        tuple(f"sim_{tag}" for tag in cfg.features),
+        dataclasses.asdict(cfg.fusion_config()))
+    add("align", ("result.tsv",), ("fuse",), cfg.strategy,
+        dataclasses.asdict(cfg.rl_config()) if cfg.strategy == "rl" else None)
+    add("eval", ("report.txt", "report.json"), ("align",))
+    return plan
 
 
-@_stage("fuse")
-def _fuse(cfg: PipelineConfig, out: Path, matrices):
-    ext = "npy" if cfg.matrix_format == "npy" else "tsv"
-    fused_path = out / f"sim_fused.{ext}"
-    corr_path = out / "fusion.json"
-    if cfg.resume and fused_path.exists() and corr_path.exists():
-        fused = SimilarityMatrix(matio.load_matrix(fused_path), "fused")
-        summary = matio.load_json(corr_path)
-    else:
-        fused, summary, report_text = fuse_features(matrices, cfg.fusion_config())
-        matio.save_matrix(fused_path, fused.scores, cfg.matrix_format)
-        matio.save_text(out / "fusion_report.txt", report_text)
-        matio.save_json(corr_path, summary)
-    return fused, [tuple(cell) for cell in summary["cells"]]
+def _load_record(path: Path) -> dict:
+    """The JSON object in ``path``, or an empty dict when the file is missing
+    or holds no JSON object: a record that cannot be read vouches for
+    nothing."""
+    try:
+        recorded = matio.load_json(path)
+    except (OSError, ValueError):
+        return {}
+    return recorded if isinstance(recorded, dict) else {}
 
 
-@_stage("align")
-def _align(cfg: PipelineConfig, out: Path, kg1, kg2, split, fused):
-    result_path = out / "result.tsv"
-    src_ids = [kg1.entity_ids[s] for s, _ in split.test]
-    tgt_ids = [kg2.entity_ids[t] for _, t in split.test]
-    if cfg.resume and result_path.exists():
-        rows = matio.load_result(result_path)
-        src_pos = {eid: i for i, eid in enumerate(src_ids)}
-        tgt_pos = {eid: i for i, eid in enumerate(tgt_ids)}
-        pairs = {src_pos[s]: tgt_pos[t] for s, t, _ in rows}
-        prov = {src_pos[s]: p for s, _, p in rows}
-        return AlignmentResult(pairs=pairs, provenance=prov)
-    result = decode(cfg.strategy, fused, kg1, kg2, split.test, cfg.rl_config())
-    matio.save_result(result_path, result, src_ids, tgt_ids)
-    return result
+def _save_manifest(path: Path, entries: dict) -> None:
+    """Write the manifest whole, through a rename, so a process killed
+    mid-write leaves the previous manifest in place."""
+    tmp = path.with_name(path.name + ".tmp")
+    matio.save_json(tmp, entries)
+    os.replace(tmp, path)
 
 
-@_stage("eval")
-def _evaluate(cfg: PipelineConfig, out: Path, split, fused, result, corr_cells):
-    n_test = len(split.test)
-    gold = {i: i for i in range(n_test)}  # row i aligns with column i by split order
+def _in_stage(name: str, fn, *args):
+    """``fn(*args)``, with any failure re-raised as a PipelineError naming the
+    stage; the stages of the single features get one name."""
+    try:
+        return fn(*args)
+    except PipelineError:
+        raise
+    except Exception as exc:
+        step = "features" if name.startswith("sim_") else name
+        raise PipelineError(f"stage {step!r} failed: {exc}") from exc
+
+
+def _evaluate(n_test: int, fused: SimilarityMatrix, result: AlignmentResult,
+             corr_cells) -> EvalReport:
+    """Score a decoded test split whose row i aligns with column i."""
+    gold = {i: i for i in range(n_test)}
     precision, recall, f1 = prf(result, gold)
     hits, mrr = hits_mrr_of_ranks(gold_ranks(fused.scores), ks=(1, 10))
     mulse, multe = count_multiplicities(result)
-    report = EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        hits=hits,
-        mrr=mrr,
-        mulse=mulse,
-        multe=multe,
-        poc=fusion_poc(corr_cells, gold),
-    )
-    matio.save_text(out / "report.txt", report.to_text())
-    matio.save_text(out / "report.json", report.to_json() + "\n")
-    return report
+    return EvalReport(precision=precision, recall=recall, f1=f1, hits=hits, mrr=mrr,
+                      mulse=mulse, multe=multe, poc=fusion_poc(corr_cells, gold))
+
+
+class _Run:
+    """The outputs of one run's stages by name: computed by the stages that
+    run, or read back from a current stage's artifacts on first use."""
+
+    def __init__(self, cfg: PipelineConfig, out: Path, plan: dict[str, _Stage]):
+        self.cfg, self.out, self.plan = cfg, out, plan
+        self.outputs: dict = {}
+
+    def compute(self, name: str) -> None:
+        self.outputs[name] = _in_stage(name, self._compute, name)
+
+    def output(self, name: str):
+        if name not in self.outputs:
+            self.outputs[name] = _in_stage(name, self._read, name)
+        return self.outputs[name]
+
+    @cached_property
+    def kgs(self):
+        cfg = self.cfg
+        return load_kg(cfg.triples1, cfg.names1), load_kg(cfg.triples2, cfg.names2)
+
+    @cached_property
+    def entity_ids(self):
+        if "kgs" in vars(self):  # already parsed
+            return tuple(kg.entity_ids for kg in self.kgs)
+        return load_entity_ids(self.cfg.names1), load_entity_ids(self.cfg.names2)
+
+    def _compute(self, name: str):
+        cfg = self.cfg
+        files = [self.out / f for f in self.plan[name].files]
+        if name == "load":
+            kg1, kg2 = self.kgs
+            split = split_alignment(index_pairs(load_alignment(cfg.gold), kg1, kg2),
+                                    cfg.train_frac, cfg.val_frac, cfg.seed)
+            matio.save_json(files[0], {part: [list(p) for p in getattr(split, part)]
+                                       for part in SPLIT_PARTS})
+            return split
+        split = self.output("load")
+        if name == "embed":
+            z = train(*self.kgs, list(split.train), cfg.train_config())
+            for path, matrix in zip(files, z):
+                matio.save_matrix(path, matrix, cfg.matrix_format)
+            return z
+        if name.startswith("sim_"):
+            tag = name.removeprefix("sim_")
+            z1, z2 = self.output("embed") if tag == "structural" else (None, None)
+            kg1, kg2 = (None, None) if tag == "structural" else self.kgs
+            m = feature_matrix(tag, kg1, kg2, split.test, cfg.measure, z1, z2,
+                               cfg.vectors, cfg.threads)
+            matio.save_matrix(files[0], m.scores, cfg.matrix_format)
+            return m
+        if name == "fuse":
+            fused, summary, report_text = fuse_features(
+                [self.output(f"sim_{tag}") for tag in cfg.features], cfg.fusion_config())
+            matio.save_matrix(files[0], fused.scores, cfg.matrix_format)
+            matio.save_text(files[2], report_text)
+            matio.save_json(files[1], summary)
+            return fused, [tuple(cell) for cell in summary["cells"]]
+        fused, corr_cells = self.output("fuse")
+        if name == "align":
+            # Only the rl decoder reads the graphs (their neighbours).
+            kg1, kg2 = self.kgs if cfg.strategy == "rl" else (None, None)
+            result = decode(cfg.strategy, fused, kg1, kg2, split.test, cfg.rl_config())
+            ids1, ids2 = self.entity_ids
+            matio.save_result(files[0], result, [ids1[s] for s, _ in split.test],
+                              [ids2[t] for _, t in split.test])
+            return result
+        report = _evaluate(len(split.test), fused, self.output("align"), corr_cells)
+        matio.save_text(files[0], report.to_text())
+        matio.save_text(files[1], report.to_json() + "\n")
+        return report
+
+    def _read(self, name: str):
+        files = [self.out / f for f in self.plan[name].files]
+        if name == "load":
+            parts = matio.load_json(files[0])
+            return AlignmentDataset(*(tuple(map(tuple, parts[part]))
+                                      for part in SPLIT_PARTS))
+        if name == "embed":
+            return tuple(matio.load_matrix(path) for path in files)
+        if name.startswith("sim_"):
+            return SimilarityMatrix(matio.load_matrix(files[0]), name.removeprefix("sim_"))
+        if name == "fuse":
+            return (SimilarityMatrix(matio.load_matrix(files[0]), "fused"),
+                    [tuple(cell) for cell in matio.load_json(files[1])["cells"]])
+        if name == "align":
+            test = self.output("load").test
+            ids1, ids2 = self.entity_ids
+            src_pos = {ids1[s]: i for i, (s, _) in enumerate(test)}
+            tgt_pos = {ids2[t]: i for i, (_, t) in enumerate(test)}
+            rows = matio.load_result(files[0])
+            return AlignmentResult(pairs={src_pos[s]: tgt_pos[t] for s, t, _ in rows},
+                                   provenance={src_pos[s]: p for s, _, p in rows})
+        return EvalReport.from_json(files[1].read_text(encoding="utf-8"))
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
-    """Execute every stage in order and return the report and result."""
+    """Run every stage that is not current, in order; return the report and result."""
     cfg.validate_paths()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    matio.save_json(out / "config.json", dataclasses.asdict(cfg))
-    kg1, kg2, split = _load_inputs(cfg)
-    matio.save_json(
-        out / "split.json",
-        {
-            "train": [list(p) for p in split.train],
-            "val": [list(p) for p in split.val],
-            "test": [list(p) for p in split.test],
-        },
-    )
-    if "structural" in cfg.features:
-        z1, z2 = _embed(cfg, out, kg1, kg2, split)
-    else:
-        z1 = z2 = None
-    matrices = _features(cfg, out, kg1, kg2, split, z1, z2)
-    fused, corr_cells = _fuse(cfg, out, matrices)
-    result = _align(cfg, out, kg1, kg2, split, fused)
-    report = _evaluate(cfg, out, split, fused, result, corr_cells)
-    return PipelineArtifacts(
-        report=report, result=result, out_dir=out, test_pairs=list(split.test)
-    )
+    plan = _in_stage("load", _plan, cfg)
+    # config.json records the settings that produced the directory, so a
+    # resume leaves it as a run without resume writes it.
+    settings = {**dataclasses.asdict(cfg), "features": list(cfg.features),
+                "resume": False}
+    config = out / "config.json"
+    if not (cfg.resume and _load_record(config) == settings):
+        matio.save_json(config, settings)
+    manifest = out / MANIFEST
+    recorded = _load_record(manifest) if cfg.resume else {}
+    present = set(os.listdir(out))
+    stale: set[str] = set()
+    for name, stage in plan.items():
+        if (recorded.get(name) != stage.key
+                or any(u in stale for u in stage.upstream)
+                or not present.issuperset(stage.files)):
+            stale.add(name)
+    done = {name: plan[name].key for name in plan if name not in stale}
+    if stale and manifest.exists():
+        # No entry may vouch for files that are about to be rewritten, should
+        # the process die before the final manifest write.
+        _save_manifest(manifest, done)
+    run = _Run(cfg, out, plan)
+    try:
+        for name in plan:
+            if name in stale:
+                run.compute(name)
+                done[name] = plan[name].key
+    finally:
+        if done != recorded:
+            _save_manifest(manifest, done)
+    return PipelineArtifacts(report=run.output("eval"), result=run.output("align"),
+                             out_dir=out, test_pairs=list(run.output("load").test))

@@ -10,6 +10,7 @@ from kgalign.kg import (
     KnowledgeGraph,
     adjacency,
     load_alignment,
+    load_entity_ids,
     load_kg,
     neighbor_sets,
     save_kg,
@@ -69,6 +70,30 @@ class TestLoadKg:
         assert kg2.entity_ids == kg.entity_ids
         assert kg2.relation_ids == kg.relation_ids
         assert np.array_equal(kg2.triples, kg.triples)
+
+
+class TestLineEndings:
+    def test_only_newline_and_carriage_return_end_lines(self, tmp_path):
+        triples = write(tmp_path / "t.tsv", "")
+        names = tmp_path / "n.tsv"
+        # \r\n, a lone \r, a blank line, U+2028 and U+0085 inside a name, no
+        # final newline.
+        names.write_bytes("x\tX\r\n\r\ny\tY two\rz\t\u2028Z\x85".encode("utf-8"))
+        kg = load_kg(triples, names)
+        assert kg.entity_ids == ("x", "y", "z") == load_entity_ids(names)
+        assert kg.entity_names == ("X", "Y two", "\u2028Z\x85")
+
+    def test_empty_names_file(self, tmp_path):
+        names = write(tmp_path / "n.tsv", "")
+        assert load_entity_ids(names) == ()
+
+    def test_bad_line_named(self, tmp_path):
+        names = tmp_path / "n.tsv"
+        names.write_bytes(b"x\tX\r\n\r\ny\n")
+        for load in (load_entity_ids, lambda p: load_kg(write(tmp_path / "t.tsv", ""), p)):
+            with pytest.raises(ParseError) as err:
+                load(names)
+            assert err.value.line_no == 3
 
 
 class TestLoadAlignment:

@@ -226,6 +226,17 @@ class TestEvalReport:
         assert payload["mulse"] == 2
         assert payload["hits"]["1"] == 0.5
 
+    @pytest.mark.parametrize("report", [
+        EvalReport(precision=1 / 3, recall=0.25, f1=2 / 7, hits={1: 0.1, 2: 0.2, 10: 0.7},
+                   mrr=0.123456789012345, mulse=2, multe=0, poc=None),
+        EvalReport(precision=1.0, recall=1.0, f1=1.0),
+    ])
+    def test_from_json_inverts_to_json(self, report):
+        back = EvalReport.from_json(report.to_json())
+        assert back == report
+        assert all(type(k) is int for k in back.hits)
+        assert back.to_text() == report.to_text()
+
     def test_optional_fields_omitted(self):
         report = EvalReport(precision=1.0, recall=1.0, f1=1.0)
         assert "poc" not in report.to_text()

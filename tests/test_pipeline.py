@@ -1,14 +1,16 @@
 """Synthetic benchmark generation, pipeline caching, and the CLI surface."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from kgalign import pipeline
+from kgalign import matio, pipeline
 from kgalign.cli import build_parser, main
 from kgalign.collective import RlConfig, greedy_independent
+from kgalign.errors import PipelineError
 from kgalign.kg import load_kg, save_alignment
 from kgalign.matio import load_matrix, load_result, save_matrix
 from kgalign.metrics import prf
@@ -63,6 +65,24 @@ def small_config(data, out, **overrides):
     return PipelineConfig(**base)
 
 
+def dir_bytes(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+def spy(monkeypatch, *names):
+    """Record (name, args) of each call to the named pipeline functions."""
+    calls = []
+    for name in names:
+        def recorded(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            calls.append((_name, args))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, recorded)
+    return calls
+
+
+STAGE_CALLS = ("train", "feature_matrix", "fuse_features", "decode", "_evaluate")
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -89,7 +109,7 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_resume_reuses_cached_matrices(self, synth_dir, tmp_path):
+    def test_resume_reuses_cached_matrices(self, synth_dir, tmp_path, monkeypatch):
         out = tmp_path / "run"
         cold = run_pipeline(small_config(synth_dir, out))
         fused_before = (out / "sim_fused.npy").read_bytes()
@@ -100,7 +120,10 @@ class TestPipeline:
         save_matrix(out / "sim_string.npy", tampered)
         (out / "sim_fused.npy").unlink()
         (out / "fusion.json").unlink()
+        calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
+        # A missing fuse artifact reruns fuse and every stage after it.
+        assert [name for name, _ in calls] == ["fuse_features", "decode", "_evaluate"]
         fused_after = (out / "sim_fused.npy").read_bytes()
         assert fused_after != fused_before
         # Restore: a resumed run on intact artifacts reproduces the cold bytes.
@@ -136,6 +159,27 @@ class TestPipeline:
         assert 0.0 <= artifacts.report.precision <= 1.0
         assert artifacts.report.mulse == 0 and artifacts.report.multe == 0
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"mode": "bogus"}, "mode must be one of"),
+        ({"tau": 0}, "tau must be >= 1"),
+        ({"matrix_format": "csv"}, "matrix_format must be one of"),
+    ])
+    def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
+                                                overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(synth_dir, tmp_path / "x", **overrides)
+
+    def test_save_json_writes_json_dump_bytes(self, synth_dir, tmp_path):
+        split = {"train": [[3, 1], [0, 2]], "val": [], "test": [[1, 4], [2, 0]]}
+        config = {**dataclasses.asdict(small_config(synth_dir, tmp_path / "é")),
+                  "theta1": 0.1 + 0.2, "embed_seed": None}
+        for payload in (split, config):
+            matio.save_json(tmp_path / "a.json", payload)
+            with open(tmp_path / "b.json", "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_tsv_matrix_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(9, 5)) * 1e3
@@ -155,6 +199,124 @@ class TestPipeline:
         cfg = PipelineConfig.from_file(cfg_path, strategy="greedy", seed=None)
         assert cfg.strategy == "greedy"  # flag wins
         assert cfg.seed == 3  # absent flag keeps file value
+
+
+class TestResume:
+    def test_measure_change_reruns_what_reads_it(self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out, strategy="hungarian"))
+        cos = dir_bytes(out)
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        resumed = run_pipeline(small_config(synth_dir, out, strategy="hungarian",
+                                            measure="bc", resume=True))
+        # The string feature reads no measure and training reads none.
+        assert [name for name, _ in calls] == ["feature_matrix"] * 2 + [
+            "fuse_features", "decode", "_evaluate"]
+        assert [args[0] for name, args in calls if name == "feature_matrix"] == [
+            "structural", "semantic"]
+        for name in ("sim_structural.npy", "sim_semantic.npy", "sim_fused.npy",
+                     "report.json"):
+            assert (out / name).read_bytes() != cos[name]
+        monkeypatch.undo()
+        cold_dir = tmp_path / "cold"
+        cold = run_pipeline(small_config(synth_dir, cold_dir, strategy="hungarian",
+                                         measure="bc"))
+        got, want = dir_bytes(out), dir_bytes(cold_dir)
+        assert json.loads(got.pop("config.json")) == {
+            **json.loads(want.pop("config.json")), "out_dir": str(out)}
+        assert got == want
+        assert resumed == dataclasses.replace(cold, out_dir=out)
+
+    def test_current_resume_reads_only_final_artifacts(self, synth_dir, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "run"
+        cold = run_pipeline(small_config(synth_dir, out))
+        before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in out.iterdir()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a current resume must not compute or load this")
+
+        for name in ("load_kg", "train", "sim_matrix", "string_sim_matrix", "decode"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        monkeypatch.setattr(matio, "load_matrix", refuse)
+        resumed = run_pipeline(small_config(synth_dir, out, resume=True))
+        assert resumed == cold
+        # Nothing is rewritten, config.json and manifest.json included.
+        assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                for f in out.iterdir()} == before
+
+    def test_failed_run_resumes_after_its_last_complete_stage(self, synth_dir, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "run"
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no decoder")
+
+        monkeypatch.setattr(pipeline, "decode", fail)
+        with pytest.raises(PipelineError, match="stage 'align' failed: no decoder"):
+            run_pipeline(small_config(synth_dir, out))
+        assert sorted(json.loads((out / pipeline.MANIFEST).read_text())) == [
+            "embed", "fuse", "load", "sim_semantic", "sim_string", "sim_structural"]
+        monkeypatch.undo()
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        run_pipeline(small_config(synth_dir, out, resume=True))
+        assert [name for name, _ in calls] == ["decode", "_evaluate"]
+        monkeypatch.undo()
+        run_pipeline(small_config(synth_dir, tmp_path / "cold"))
+        got, want = dir_bytes(out), dir_bytes(tmp_path / "cold")
+        del got["config.json"], want["config.json"]
+        assert got == want
+
+    def test_manifest_drops_stages_before_they_rerun(self, synth_dir, tmp_path,
+                                                     monkeypatch):
+        # Should a rerun die before its final manifest write, no entry may
+        # vouch for the files it was rewriting.
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out, strategy="hungarian"))
+        seen = []
+        feature_matrix = pipeline.feature_matrix
+
+        def record_manifest(*args, **kwargs):
+            seen.append(set(json.loads((out / pipeline.MANIFEST).read_text())))
+            return feature_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "feature_matrix", record_manifest)
+        run_pipeline(small_config(synth_dir, out, strategy="hungarian", measure="bc",
+                                  resume=True))
+        assert seen == [{"load", "embed", "sim_string"}] * 2
+
+    def test_keys_cover_the_other_formats_files(self, synth_dir, tmp_path):
+        # The tsv run's manifest must not vouch for the npy files that the
+        # cos run left behind.
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out, strategy="hungarian"))
+        run_pipeline(small_config(synth_dir, out, strategy="hungarian", measure="bc",
+                                  matrix_format="tsv"))
+        resumed = run_pipeline(small_config(synth_dir, out, strategy="hungarian",
+                                            measure="bc", resume=True))
+        cold_dir = tmp_path / "cold"
+        cold = run_pipeline(small_config(synth_dir, cold_dir, strategy="hungarian",
+                                         measure="bc"))
+        got, want = dir_bytes(out), dir_bytes(cold_dir)
+        assert json.loads(got.pop("config.json")) == {
+            **json.loads(want.pop("config.json")), "out_dir": str(out)}
+        assert {name: got[name] for name in want} == want
+        assert resumed == dataclasses.replace(cold, out_dir=out)
+
+    def test_truncated_manifest_and_config_rerun_every_stage(self, synth_dir, tmp_path,
+                                                     monkeypatch):
+        out = tmp_path / "run"
+        cold = run_pipeline(small_config(synth_dir, out, strategy="hungarian"))
+        want = dir_bytes(out)
+        for name in (pipeline.MANIFEST, "config.json"):
+            (out / name).write_bytes(want[name][:40])
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        resumed = run_pipeline(small_config(synth_dir, out, strategy="hungarian",
+                                            resume=True))
+        assert [name for name, _ in calls] == ["train"] + ["feature_matrix"] * 3 + [
+            "fuse_features", "decode", "_evaluate"]
+        assert resumed == cold
+        assert dir_bytes(out) == want
 
 
 def kg_flags(data):
