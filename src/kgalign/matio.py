@@ -91,9 +91,14 @@ def load_result(path) -> list[tuple[str, str, str]]:
 
 
 def save_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON plus a newline, in one write."""
+    """Write ``payload`` as indented, key-sorted JSON plus a newline, in one write.
+
+    The text is built before the file is opened, so a payload that cannot be
+    serialised leaves an existing file as it was.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def load_json(path):

@@ -117,6 +117,12 @@ class PipelineConfig:
     resume: bool = False
 
     def __post_init__(self):
+        # Paths may come in as os.PathLike (write_synthetic returns Path
+        # objects); config.json and the stage keys need them as str.
+        for name in ("triples1", "names1", "triples2", "names2", "gold", "out_dir"):
+            setattr(self, name, os.fspath(getattr(self, name)))
+        if self.vectors is not None:
+            self.vectors = os.fspath(self.vectors)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         unknown = set(self.features) - set(FEATURES)

@@ -88,6 +88,52 @@ def similarity(u, v, measure: Measure) -> float:
     return 1.0 - bray_curtis(u, v)
 
 
+def _pairwise_block(e1, e2, measure: Measure) -> tuple[np.ndarray, int]:
+    """Similarities of one block pair and its count of zero ``bc`` denominators,
+    each measure through fresh (rows, cols, d) temporaries."""
+    if measure is Measure.COSINE:
+        n1 = np.linalg.norm(e1, axis=1)
+        n2 = np.linalg.norm(e2, axis=1)
+        n1 = np.where(n1 == 0, 1.0, n1)
+        n2 = np.where(n2 == 0, 1.0, n2)
+        return (e1 / n1[:, None]) @ (e2 / n2[:, None]).T, 0
+    if measure is Measure.EUCLIDEAN:
+        sq = ((e1[:, None, :] - e2[None, :, :]) ** 2).sum(axis=2)
+        return 1.0 - np.sqrt(sq), 0
+    diff = np.subtract(e1[:, None, :], e2[None, :, :])
+    np.abs(diff, out=diff)
+    if measure is Measure.MANHATTAN:
+        return 1.0 - diff.sum(axis=2), 0
+    if measure is Measure.BRAY_CURTIS_TEXTBOOK:
+        den = (e1[:, None, :] + e2[None, :, :]).sum(axis=2)
+        num = diff.sum(axis=2)
+        out = np.zeros_like(num)
+        np.divide(num, den, out=out, where=den != 0)
+        return 1.0 - out, 0
+    den = np.add(e1[:, None, :], e2[None, :, :])
+    np.abs(den, out=den)
+    ok = den > 0
+    events = int(np.count_nonzero(~ok & (diff > 0)))
+    np.divide(diff, den, out=den, where=ok)
+    return 1.0 - den.sum(axis=2), events
+
+
+def blocked_sim_matrix(e1, e2, measure, block: int = 128) -> tuple[np.ndarray, int]:
+    """All-pairs scores and zero-denominator count, one block pair at a time."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    measure = Measure(measure)
+    out = np.empty((e1.shape[0], e2.shape[0]))
+    events = 0
+    for i in range(0, e1.shape[0], block):
+        for j in range(0, e2.shape[0], block):
+            out[i:i + block, j:j + block], n = _pairwise_block(
+                e1[i:i + block], e2[j:j + block], measure
+            )
+            events += n
+    return out, events
+
+
 # -- names ----------------------------------------------------------------------
 
 def name_embedding(name: str, table: WordVectorTable) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Distance measures against independent oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kgalign import measures
 from kgalign.measures import Measure, SimilarityMatrix, sim_matrix
 
 from reference import (
+    blocked_sim_matrix,
     bray_curtis,
     bray_curtis_textbook,
     cosine_sim,
@@ -118,39 +121,117 @@ class TestSimMatrix:
         b = sim_matrix(e2, e1, measure, "x").scores
         np.testing.assert_array_equal(a.T, b)
 
-    def test_blocking_does_not_change_values(self):
+    def test_blocking_does_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(4)
         e1 = rng.normal(size=(300, 3))
         e2 = rng.normal(size=(150, 3))
-        small = sim_matrix(e1, e2, Measure.MANHATTAN, "x", block=7).scores
-        large = sim_matrix(e1, e2, Measure.MANHATTAN, "x", block=4096).scores
+        monkeypatch.setattr(measures, "TILE_CELLS", 7 * 3)
+        small = sim_matrix(e1, e2, Measure.MANHATTAN, "x").scores
+        monkeypatch.setattr(measures, "TILE_CELLS", 300 * 150 * 3)
+        large = sim_matrix(e1, e2, Measure.MANHATTAN, "x").scores
         np.testing.assert_array_equal(small, large)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sim_matrix(np.zeros((2, 3)), np.zeros((2, 4)), Measure.COSINE)
 
-    def test_bray_curtis_zero_denominator_in_blocks(self):
+    def test_bray_curtis_zero_denominator_in_blocks(self, monkeypatch):
         # Coordinates with u + v = 0: (1, -1) counts an event and adds 0,
         # (0, 0) adds 0 without an event.
         e1 = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 0.0]])
         e2 = np.array([[-1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-3.0, 1.0, 0.0]])
-        m = sim_matrix(e1, e2, Measure.BRAY_CURTIS, block=2)
+        monkeypatch.setattr(measures, "TILE_CELLS", 2 * 3)
+        m = sim_matrix(e1, e2, Measure.BRAY_CURTIS)
         expected = [[similarity(u, v, Measure.BRAY_CURTIS) for v in e2] for u in e1]
         assert m.scores.tolist() == expected
         events = sum(int(np.count_nonzero((u + v == 0) & (u != v)))
                      for u in e1 for v in e2)
         assert m.zero_denominators == events == 4
         # The count belongs to the call that made the matrix.
-        assert sim_matrix(e1, e2, Measure.BRAY_CURTIS, block=2).zero_denominators == 4
+        assert sim_matrix(e1, e2, Measure.BRAY_CURTIS).zero_denominators == 4
         for measure in set(Measure) - {Measure.BRAY_CURTIS}:
             assert sim_matrix(e1, e2, measure).zero_denominators == 0
+
+
+def _embedding_pair(n1: int, n2: int, d: int, seed: int):
+    """Random rows plus rows that make zero denominators: a zero row, a
+    target row opposite a source row, and one opposite coordinate."""
+    rng = np.random.default_rng(seed)
+    e1 = rng.normal(size=(n1, d))
+    e2 = rng.normal(size=(n2, d))
+    e1[0] = 0.0
+    e2[-1] = -e1[-1]
+    e2[0, 0] = -e1[n1 // 2, 0]
+    if n2 > 2:
+        e2[1] = 0.0
+    return e1, e2
+
+
+SHAPES = [(1, 1, 1), (1, 6, 3), (5, 1, 3), (7, 13, 1), (9, 11, 5),
+          (37, 29, 16), (3, 4, 40)]
+
+
+class TestTilesAgainstBlockOracle:
+    """The tile loop must give the bytes of the fixed-block kernel in
+    ``reference.blocked_sim_matrix`` for any tile budget."""
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_for_every_budget(self, monkeypatch, measure, shape):
+        n1, n2, d = shape
+        e1, e2 = _embedding_pair(n1, n2, d, seed=n1 * 100 + n2)
+        expected, events = blocked_sim_matrix(e1, e2, measure)
+        # From one cell (one pair per tile, below d) to the whole matrix.
+        for budget in sorted({1, d - 1 or 1, d, 2 * d + 1, 7 * d,
+                              n2 * d, n2 * d + d, n1 * n2 * d}):
+            monkeypatch.setattr(measures, "TILE_CELLS", budget)
+            m = sim_matrix(e1, e2, measure)
+            # Bytes, so the sign of a zero counts too.
+            assert m.scores.tobytes() == expected.tobytes(), budget
+            assert m.zero_denominators == events, budget
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_bit_identical_across_cos_blocks(self, measure):
+        # 130 x 260 crosses the 128-row product blocks; d = 64 fills a tile
+        # of the default budget with partial edge tiles.
+        e1, e2 = _embedding_pair(130, 260, 64, seed=5)
+        expected, events = blocked_sim_matrix(e1, e2, measure)
+        m = sim_matrix(e1, e2, measure)
+        assert m.scores.tobytes() == expected.tobytes()
+        assert m.zero_denominators == events
+
+    def test_zero_denominators_counted(self):
+        e1, e2 = _embedding_pair(9, 11, 5, seed=3)
+        _, events = blocked_sim_matrix(e1, e2, Measure.BRAY_CURTIS)
+        assert events > 0
+        assert sim_matrix(e1, e2, Measure.BRAY_CURTIS).zero_denominators == events
+
+    def test_bc_memory_is_bounded_by_the_tile(self):
+        # Fresh (128, 128, 64) temporaries per block peaked at 20.6 MB here.
+        e1, e2 = _embedding_pair(300, 300, 64, seed=6)
+        tracemalloc.start()
+        try:
+            m = sim_matrix(e1, e2, Measure.BRAY_CURTIS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.scores.nbytes + (2 << 20), peak
 
 
 class TestSimilarityMatrixType:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SimilarityMatrix(np.array([[np.inf, 0.0]]), "x")
+
+    @pytest.mark.parametrize("row", [0, 4, 9, 10])
+    def test_rejects_non_finite_in_any_row_block(self, monkeypatch, row):
+        # Blocks of three rows, the last one partial.
+        monkeypatch.setattr(measures, "TILE_CELLS", 3 * 4)
+        scores = np.zeros((11, 4))
+        scores[row, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityMatrix(scores, "x")
+        assert SimilarityMatrix(np.zeros((11, 4)), "x").n_src == 11
 
     def test_counts(self):
         m = SimilarityMatrix(np.zeros((3, 5)), "x")

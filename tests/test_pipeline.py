@@ -180,6 +180,31 @@ class TestPipeline:
                 fh.write("\n")
             assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_save_json_failure_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        matio.save_json(path, {"kept": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            matio.save_json(path, {"path": tmp_path})
+        assert path.read_bytes() == before
+
+    def test_runs_on_write_synthetic_paths(self, synth_dir, tmp_path):
+        # write_synthetic returns Path objects; they configure a run as
+        # their str forms do.
+        cfg = small_config(synth_dir, tmp_path / "str")
+        path_cfg = PipelineConfig(**{**dataclasses.asdict(cfg), **synth_dir,
+                                     "out_dir": tmp_path / "path"})
+        assert path_cfg.triples1 == cfg.triples1
+        assert path_cfg.out_dir == str(tmp_path / "path")
+        run_pipeline(cfg)
+        run_pipeline(path_cfg)
+        a, b = dir_bytes(tmp_path / "str"), dir_bytes(tmp_path / "path")
+        config = json.loads(b.pop("config.json"))
+        assert config["out_dir"] == str(tmp_path / "path")
+        assert config["vectors"] == str(synth_dir["vectors"])
+        a.pop("config.json")
+        assert a == b
+
     def test_tsv_matrix_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(9, 5)) * 1e3
