@@ -26,13 +26,7 @@ from .fusion import (
     feature_weights,
     fuse,
 )
-from .gcn import (
-    GcnParameters,
-    TrainConfig,
-    gcn_forward,
-    init_features,
-    train,
-)
+from .gcn import TrainConfig, init_features, train
 from .kg import (
     AlignmentDataset,
     KnowledgeGraph,

@@ -228,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kg_args(p)
     p.add_argument("--train", required=True, help="seed alignment TSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=300)
-    p.add_argument("--margin", type=float, default=3.0)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--margin", type=float, default=TrainConfig.margin)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
     p.set_defaults(fn=_cmd_embed)
 

@@ -46,7 +46,7 @@ from .collective import (
 )
 from .errors import PipelineError
 from .fusion import FusionConfig, adaptive_fuse, confident_correspondences
-from .gcn import TrainConfig, train
+from .gcn import ENCODER, TrainConfig, train
 from .kg import (
     AlignmentDataset,
     load_alignment,
@@ -96,11 +96,11 @@ class PipelineConfig:
     val_frac: float = 0.06
     features: tuple[str, ...] = FEATURES
     measure: str = "bc"
-    dim: int = 300
-    margin: float = 3.0
-    epochs: int = 300
-    negatives: int = 5
-    learning_rate: float = 1.0
+    dim: int = TrainConfig.dim
+    margin: float = TrainConfig.margin
+    epochs: int = TrainConfig.epochs
+    negatives: int = TrainConfig.negatives
+    learning_rate: float = TrainConfig.learning_rate
     embed_seed: int | None = None
     theta1: float = 0.99
     theta2: float = 0.48
@@ -306,6 +306,8 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
     files. ``out_dir``, ``resume`` and ``threads`` change no artifact, so no
     key reads them; ``matrix_format`` enters only as the file names'
     extension, so an entry never vouches for files of the other format.
+    The embed key also reads ``gcn.ENCODER``, so embeddings that another
+    encoder wrote are never resumed as this one's.
     """
     ext = cfg.matrix_format
     plan: dict[str, _Stage] = {}
@@ -319,7 +321,7 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
     add("load", ("split.json",), (), inputs, cfg.seed, cfg.train_frac,
         cfg.val_frac)
     if "structural" in cfg.features:
-        add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",),
+        add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",), ENCODER,
             dataclasses.asdict(cfg.train_config()))
     for tag in cfg.features:
         files = (f"sim_{tag}.{ext}",)

@@ -10,18 +10,15 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from kgalign.gcn import (
-    GcnParameters,
-    _loss_and_gradients,
-    _margin_terms,
-    _sample_negative_array,
-)
-from kgalign.kg import KnowledgeGraph
+from kgalign.gcn import _NegativeSampler, init_features
+from kgalign.kg import KnowledgeGraph, adjacency
 from kgalign.measures import Measure
 from kgalign.names import WordVectorTable, levenshtein, tokenize
 
@@ -207,17 +204,27 @@ def _grouped_negatives(
     return pos, neg, owner
 
 
+def _margin_terms(z1, z2, pos, neg, owner, margin):
+    """Pair differences and hinge arguments d1(pos) - d1(neg) + margin."""
+    diff_pos = z1[pos[:, 0]] - z2[pos[:, 1]]
+    diff_neg = z1[neg[:, 0]] - z2[neg[:, 1]]
+    d_pos = np.abs(diff_pos).sum(axis=1)
+    d_neg = np.abs(diff_neg).sum(axis=1)
+    return diff_pos, diff_neg, d_pos[owner] - d_neg + margin
+
+
 def margin_loss(
     z1: np.ndarray,
     z2: np.ndarray,
     positives: Sequence[Pair],
     negatives: Sequence[Sequence[Pair]],
     margin: float,
-) -> float:
-    """Sum over pairs of max(0, d1(pos) - d1(neg) + margin) with L1 distances."""
+):
+    """Sum over pairs of max(0, d1(pos) - d1(neg) + margin) with L1 distances,
+    in the number type of the inputs (Fractions stay exact)."""
     pos, neg, owner = _grouped_negatives(positives, negatives)
     terms = _margin_terms(z1, z2, pos, neg, owner, margin)[2]
-    return float(np.maximum(terms, 0.0).sum())
+    return np.maximum(terms, 0).sum()
 
 
 def sample_negatives(
@@ -231,9 +238,63 @@ def sample_negatives(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    neg = _sample_negative_array(pos, k, rng, n_source, n_target)
+    neg = _NegativeSampler(pos, k, n_source, n_target)(rng)
     pairs = list(zip(neg[:, 0].tolist(), neg[:, 1].tolist()))
     return [pairs[i:i + k] for i in range(0, len(pairs), k)]
+
+
+def encode(adj, x: np.ndarray) -> np.ndarray:
+    """One graph's embeddings Z = A_hat relu(A_hat X)."""
+    return adj @ np.maximum(adj @ x, 0)
+
+
+_FIXED = 2**80  # the float64 entries of A_hat and X here are multiples of 2**-80
+
+
+def _fixed(a) -> np.ndarray:
+    """A float array, or a sparse matrix as a dense one, times ``_FIXED`` as
+    exact Python ints: products and sums of the result round nothing."""
+    a = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=np.float64)
+    scaled = [Fraction(v) * _FIXED for v in a.ravel().tolist()]
+    if any(v.denominator != 1 for v in scaled):
+        raise ValueError("an entry is not a multiple of 2**-80")
+    return np.array([int(v) for v in scaled], dtype=object).reshape(a.shape)
+
+
+def difference_quotients(
+    adj1, x1, adj2, x2, positives, negatives, margin: float, h: float = 2.0**-17
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central difference quotients of the margin loss of ``encode`` with
+    respect to each entry of X1 and X2, in exact integer arithmetic.
+
+    The loss is piecewise linear in X, so a quotient whose step crosses no
+    kink is the derivative itself. Cancelling terms make many derivatives
+    exactly 0; a float64 quotient carries rounding noise of about 2e-10 there.
+    """
+    a1, a2 = _fixed(adj1), _fixed(adj2)
+    xs = [_fixed(x1), _fixed(x2)]
+    step = Fraction(h) * _FIXED
+    fixed_margin = Fraction(margin) * _FIXED**3  # Z carries _FIXED**3
+    if step.denominator != 1 or fixed_margin.denominator != 1:
+        raise ValueError("the step and the margin must be multiples of 2**-80")
+
+    def loss():
+        return margin_loss(encode(a1, xs[0]), encode(a2, xs[1]), positives,
+                           negatives, int(fixed_margin))
+
+    quotients = []
+    for x in xs:
+        out = np.empty(x.shape)
+        for idx in np.ndindex(x.shape):
+            orig = x[idx]
+            x[idx] = orig + int(step)
+            up = loss()
+            x[idx] = orig - int(step)
+            down = loss()
+            x[idx] = orig
+            out[idx] = (up - down) / (2 * int(step) * _FIXED**2)
+        quotients.append(out)
+    return quotients[0], quotients[1]
 
 
 def loss_and_gradients(
@@ -241,16 +302,52 @@ def loss_and_gradients(
     x1: np.ndarray,
     adj2,
     x2: np.ndarray,
-    params: GcnParameters,
     positives: Sequence[Pair],
     negatives: Sequence[Sequence[Pair]],
     margin: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Margin loss and its analytic gradients with respect to W1 and W2."""
+    """Margin loss and its gradients with respect to X1 and X2, graph by graph.
+
+    The gradient G at each Z is scattered pair by pair; each cell sums small
+    integers, so it equals any other summation order exactly.
+    """
     pos, neg, owner = _grouped_negatives(positives, negatives)
-    return _loss_and_gradients(
-        adj1, adj1 @ x1, adj2, adj2 @ x2, params, pos, neg, owner, margin
-    )
+    p1, p2 = adj1 @ x1, adj2 @ x2
+    z1, z2 = adj1 @ np.maximum(p1, 0.0), adj2 @ np.maximum(p2, 0.0)
+    diff_pos, diff_neg, terms = _margin_terms(z1, z2, pos, neg, owner, margin)
+    active = terms > 0
+    loss = float(terms[active].sum())
+    g1, g2 = np.zeros_like(z1), np.zeros_like(z2)
+    for i in np.flatnonzero(active):
+        sgn_pos = np.sign(diff_pos[owner[i]])
+        sgn_neg = np.sign(diff_neg[i])
+        np.add.at(g1, pos[owner[i], 0], sgn_pos)
+        np.add.at(g2, pos[owner[i], 1], -sgn_pos)
+        np.add.at(g1, neg[i, 0], -sgn_neg)
+        np.add.at(g2, neg[i, 1], sgn_neg)
+    dx1 = adj1 @ ((adj1 @ g1) * (p1 > 0))
+    dx2 = adj2 @ ((adj2 @ g2) * (p2 > 0))
+    return loss, dx1, dx2
+
+
+def train_per_graph(kg1, kg2, seeds, cfg, on_epoch) -> tuple[np.ndarray, np.ndarray]:
+    """``gcn.train`` with each graph's products on its own adjacency: the
+    same draws, epoch and update, with no block-diagonal matrix."""
+    adj1, adj2 = adjacency(kg1), adjacency(kg2)
+    rng = np.random.default_rng(cfg.rng_seed)
+    x1 = init_features(kg1.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
+    x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
+    for epoch in range(cfg.epochs):
+        negatives = sample_negatives(
+            seeds, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
+        )
+        loss, dx1, dx2 = loss_and_gradients(
+            adj1, x1, adj2, x2, seeds, negatives, cfg.margin
+        )
+        x1 -= cfg.learning_rate * dx1
+        x2 -= cfg.learning_rate * dx2
+        on_epoch(epoch, loss)
+    return encode(adj1, x1), encode(adj2, x2)
 
 
 # -- collective decoding ------------------------------------------------------

@@ -343,6 +343,35 @@ class TestResume:
         assert resumed == cold
         assert dir_bytes(out) == want
 
+    def test_embeddings_of_the_trained_weight_encoder_are_not_resumed(
+            self, synth_dir, tmp_path, monkeypatch):
+        # Before the embed key named the encoder, it hashed the settings alone,
+        # and z1/z2 came from the encoder with trained layer weights. Such a
+        # manifest must rerun embed and everything downstream of it.
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out)
+        cold = run_pipeline(cfg)
+        want = dir_bytes(out)
+        key = pipeline._key
+        monkeypatch.setattr(pipeline, "_key", lambda *parts: key(
+            *(part for part in parts if part != pipeline.ENCODER)))
+        old = {name: stage.key for name, stage in pipeline._plan(cfg).items()}
+        monkeypatch.undo()
+        # The embed key the previous encoder's pipeline wrote for this directory.
+        assert old["embed"] == (
+            "213a20f8cb4ab65e6a007cc9073a92e4fb415fc481164835883c8fa9bc4c8c5a")
+        for name in ("z1.npy", "z2.npy"):
+            save_matrix(out / name, np.zeros_like(load_matrix(out / name)))
+        matio.save_json(out / pipeline.MANIFEST, old)
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        resumed = run_pipeline(small_config(synth_dir, out, resume=True))
+        assert [name for name, _ in calls] == [
+            "train", "feature_matrix", "fuse_features", "decode", "_evaluate"]
+        assert [args[0] for name, args in calls if name == "feature_matrix"] == [
+            "structural"]
+        assert resumed == cold
+        assert dir_bytes(out) == want
+
 
 def kg_flags(data):
     return ["--triples1", str(data["triples1"]), "--names1", str(data["names1"]),
