@@ -21,7 +21,7 @@ from .collective import AlignmentResult, RlConfig, count_multiplicities
 from .fusion import FusionConfig
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
-from .measures import Measure, SimilarityMatrix
+from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix
 from .metrics import EvalReport, hits_mrr, prf
 from .pipeline import (
     FEATURES,
@@ -37,6 +37,7 @@ from .pipeline import (
 from .synth import write_synthetic
 
 MODE_FLAGS = {"full": "full", "excl": "exclusiveness_only", "coh": "coherence_only"}
+FLAG_OF_MODE = {mode: flag for flag, mode in MODE_FLAGS.items()}
 
 
 def _add_kg_args(p: argparse.ArgumentParser) -> None:
@@ -114,7 +115,7 @@ def _cmd_fuse(args) -> int:
     for item in args.inputs:
         tag, _, path = item.partition("=")
         if not path:
-            raise SystemExit(f"expected tag=path, got {item!r}")
+            args.error(f"expected tag=path, got {item!r}")
         matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
     fused, summary, report_text = fuse_features(
         matrices, FusionConfig(theta1=args.theta1, theta2=args.theta2)
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1")
     p.add_argument("--z2")
     p.add_argument("--vectors")
-    p.add_argument("--measure", choices=[m.value for m in Measure], default="bc")
+    p.add_argument("--measure", choices=[m.value for m in Measure],
+                   default=DEFAULT_MEASURE)
     p.add_argument("--features", default="structural,semantic,string")
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, help="default: KGALIGN_THREADS, else 1")
@@ -252,22 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="adaptively fuse similarity matrices")
     p.add_argument("--inputs", nargs="+", required=True, metavar="TAG=PATH")
-    p.add_argument("--theta1", type=float, default=0.99)
-    p.add_argument("--theta2", type=float, default=0.48)
+    p.add_argument("--theta1", type=float, default=FusionConfig.theta1)
+    p.add_argument("--theta2", type=float, default=FusionConfig.theta2)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
-    p.set_defaults(fn=_cmd_fuse)
+    p.set_defaults(fn=_cmd_fuse, error=p.error)
 
     p = sub.add_parser("align", help="decode matches from a similarity matrix")
     _add_kg_args(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="rl")
-    p.add_argument("--mode", choices=tuple(MODE_FLAGS), default="full")
-    p.add_argument("--tau", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prelim-rounds", type=int, default=2)
+    p.add_argument("--mode", choices=tuple(MODE_FLAGS),
+                   default=FLAG_OF_MODE[RlConfig.mode])
+    p.add_argument("--tau", type=int, default=RlConfig.tau)
+    p.add_argument("--epochs", type=int, default=RlConfig.epochs)
+    p.add_argument("--seed", type=int, default=RlConfig.rng_seed)
+    p.add_argument("--prelim-rounds", type=int, default=RlConfig.preliminary_rounds)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_align)
 

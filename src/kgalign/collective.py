@@ -27,6 +27,8 @@ from .errors import TrainingError
 from .measures import SimilarityMatrix
 
 MODES = ("full", "exclusiveness_only", "coherence_only")
+GAMMA = 0.9  # value decay in the TD target
+HIDDEN = 10  # hidden units of the actor and of the critic
 # Sources ranked per argsort in build_environment: the temporaries stay
 # O(block x residual targets) however many sources there are.
 _ROW_BLOCK = 256
@@ -34,7 +36,6 @@ _ROW_BLOCK = 256
 
 @dataclass
 class RlConfig:
-    gamma: float = 0.9        # value decay in the TD target
     actor_lr: float = 0.001
     critic_lr: float = 0.01
     tau: int = 10             # candidates kept per source
@@ -42,12 +43,8 @@ class RlConfig:
     rng_seed: int = 0
     preliminary_rounds: int = 2
     mode: str = "full"
-    hidden_dim: int = 10
-    critic_hidden_dim: int = 10
 
     def __post_init__(self):
-        if not 0 <= self.gamma <= 1:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be > 0")
         if self.tau < 1:
@@ -56,22 +53,6 @@ class RlConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass
-class ActorParameters:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class CriticParameters:
-    w3: np.ndarray
-    b3: np.ndarray
-    w4: np.ndarray
-    b4: np.ndarray
 
 
 @dataclass
@@ -210,82 +191,6 @@ def build_environment(
     )
 
 
-def init_actor(rng: np.random.Generator, state_dim: int, hidden: int) -> ActorParameters:
-    return ActorParameters(
-        w1=rng.uniform(-0.1, 0.1, (hidden, state_dim)),
-        b1=rng.uniform(-0.1, 0.1, hidden),
-        w2=rng.uniform(-0.1, 0.1, (state_dim, hidden)),
-        b2=rng.uniform(-0.1, 0.1, state_dim),
-    )
-
-
-def init_critic(rng: np.random.Generator, state_dim: int, hidden: int) -> CriticParameters:
-    return CriticParameters(
-        w3=rng.uniform(-0.1, 0.1, (hidden, state_dim)),
-        b3=rng.uniform(-0.1, 0.1, hidden),
-        w4=rng.uniform(-0.1, 0.1, (1, hidden)),
-        b4=rng.uniform(-0.1, 0.1, 1),
-    )
-
-
-def _actor_pass(
-    s: np.ndarray, params: ActorParameters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-activation, hidden layer and probabilities of the actor."""
-    pre = params.w1 @ s + params.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = params.w2 @ hidden + params.b2
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return pre, hidden, exp / exp.sum()
-
-
-def actor_forward(s: np.ndarray, params: ActorParameters) -> np.ndarray:
-    """Candidate probabilities: softmax(W2 relu(W1 s + b1) + b2)."""
-    return _actor_pass(s, params)[2]
-
-
-def actor_log_prob_grads(
-    s: np.ndarray, params: ActorParameters, action: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of log pi(action | s) with respect to the actor parameters."""
-    pre, hidden, probs = _actor_pass(s, params)
-    d_logits = -probs
-    d_logits[action] += 1.0
-    d_pre = (params.w2.T @ d_logits) * (pre > 0)
-    return d_pre[:, None] * s, d_pre, d_logits[:, None] * hidden, d_logits
-
-
-def _critic_pass(
-    s: np.ndarray, params: CriticParameters
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Pre-activation, hidden layer and value of the critic."""
-    pre = params.w3 @ s + params.b3
-    hidden = np.maximum(pre, 0.0)
-    return pre, hidden, float((params.w4 @ hidden + params.b4)[0])
-
-
-def critic_value(s: np.ndarray, params: CriticParameters) -> float:
-    """Estimated state value: W4 relu(W3 s + b3) + b4."""
-    return _critic_pass(s, params)[2]
-
-
-def critic_grads(
-    s: np.ndarray, params: CriticParameters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the value estimate with respect to the critic parameters."""
-    pre, hidden, _ = _critic_pass(s, params)
-    d_pre = params.w4[0] * (pre > 0)
-    return d_pre[:, None] * s, d_pre, hidden[None, :], np.ones(1)
-
-
-def reward(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, a: int) -> float:
-    """Feedback for choosing candidate ``a``: s1[a] * s2[a] + s3[a]."""
-    if not 0 <= a < len(s1):
-        raise ValueError(f"action {a} out of range for {len(s1)} candidates")
-    return float(s1[a] * s2[a] + s3[a])
-
-
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     """``rng.choice(len(probs), p=probs)`` without its argument checks.
 
@@ -298,40 +203,44 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One contiguous copy of ``arrays`` and views of it shaped like them."""
-    flat = np.concatenate([np.ravel(a) for a in arrays])
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of ``flat``, shaped like ``shapes``."""
     views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
 class _Episodes:
-    """The buffers of one policy's episodes over one environment.
+    """The parameters and buffers of one policy's episodes over one environment.
 
     Each network's parameters live in one flat buffer (with a gradient
     buffer of the same layout), so a training step is one
-    ``p += (lr * delta) * g`` per network. The buffers, the per-target s2
-    array, the match template and the context mask are built once; each
-    episode only resets the bookkeeping. ``write_back`` copies the flat
-    parameters into the ``actor`` and ``critic`` they were built from.
+    ``p += (lr * delta) * g`` per network. The actor's buffer holds W1, b1,
+    W2, b2 and the critic's W3, b3, W4, b4, in that order, each drawn from
+    uniform(-0.1, 0.1) with one draw call per buffer. The buffers, the
+    per-target s2 array, the match template and the context mask are built
+    once; each episode only resets the bookkeeping.
     """
 
-    def __init__(self, env: AlignmentEnvironment, actor: ActorParameters,
-                 critic: CriticParameters, cfg: RlConfig):
+    def __init__(self, env: AlignmentEnvironment, cfg: RlConfig,
+                 rng: np.random.Generator):
         self.env, self.cfg = env, cfg
-        self.arrays = (actor.w1, actor.b1, actor.w2, actor.b2,
-                       critic.w3, critic.b3, critic.w4, critic.b4)
-        self.actor_flat, actor_views = _flat_views(self.arrays[:4])
-        self.critic_flat, critic_views = _flat_views(self.arrays[4:])
-        self.views = actor_views + critic_views
-        self.actor_grad, actor_grads = _flat_views(self.arrays[:4])
-        # Every gradient view is overwritten each step except g_b4, which is 1.
-        self.critic_grad, critic_grads = _flat_views(self.arrays[4:])
-        critic_grads[3][...] = 1.0
-        self.grads = actor_grads + critic_grads[:3]
+        k = env.state_dim
+        actor_shapes = ((HIDDEN, k), (HIDDEN,), (k, HIDDEN), (k,))
+        critic_shapes = ((HIDDEN, k), (HIDDEN,), (1, HIDDEN), (1,))
+        n_actor = sum(map(math.prod, actor_shapes))
+        n_critic = sum(map(math.prod, critic_shapes))
+        self.actor_flat = rng.uniform(-0.1, 0.1, n_actor)
+        self.critic_flat = rng.uniform(-0.1, 0.1, n_critic)
+        self.actor_grad, self.critic_grad = np.zeros(n_actor), np.zeros(n_critic)
+        self.views = (_views(self.actor_flat, actor_shapes)
+                      + _views(self.critic_flat, critic_shapes))
+        *self.grads, g_b4 = (_views(self.actor_grad, actor_shapes)
+                             + _views(self.critic_grad, critic_shapes))
+        g_b4[...] = 1.0  # every other gradient view is overwritten each step
         n_src, n_tgt = env.scores.shape
         self.s2_of = np.ones(n_tgt)
         # Unmatched sources point at the mask's spare last entry, which no
@@ -342,16 +251,23 @@ class _Episodes:
         self.match_of = self.match_template.copy()
         self.in_context = np.zeros(n_tgt + 1, dtype=bool)
 
-    def write_back(self) -> None:
-        for array, view in zip(self.arrays, self.views):
-            array[...] = view
-
     def finite(self) -> bool:
         return bool(np.isfinite(self.actor_flat).all()
                     and np.isfinite(self.critic_flat).all())
 
     def run(self, rng: np.random.Generator, train: bool) -> dict[int, int]:
-        """One episode; see ``run_episode``."""
+        """One pass over the source sequence; updates the parameters when training.
+
+        Exclusiveness bookkeeping is by target identity: a per-target s2
+        array turns to -1 once the target is taken, so every later candidate
+        list containing it sees s2 = -1. Coherence marks the targets matched
+        to the source's graph neighbours in a boolean mask (so a target
+        picked twice counts once) and sums the mask over each candidate's
+        target neighbours. The reward for choosing candidate a is the state
+        entry s1[a] * s2[a] + s3[a]. The pass after the last source is
+        terminal (value 0 in the TD target). With no candidates
+        (``state_dim == 0``) there is nothing to decide.
+        """
         env, cfg = self.env, self.cfg
         decisions: dict[int, int] = {}
         order, k = env.order, env.state_dim
@@ -362,7 +278,7 @@ class _Episodes:
         candidate_neighbors, candidate_slots = env.candidate_neighbors, env.candidate_slots
         exclusive = cfg.mode != "coherence_only"
         coherent = cfg.mode != "exclusiveness_only"
-        gamma, actor_lr, critic_lr = cfg.gamma, cfg.actor_lr, cfg.critic_lr
+        actor_lr, critic_lr = cfg.actor_lr, cfg.critic_lr
         s2_of, match_of, in_context = self.s2_of, self.match_of, self.in_context
         s2_of.fill(1.0)
         match_of[...] = self.match_template
@@ -418,7 +334,7 @@ class _Episodes:
                     v_next = float((w4 @ np.maximum(w3 @ nxt + b3, 0.0))[0] + b4[0])
                 else:
                     v_next = 0.0
-                delta = r + gamma * v_next - v_s
+                delta = r + GAMMA * v_next - v_s
                 np.multiply(w4_row, c_pre > 0, out=g_b3)
                 np.multiply(g_b3_col, s, out=g_w3)
                 # Grouped as (lr * delta) * g: regrouping would change the
@@ -435,53 +351,20 @@ class _Episodes:
         return decisions
 
 
-def run_episode(
-    env: AlignmentEnvironment,
-    actor: ActorParameters,
-    critic: CriticParameters,
-    cfg: RlConfig,
-    rng: np.random.Generator,
-    train: bool,
-) -> dict[int, int]:
-    """One pass over the source sequence; updates parameters when training.
-
-    Exclusiveness bookkeeping is by target identity: a per-target s2 array
-    turns to -1 once the target is taken, so every later candidate list
-    containing it sees s2 = -1. Coherence marks the targets matched to the
-    source's graph neighbours in a boolean mask (so a target picked twice
-    counts once) and sums the mask over each candidate's target neighbours.
-    The pass after the last source is terminal (value 0 in the TD target).
-    With no candidates (``state_dim == 0``) there is nothing to decide.
-
-    The parameters are updated in flat buffers (see ``_Episodes``) and
-    written back to ``actor`` and ``critic`` when the pass ends, also when it
-    ends in an error. The arithmetic is otherwise that of composing ``actor_forward``,
-    ``actor_log_prob_grads``, ``critic_value`` and ``critic_grads``, with the
-    same matrix products, so decisions and parameters match them bit for bit.
-    """
-    episodes = _Episodes(env, actor, critic, cfg)
-    try:
-        return episodes.run(rng, train)
-    finally:
-        episodes.write_back()
-
-
 def a2c_align(env: AlignmentEnvironment, cfg: RlConfig) -> AlignmentResult:
     """Train the policy for cfg.epochs episodes, then emit one greedy pass.
 
     The confirmed pairs from the preliminary filter are kept as-is; the
     greedy pass (argmax of the learned policy) decides the residual sources.
-    Every episode runs on one set of buffers, so the result equals
-    ``cfg.epochs`` training ``run_episode`` calls and one greedy call.
+    One generator seeded with ``cfg.rng_seed`` draws the initial parameters,
+    then every episode's samples.
     """
     pairs = {s: t for s, t in env.confirmed}
     provenance = {s: "preliminary" for s in pairs}
     if not env.order or env.state_dim == 0:
         return AlignmentResult(pairs=pairs, provenance=provenance)
     rng = np.random.default_rng(cfg.rng_seed)
-    actor = init_actor(rng, env.state_dim, cfg.hidden_dim)
-    critic = init_critic(rng, env.state_dim, cfg.critic_hidden_dim)
-    episodes = _Episodes(env, actor, critic, cfg)
+    episodes = _Episodes(env, cfg, rng)
     for epoch in range(cfg.epochs):
         try:
             episodes.run(rng, train=True)

@@ -5,8 +5,11 @@ distances; ``bray_curtis`` is the per-coordinate normalized form
 sum_i |u_i - v_i| / |u_i + v_i| (the default downstream), with the textbook
 aggregate form sum|u - v| / sum(u + v) available as a separate measure;
 cosine yields a similarity directly. Distance scores are converted to
-similarity as 1 - D with no clamping: decoding only compares scores, so
-values below zero are harmless.
+similarity as 1 - D with no clamping. A decoder of one matrix only compares
+scores, but fusion sums weighted matrices, so values far below zero are
+not harmless there: ``bc`` on signed word vectors reaches -1.3e6 (a
+synthetic n=400 pair) where coordinates nearly cancel, and swamps the
+other features (ROADMAP item 1).
 
 The four distances run through one tile loop. A tile is a rectangle of
 (source, target) pairs whose (pair, coordinate) cells fit ``TILE_CELLS``,
@@ -36,6 +39,10 @@ class Measure(str, Enum):
     MANHATTAN = "man"
     EUCLIDEAN = "euc"
     COSINE = "cos"
+
+
+# The measure of the pipeline and of the features stage unless one is given.
+DEFAULT_MEASURE = Measure.BRAY_CURTIS.value
 
 
 @dataclass

@@ -55,7 +55,7 @@ from .kg import (
     neighbor_sets,
     split_alignment,
 )
-from .measures import Measure, SimilarityMatrix, sim_matrix
+from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix, sim_matrix
 from .metrics import EvalReport, fusion_poc, gold_ranks, hits_mrr_of_ranks, prf
 from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
@@ -95,23 +95,21 @@ class PipelineConfig:
     train_frac: float = 0.24
     val_frac: float = 0.06
     features: tuple[str, ...] = FEATURES
-    measure: str = "bc"
+    measure: str = DEFAULT_MEASURE
     dim: int = TrainConfig.dim
     margin: float = TrainConfig.margin
     epochs: int = TrainConfig.epochs
     negatives: int = TrainConfig.negatives
     learning_rate: float = TrainConfig.learning_rate
-    embed_seed: int | None = None
-    theta1: float = 0.99
-    theta2: float = 0.48
+    theta1: float = FusionConfig.theta1
+    theta2: float = FusionConfig.theta2
     strategy: str = "rl"
-    mode: str = "full"
-    tau: int = 10
-    rl_epochs: int = 100
-    rl_seed: int | None = None
-    rl_actor_lr: float = 0.001
-    rl_critic_lr: float = 0.01
-    prelim_rounds: int = 2
+    mode: str = RlConfig.mode
+    tau: int = RlConfig.tau
+    rl_epochs: int = RlConfig.epochs
+    rl_actor_lr: float = RlConfig.actor_lr
+    rl_critic_lr: float = RlConfig.critic_lr
+    prelim_rounds: int = RlConfig.preliminary_rounds
     threads: int = field(default_factory=default_threads)
     matrix_format: str = "npy"
     resume: bool = False
@@ -148,6 +146,11 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         payload.update({k: v for k, v in overrides.items() if v is not None})
+        # Older config.json files hold per-stage seeds, unset: each stage
+        # then used ``seed``, as every stage now does.
+        for name in ("embed_seed", "rl_seed"):
+            if name in payload and payload[name] is None:
+                del payload[name]
         if "features" in payload and not isinstance(payload["features"], tuple):
             payload["features"] = tuple(payload["features"])
         return cls(**payload)
@@ -167,14 +170,14 @@ class PipelineConfig:
             epochs=self.epochs,
             negatives=self.negatives,
             learning_rate=self.learning_rate,
-            rng_seed=self.seed if self.embed_seed is None else self.embed_seed,
+            rng_seed=self.seed,
         )
 
     def rl_config(self) -> RlConfig:
         return RlConfig(
             tau=self.tau,
             epochs=self.rl_epochs,
-            rng_seed=self.seed if self.rl_seed is None else self.rl_seed,
+            rng_seed=self.seed,
             actor_lr=self.rl_actor_lr,
             critic_lr=self.rl_critic_lr,
             preliminary_rounds=self.prelim_rounds,

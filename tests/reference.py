@@ -386,6 +386,98 @@ def coherence_vector(
     )
 
 
+@dataclass
+class ActorParameters:
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+
+@dataclass
+class CriticParameters:
+    w3: np.ndarray
+    b3: np.ndarray
+    w4: np.ndarray
+    b4: np.ndarray
+
+
+def init_actor(rng: np.random.Generator, state_dim: int, hidden: int) -> ActorParameters:
+    return ActorParameters(
+        w1=rng.uniform(-0.1, 0.1, (hidden, state_dim)),
+        b1=rng.uniform(-0.1, 0.1, hidden),
+        w2=rng.uniform(-0.1, 0.1, (state_dim, hidden)),
+        b2=rng.uniform(-0.1, 0.1, state_dim),
+    )
+
+
+def init_critic(rng: np.random.Generator, state_dim: int, hidden: int) -> CriticParameters:
+    return CriticParameters(
+        w3=rng.uniform(-0.1, 0.1, (hidden, state_dim)),
+        b3=rng.uniform(-0.1, 0.1, hidden),
+        w4=rng.uniform(-0.1, 0.1, (1, hidden)),
+        b4=rng.uniform(-0.1, 0.1, 1),
+    )
+
+
+def _actor_pass(
+    s: np.ndarray, params: ActorParameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activation, hidden layer and probabilities of the actor."""
+    pre = params.w1 @ s + params.b1
+    hidden = np.maximum(pre, 0.0)
+    logits = params.w2 @ hidden + params.b2
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return pre, hidden, exp / exp.sum()
+
+
+def actor_forward(s: np.ndarray, params: ActorParameters) -> np.ndarray:
+    """Candidate probabilities: softmax(W2 relu(W1 s + b1) + b2)."""
+    return _actor_pass(s, params)[2]
+
+
+def actor_log_prob_grads(
+    s: np.ndarray, params: ActorParameters, action: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of log pi(action | s) with respect to the actor parameters."""
+    pre, hidden, probs = _actor_pass(s, params)
+    d_logits = -probs
+    d_logits[action] += 1.0
+    d_pre = (params.w2.T @ d_logits) * (pre > 0)
+    return d_pre[:, None] * s, d_pre, d_logits[:, None] * hidden, d_logits
+
+
+def _critic_pass(
+    s: np.ndarray, params: CriticParameters
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Pre-activation, hidden layer and value of the critic."""
+    pre = params.w3 @ s + params.b3
+    hidden = np.maximum(pre, 0.0)
+    return pre, hidden, float((params.w4 @ hidden + params.b4)[0])
+
+
+def critic_value(s: np.ndarray, params: CriticParameters) -> float:
+    """Estimated state value: W4 relu(W3 s + b3) + b4."""
+    return _critic_pass(s, params)[2]
+
+
+def critic_grads(
+    s: np.ndarray, params: CriticParameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the value estimate with respect to the critic parameters."""
+    pre, hidden, _ = _critic_pass(s, params)
+    d_pre = params.w4[0] * (pre > 0)
+    return d_pre[:, None] * s, d_pre, hidden[None, :], np.ones(1)
+
+
+def reward(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, a: int) -> float:
+    """Feedback for choosing candidate ``a``: s1[a] * s2[a] + s3[a]."""
+    if not 0 <= a < len(s1):
+        raise ValueError(f"action {a} out of range for {len(s1)} candidates")
+    return float(s1[a] * s2[a] + s3[a])
+
+
 # -- word vectors and synthetic pairs -------------------------------------------
 
 def load_word_vectors(path) -> WordVectorTable:

@@ -17,16 +17,10 @@ import pytest
 from kgalign.collective import (
     RlConfig,
     a2c_align,
-    actor_log_prob_grads,
-    actor_forward,
     build_environment,
     count_multiplicities,
-    critic_grads,
-    critic_value,
     greedy_independent,
     hungarian,
-    init_actor,
-    init_critic,
     preliminary_filter,
     stable_matching,
 )
@@ -52,10 +46,16 @@ from test_collective import (
     mutual_argmax_oracle,
 )
 from reference import (
+    actor_forward,
+    actor_log_prob_grads,
     bray_curtis,
     cosine_sim,
+    critic_grads,
+    critic_value,
     difference_quotients,
     euclidean,
+    init_actor,
+    init_critic,
     loss_and_gradients,
     manhattan,
     sample_negatives,

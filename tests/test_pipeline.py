@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from kgalign import matio, pipeline
-from kgalign.cli import build_parser, main
+from kgalign.cli import MODE_FLAGS, build_parser, main
 from kgalign.collective import RlConfig, greedy_independent
 from kgalign.errors import PipelineError
+from kgalign.fusion import FusionConfig
+from kgalign.gcn import TrainConfig
 from kgalign.kg import load_kg, save_alignment
 from kgalign.matio import load_matrix, load_result, save_matrix
 from kgalign.metrics import prf
@@ -172,7 +174,7 @@ class TestPipeline:
     def test_save_json_writes_json_dump_bytes(self, synth_dir, tmp_path):
         split = {"train": [[3, 1], [0, 2]], "val": [], "test": [[1, 4], [2, 0]]}
         config = {**dataclasses.asdict(small_config(synth_dir, tmp_path / "é")),
-                  "theta1": 0.1 + 0.2, "embed_seed": None}
+                  "theta1": 0.1 + 0.2, "vectors": None}
         for payload in (split, config):
             matio.save_json(tmp_path / "a.json", payload)
             with open(tmp_path / "b.json", "w", encoding="utf-8") as fh:
@@ -224,6 +226,25 @@ class TestPipeline:
         cfg = PipelineConfig.from_file(cfg_path, strategy="greedy", seed=None)
         assert cfg.strategy == "greedy"  # flag wins
         assert cfg.seed == 3  # absent flag keeps file value
+
+    def test_config_file_with_unset_stage_seeds(self, synth_dir, tmp_path):
+        # Older config.json files hold embed_seed and rl_seed, unset; a set
+        # one names a run this version cannot reproduce.
+        cfg = small_config(synth_dir, tmp_path / "run")
+        payload = {**dataclasses.asdict(cfg), "features": list(cfg.features)}
+        cfg_path = tmp_path / "cfg.json"
+        matio.save_json(cfg_path, {**payload, "embed_seed": None, "rl_seed": None})
+        assert PipelineConfig.from_file(cfg_path) == cfg
+        matio.save_json(cfg_path, {**payload, "rl_seed": 5})
+        with pytest.raises(TypeError, match="rl_seed"):
+            PipelineConfig.from_file(cfg_path)
+
+    def test_stage_settings_default_to_their_configs(self):
+        cfg = PipelineConfig(triples1="t1", names1="n1", triples2="t2", names2="n2",
+                             gold="g", vectors="v")
+        assert cfg.train_config() == TrainConfig(rng_seed=cfg.seed)
+        assert cfg.fusion_config() == FusionConfig()
+        assert cfg.rl_config() == RlConfig(rng_seed=cfg.seed)
 
 
 class TestResume:
@@ -466,6 +487,36 @@ class TestCli:
         assert err.startswith("usage: kgalign features")
         assert f"kgalign features: error: {message}" in err
         assert not out.exists()
+
+    def test_fuse_rejects_input_without_path(self, tmp_path, capsys):
+        out = tmp_path / "fused"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuse", "--inputs", "semantic", "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kgalign fuse")
+        assert "kgalign fuse: error: expected tag=path, got 'semantic'" in err
+        assert not out.exists()
+
+    def test_parser_defaults_equal_config_defaults(self):
+        parse = build_parser().parse_args
+        kg = ["--triples1", "t1", "--names1", "n1", "--triples2", "t2", "--names2", "n2"]
+        embed = parse(["embed", *kg, "--train", "a", "--out", "o"])
+        assert (embed.dim, embed.margin, embed.epochs, embed.negatives, embed.lr,
+                embed.seed) == dataclasses.astuple(TrainConfig())
+        features = parse(["features", *kg, "--test", "a", "--out", "o"])
+        assert features.measure == PipelineConfig.measure
+        fuse = parse(["fuse", "--inputs", "a=b", "--out", "o"])
+        assert FusionConfig(theta1=fuse.theta1, theta2=fuse.theta2) == FusionConfig()
+        align = parse(["align", *kg, "--matrix", "m", "--test", "a", "--out", "o"])
+        assert RlConfig(
+            tau=align.tau, epochs=align.epochs, rng_seed=align.seed,
+            preliminary_rounds=align.prelim_rounds, mode=MODE_FLAGS[align.mode],
+        ) == RlConfig()
+        # Every pipeline flag defaults to unset, so PipelineConfig's default applies.
+        pipeline_args = vars(parse(["pipeline"]))
+        assert {k for k, v in pipeline_args.items() if v is not None} == {
+            "command", "fn", "resume"}
 
     def test_synth_then_pipeline(self, tmp_path, capsys):
         data = tmp_path / "data"
