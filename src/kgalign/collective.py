@@ -249,7 +249,7 @@ class _Episodes:
         for u, v in env.confirmed:
             self.match_template[u] = v
         self.match_of = self.match_template.copy()
-        self.in_context = np.zeros(n_tgt + 1, dtype=bool)
+        self.in_context = np.zeros(n_tgt + 1)
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.actor_flat).all()
@@ -261,7 +261,7 @@ class _Episodes:
         Exclusiveness bookkeeping is by target identity: a per-target s2
         array turns to -1 once the target is taken, so every later candidate
         list containing it sees s2 = -1. Coherence marks the targets matched
-        to the source's graph neighbours in a boolean mask (so a target
+        to the source's graph neighbours with 1.0 in a zero mask (so a target
         picked twice counts once) and sums the mask over each candidate's
         target neighbours. The reward for choosing candidate a is the state
         entry s1[a] * s2[a] + s3[a]. The pass after the last source is
@@ -282,42 +282,50 @@ class _Episodes:
         s2_of, match_of, in_context = self.s2_of, self.match_of, self.in_context
         s2_of.fill(1.0)
         match_of[...] = self.match_template
-        in_context.fill(False)
-        max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
+        in_context.fill(0.0)
+        # Every call below works on vectors of at most tau or HIDDEN entries,
+        # so call overhead sets the step's time: bound ndarray.dot makes the
+        # same BLAS call as @ at under half its overhead, and comparing with
+        # a zero vector skips converting a Python 0 on every call.
+        max_reduce, add_reduce, bincount = np.maximum.reduce, np.add.reduce, np.bincount
+        maximum, greater, multiply = np.maximum, np.greater, np.multiply
+        zero_h, zero_k = np.zeros(HIDDEN), np.zeros(k)
 
         def state(i: int) -> np.ndarray:
             """Network input s1 * s2 + s3 of order[i]."""
             s1 = score_rows[i]
             s = s1 * s2_of[rows[i]] if exclusive else s1
             if not coherent:
-                return s + 0.0  # the same -0.0 -> +0.0 as adding zeros
+                return s + zero_k  # s3 is zero: still turns -0.0 into +0.0
             context = match_of[neighbor_sources[i]]
-            in_context[context] = True
-            s3 = np.bincount(candidate_slots[i],
-                             weights=in_context[candidate_neighbors[i]], minlength=k)
-            in_context[context] = False
+            in_context[context] = 1.0
+            s3 = bincount(candidate_slots[i], weights=in_context[candidate_neighbors[i]],
+                          minlength=k)
+            in_context[context] = 0.0
             return s + s3
 
         actor_flat, critic_flat = self.actor_flat, self.critic_flat
         actor_grad, critic_grad = self.actor_grad, self.critic_grad
         w1, b1, w2, b2, w3, b3, w4, b4 = self.views
         g_w1, g_b1, g_w2, g_b2, g_w3, g_b3, g_w4 = self.grads
-        w2_t, w4_row, c_hidden = w2.T, w4[0], g_w4[0]
+        w4_row, c_hidden = w4[0], g_w4[0]
+        actor_in, actor_out, w2_t_dot = w1.dot, w2.dot, w2.T.dot
+        critic_in, critic_out = w3.dot, w4_row.dot
         g_b1_col, g_b2_col, g_b3_col = g_b1[:, None], g_b2[:, None], g_b3[:, None]
         s = state(0)
         last = len(order) - 1
         for i, u in enumerate(order):
-            pre = w1 @ s + b1
-            hidden = np.maximum(pre, 0.0)
-            logits = w2 @ hidden + b2
+            pre = actor_in(s) + b1
+            hidden = maximum(pre, zero_h)
+            logits = actor_out(hidden) + b2
             logits -= max_reduce(logits)
-            exp = np.exp(logits, out=logits)
-            total = add_reduce(exp)
+            probs = np.exp(logits, out=logits)
+            total = add_reduce(probs)
             # After the shift the total is either in [1, k], every
             # probability then finite, or NaN, every probability NaN.
             if not math.isfinite(total):
                 raise TrainingError("policy produced non-finite action probabilities")
-            probs = exp / total
+            probs /= total
             a = _sample(rng, probs) if train else int(probs.argmax())
             v = int(rows[i, a])
             r = float(s[a])
@@ -327,24 +335,25 @@ class _Episodes:
             if i < last:
                 nxt = state(i + 1)
             if train:
-                c_pre = w3 @ s + b3
-                np.maximum(c_pre, 0.0, out=c_hidden)  # g_w4 is the hidden layer
-                v_s = float((w4 @ c_hidden)[0] + b4[0])
+                c_pre = critic_in(s) + b3
+                maximum(c_pre, zero_h, out=c_hidden)  # g_w4 is the hidden layer
+                v_s = float(critic_out(c_hidden) + b4[0])
                 if i < last:
-                    v_next = float((w4 @ np.maximum(w3 @ nxt + b3, 0.0))[0] + b4[0])
+                    v_next = float(critic_out(maximum(critic_in(nxt) + b3, zero_h)) + b4[0])
                 else:
                     v_next = 0.0
                 delta = r + GAMMA * v_next - v_s
-                np.multiply(w4_row, c_pre > 0, out=g_b3)
-                np.multiply(g_b3_col, s, out=g_w3)
+                multiply(w4_row, greater(c_pre, zero_h), out=g_b3)
+                multiply(g_b3_col, s, out=g_w3)
                 # Grouped as (lr * delta) * g: regrouping would change the
                 # last bits of every update.
                 critic_flat += (critic_lr * delta) * critic_grad
                 np.negative(probs, out=g_b2)
                 g_b2[a] += 1.0
-                np.multiply(g_b2_col, hidden, out=g_w2)
-                np.multiply(w2_t @ g_b2, pre > 0, out=g_b1)
-                np.multiply(g_b1_col, s, out=g_w1)
+                multiply(g_b2_col, hidden, out=g_w2)
+                w2_t_dot(g_b2, out=g_b1)
+                multiply(g_b1, greater(pre, zero_h), out=g_b1)
+                multiply(g_b1_col, s, out=g_w1)
                 actor_flat += (actor_lr * delta) * actor_grad
             if i < last:
                 s = nxt

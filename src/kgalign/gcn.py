@@ -215,6 +215,8 @@ def train(
     Runs ``cfg.epochs`` full-batch gradient steps on the inputs X with
     negatives redrawn every epoch. ``on_epoch`` is called with (epoch, loss)
     after each update, where the loss is that of X before the update.
+    Raises TrainingError when the loss or X becomes non-finite, or when a
+    row of the final embeddings has a squared L2 norm that overflows.
     """
     if not seeds:
         raise ValueError("need at least one seed pair")
@@ -251,4 +253,10 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, loss)
     z = adj @ np.maximum(adj @ x, 0.0)
+    # Finite rows can still overflow a row norm, which cos divides by: the
+    # row would become exact zeros there.
+    overflowed = np.count_nonzero(~np.isfinite(np.einsum("ij,ij->i", z, z)))
+    if overflowed:
+        raise TrainingError(f"the squared L2 norm of {overflowed} of {len(z)} "
+                            f"embedding rows is not finite after epoch {cfg.epochs - 1}")
     return z[:n1], z[n1:]

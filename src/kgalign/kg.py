@@ -242,10 +242,16 @@ def adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
 
 
 def neighbor_sets(kg: KnowledgeGraph) -> tuple[frozenset[int], ...]:
-    """Per-entity undirected neighbor sets, built in one pass."""
-    sets: list[set[int]] = [set() for _ in range(kg.n_entities)]
-    for h, _, t in kg.triples:
-        if h != t:
-            sets[h].add(int(t))
-            sets[t].add(int(h))
-    return tuple(frozenset(s) for s in sets)
+    """Per-entity undirected neighbor sets, self-loops left out.
+
+    Both directions of every other triple are grouped by entity with one
+    argsort, and each entity's slice becomes its set.
+    """
+    heads, tails = kg.triples[:, 0], kg.triples[:, 2]
+    keep = heads != tails
+    ends = np.concatenate([heads[keep], tails[keep]])
+    others = np.concatenate([tails[keep], heads[keep]])
+    order = ends.argsort()
+    bounds = ends[order].searchsorted(np.arange(kg.n_entities + 1)).tolist()
+    ids = others[order].tolist()
+    return tuple(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:]))

@@ -186,6 +186,16 @@ def neighbors(kg: KnowledgeGraph, e: int) -> set[int]:
     return out
 
 
+def neighbor_sets(kg: KnowledgeGraph) -> tuple[frozenset[int], ...]:
+    """kg.neighbor_sets as a loop over the triples, one Python set per entity."""
+    sets: list[set[int]] = [set() for _ in range(kg.n_entities)]
+    for h, _, t in kg.triples:
+        if h != t:
+            sets[h].add(int(t))
+            sets[t].add(int(h))
+    return tuple(frozenset(s) for s in sets)
+
+
 # -- structural encoder -----------------------------------------------------------
 
 Pair = tuple[int, int]

@@ -242,17 +242,17 @@ def assert_same_runs(runs):
     return got, got_before, got_after
 
 
-def pinned_a2c_outcome(mode, rounds, wide):
+def pinned_a2c_outcome(mode, rounds, wide, tau=6):
     """sha256 of a2c_align's sorted pairs and provenance as JSON, or of
     "TrainingError: <message>", on a seeded 30 x 30 environment: scores in
     [0, 1) and learning rates 0.05 and 0.2, or, when ``wide``, normal scores
-    times 3 and learning rates 0.5."""
+    times 3 and learning rates 0.5; ``tau`` candidates per source."""
     rng = np.random.default_rng(21)
     scores = rng.normal(size=(30, 30)) * 3 if wide else rng.random((30, 30))
     src_nb = random_neighbors(rng, 30, 0.2)
     tgt_nb = random_neighbors(rng, 30, 0.2)
     lrs = (0.5, 0.5) if wide else (0.05, 0.2)
-    cfg = RlConfig(tau=6, epochs=20, rng_seed=3, preliminary_rounds=rounds, mode=mode,
+    cfg = RlConfig(tau=tau, epochs=20, rng_seed=3, preliminary_rounds=rounds, mode=mode,
                    actor_lr=lrs[0], critic_lr=lrs[1])
     env = build_environment(scores, src_nb, tgt_nb, cfg)
     try:
@@ -719,10 +719,32 @@ class TestA2cAlign:
             "69c73bbc9bc7611cfb479fe28b62384976d1dc9594f7f8d804ac40acfb1f810c",
         ("full", 2, True):  # diverges at epoch 1
             "97ff42a0f846b0f8e4d28ea1adba7952b643c5aa782b88413a45d7ec2b6c987e",
+        # Recorded while the step still used @ and compared with Python
+        # zeros. With no preliminary round every source keeps tau
+        # candidates: one (every decision forced), HIDDEN (the benchmark's
+        # width) and more than HIDDEN.
+        ("full", 0, False, 1):
+            "de6aa6b6b7e940ed1dc465a881783700ad13b0ee06e2af9d8f8484eed7ff3b8e",
+        ("coherence_only", 0, True, 1):
+            "592372078afaefdbf2ec6c097f3d72951132f29e3cee121e1ba1a82dcff9b54f",
+        ("full", 0, False, 10):  # diverges at epoch 2
+            "dc8e1c0debd06e8e795e0be23d2973f8222863a8c73de761613728acf14bb590",
+        ("exclusiveness_only", 0, False, 10):  # diverges at epoch 7
+            "dcaf122f2ec0d653d5b32ee7e4b7d5ad44cba588fa0d6e26d70ea4c9e768f2b9",
+        ("coherence_only", 0, False, 10):
+            "44ca044aaf4d13145d8a17425d738f62228c4426b5d1b8a64ec6c6b7b3eeba77",
+        ("coherence_only", 0, True, 10):
+            "ac8a9e6ee35399e074c521b275c67364c12fa3a2102a94f38eee080890299ebc",
+        ("full", 0, False, 16):  # diverges at epoch 6
+            "fdf6b935013c35c145de8bf03aeabd43aee91385d31ffede8a2189fd0d903370",
+        ("exclusiveness_only", 0, False, 16):
+            "cc9e4d21a28c05de238f064de5727d65fc60104bb6f5b4335129047d2901ca52",
+        ("coherence_only", 0, True, 16):
+            "1f61181e4515fae0c936728c3aa1c543a3e1dabf06e41396e9115e4ab891cf2d",
     }
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: "-".join(
-        [case[0], str(case[1])] + ["wide"] * case[2]))
+        [case[0], str(case[1])] + ["wide"] * case[2] + [f"tau{t}" for t in case[3:]]))
     def test_golden_outcomes(self, case):
         assert pinned_a2c_outcome(*case) == self.GOLDEN[case]
 

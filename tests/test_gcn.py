@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgalign.errors import SamplingError
+from kgalign.errors import SamplingError, TrainingError
 from kgalign.gcn import (
     TrainConfig,
     _NegativeSampler,
@@ -401,6 +401,23 @@ class TestTrain:
                        on_epoch=lambda e, l: losses.append(l))
         assert losses[-1] < 0.01 * losses[0]
         assert structural_hits1(z1, z2, split.test) >= 0.8
+
+    @pytest.mark.parametrize("lr, overflows", [(1e150, False), (1e155, True)])
+    def test_embedding_norm_overflow_raises(self, lr, overflows):
+        # At lr 1e155 training ends with finite X and finite embeddings, yet
+        # 70 of the 80 rows have a squared L2 norm past float64: cos would
+        # score those rows 0 against everything.
+        kg1, kg2 = random_kg(40, 80, 1), random_kg(40, 80, 2)
+        seeds = [(i, i) for i in range(12)]
+        cfg = TrainConfig(dim=8, epochs=3, learning_rate=lr, rng_seed=0)
+        if overflows:
+            with pytest.raises(TrainingError, match="squared L2 norm of 70 of 80 "
+                               "embedding rows is not finite after epoch 2"):
+                train(kg1, kg2, seeds, cfg)
+        else:
+            z1, z2 = train(kg1, kg2, seeds, cfg)
+            assert np.abs(z1).max() > 1e149
+            assert np.isfinite(np.linalg.norm(np.concatenate([z1, z2]), axis=1)).all()
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):

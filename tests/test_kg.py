@@ -17,6 +17,7 @@ from kgalign.kg import (
     split_alignment,
 )
 
+from reference import neighbor_sets as reference_neighbor_sets
 from reference import neighbors
 
 
@@ -178,6 +179,13 @@ def assert_adjacency_equals_reference(kg):
     assert np.array_equal(adj.data, weights)
 
 
+# Small graphs with self-loops, repeated and reversed edges and isolated
+# entities, as (entity count, edges).
+GRAPHS = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40)))
+
+
 def kg_from_edges(n, edges):
     triples = np.array([(a, 0, b) for a, b in edges], dtype=np.int64).reshape(-1, 3)
     return KnowledgeGraph(
@@ -224,11 +232,8 @@ class TestAdjacency:
         assert (np.diag(dense) > 0).all()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                             max_size=40))))
+    @given(GRAPHS)
     def test_bit_identical_to_reference_loop(self, graph):
-        # Self-loops, repeated and reversed edges, isolated entities.
         n, edges = graph
         assert_adjacency_equals_reference(kg_from_edges(n, edges))
 
@@ -257,3 +262,17 @@ class TestNeighbors:
         sets = neighbor_sets(kg)
         for e in range(10):
             assert sets[e] == frozenset(neighbors(kg, e))
+
+    def test_neighbor_sets_without_edges(self):
+        assert neighbor_sets(kg_from_edges(0, [])) == ()
+        assert neighbor_sets(kg_from_edges(3, [])) == (frozenset(),) * 3
+        assert neighbor_sets(kg_from_edges(2, [(0, 0), (1, 1), (0, 0)])) == (
+            frozenset(), frozenset())
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS)
+    def test_neighbor_sets_equal_reference_loop(self, graph):
+        kg = kg_from_edges(*graph)
+        sets = neighbor_sets(kg)
+        assert sets == reference_neighbor_sets(kg)
+        assert all(type(e) is int for s in sets for e in s)
