@@ -43,8 +43,6 @@ from .metrics import EvalReport, fusion_poc, hits_mrr, prf
 from .names import (
     NameEmbeddingMatrix,
     WordVectorTable,
-    lev_ratio,
-    levenshtein,
     load_word_vectors,
     name_embedding_matrix,
     string_sim_matrix,

@@ -171,8 +171,9 @@ def fuse(
             raise ValueError(
                 f"matrix shapes differ: {shape} vs {m.scores.shape}"
             )
-    out = np.zeros(shape)
-    for m in matrices:
+    first, *rest = matrices
+    out = weights.weights[first.feature_tag] * first.scores
+    for m in rest:
         out += weights.weights[m.feature_tag] * m.scores
     return SimilarityMatrix(out, "fused")
 

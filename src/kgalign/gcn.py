@@ -34,7 +34,6 @@ import scipy.sparse as sp
 
 from .errors import SamplingError, TrainingError
 from .kg import KnowledgeGraph, adjacency
-from .stream import Stream, lemire
 
 Pair = tuple[int, int]
 
@@ -85,7 +84,6 @@ def init_features(n: int, dim: int, rng_seed: int) -> np.ndarray:
 
 
 _MAX_ATTEMPTS = 100
-_BLOCK = 64  # fewest words per stream read: a replayed attempt rarely reads alone
 
 
 class _NegativeSampler:
@@ -93,84 +91,45 @@ class _NegativeSampler:
     per call; everything that depends only on the positives and the pools is
     set up once, at construction.
 
-    Each replaces exactly one side of its positive with an entity drawn
-    uniformly from that side's KG; a candidate colliding with any positive
-    is redrawn, at most 100 times per slot before :class:`SamplingError`.
-
-    Bit-for-bit the draws of a scalar loop that, per attempt, flips a coin
-    with ``rng.integers(2)``, draws the replacement with ``rng.integers(n)``
-    from the chosen side's pool and redraws on a collision. Each of those is
-    one 32-bit draw unless Lemire's method rejects it, and a pool of one
-    entity draws nothing, but its only entity is the positive's own, so that
-    attempt collides (:mod:`kgalign.stream` has the draw model). So while no
-    attempt collides or rejects, attempt i takes 32-bit draws 2i (coin) and
-    2i + 1 (replacement), and a run of attempts is one array computation.
-    The first attempt that does either is replayed draw by draw, and the
-    scan resumes after it. The stream is closed on every exit, so the
-    generator ends where the loop's would, on :class:`SamplingError` too.
+    Each replaces exactly one side of its positive, chosen by a fair coin,
+    with an entity drawn uniformly from that side's KG; a candidate colliding
+    with any positive is redrawn, at most 100 times per slot before
+    :class:`SamplingError`. A call is rounds of array draws over the slots
+    still open: one coin and one replacement per open slot, then one lookup
+    of the candidates among the positives.
     """
 
     def __init__(self, pos: np.ndarray, k: int, n_source: int, n_target: int):
-        self.pools = (n_source, n_target)
-        if not all(1 <= n <= 2**32 for n in self.pools):
+        if not all(1 <= n <= 2**32 for n in (n_source, n_target)):
             raise ValueError(
-                f"entity pools must hold 1 to 2**32 entities, got {self.pools}")
+                f"entity pools must hold 1 to 2**32 entities, got {(n_source, n_target)}")
+        self.pools = np.array([n_source, n_target])
         if pos.size and (pos.min() < 0 or (pos.max(axis=0) >= self.pools).any()):
             raise ValueError("a positive pair is outside the entity pools")
-        self.pos, self.k = pos, k
-        # A pair (s, t) is the key s * n_target + t. A candidate's key is the
-        # part its slot keeps (row 0: target kept, row 1: source kept) plus
-        # the replacement times its place value.
-        self.bounds = np.array(self.pools, dtype=np.uint64)
+        self.slots = np.repeat(pos, k, axis=0)
+        # A pair (s, t) is the key s * n_target + t, which needs 64 bits.
         self.place = np.array([n_target, 1], dtype=np.uint64)
-        src, tgt = np.repeat(pos.astype(np.uint64), k, axis=0).T
-        self.kept = np.stack([tgt, src * self.bounds[1]])
-        self.slot = np.arange(self.kept.shape[1])
         self.pos_keys = np.unique(pos.astype(np.uint64) @ self.place)
-        self.pos_key_set = set(self.pos_keys.tolist())
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        bounds, place, kept, pos_keys = self.bounds, self.place, self.kept, self.pos_keys
-        slots = len(self.slot)
-        keys = np.empty(slots, dtype=np.uint64)
-        done = failures = 0
-        stream = Stream(rng, _BLOCK)
-        try:
-            while done < slots:
-                draws = stream.peek32(2 * (slots - done))
-                side = (draws[0::2] >> 31).astype(np.intp)
-                value, accepted = lemire(draws[1::2], bounds[side])
-                run = kept[side, self.slot[done:]] + value * place[side]
-                nearest = np.minimum(np.searchsorted(pos_keys, run), len(pos_keys) - 1)
-                stop = np.flatnonzero((pos_keys[nearest] == run) | ~accepted)
-                ok = int(stop[0]) if len(stop) else len(run)
-                keys[done:done + ok] = run[:ok]
-                stream.take32(2 * ok)
-                done += ok
-                if ok:
-                    failures = 0
-                if done == slots:
-                    break
-
-                # Replay the next attempt one draw at a time.
-                coin = stream.integers(2)
-                key = (int(kept[coin, done])
-                       + stream.integers(self.pools[coin]) * int(place[coin]))
-                if key not in self.pos_key_set:
-                    keys[done] = key
-                    done += 1
-                    failures = 0
-                    continue
-                failures += 1
-                if failures == _MAX_ATTEMPTS:
-                    s, t = self.pos[done // self.k]
-                    raise SamplingError(
-                        f"could not corrupt pair ({s}, {t}) without colliding "
-                        f"with a positive; entity pools too small"
-                    )
-        finally:
-            stream.close()
-        return np.stack(np.divmod(keys, bounds[1]), axis=1).astype(np.int64)
+        out = self.slots.copy()
+        todo = np.arange(len(out))  # the slots still open
+        for _ in range(_MAX_ATTEMPTS):
+            side = rng.integers(2, size=len(todo))
+            cand = self.slots[todo]
+            cand[np.arange(len(todo)), side] = rng.integers(self.pools[side])
+            keys = cand.astype(np.uint64) @ self.place
+            nearest = np.minimum(np.searchsorted(self.pos_keys, keys),
+                                 len(self.pos_keys) - 1)
+            out[todo] = cand
+            todo = todo[self.pos_keys[nearest] == keys]
+            if not len(todo):
+                return out
+        s, t = self.slots[todo[0]]
+        raise SamplingError(
+            f"could not corrupt pair ({s}, {t}) without colliding "
+            f"with a positive; entity pools too small"
+        )
 
 
 def _margin_gradient(

@@ -152,48 +152,6 @@ def name_embedding_matrix(
     return NameEmbeddingMatrix(rows=rows, oov_mask=oov)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Minimal insert/delete/substitute count over Unicode scalar values."""
-    if a == b:
-        return 0
-    # Strip shared prefix and suffix; they never change the distance.
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    a, b = a[lo:hi_a], b[lo:hi_b]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-
-    tgt = np.array(list(b))
-    idx = np.arange(len(b) + 1)
-    prev = idx.copy()
-    cur = np.empty_like(prev)
-    for i, ch in enumerate(a, start=1):
-        cur[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + (tgt != ch), out=cur[1:])
-        # Propagate insertions along the row: cur[j] = min_k<=j cur[k] + (j - k).
-        np.minimum.accumulate(cur - idx, out=cur)
-        cur += idx
-        prev, cur = cur, prev
-    return int(prev[-1])
-
-
-def lev_ratio(a: str, b: str) -> float:
-    """1 - levenshtein(a, b) / max(len); two empty strings score 1."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
-
-
 def _encode(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points as a -1-padded ``(max_len, n)`` int32 array plus the lengths.
 
@@ -207,7 +165,8 @@ def _encode(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ratio(dist: np.ndarray, src_len: np.ndarray, tgt_len: np.ndarray) -> np.ndarray:
-    """``lev_ratio`` from int distances: the same int / int operands, so the
+    """1 - distance / max(len) from int distances: the same int / int operands
+    as the tests' scalar oracle ``lev_ratio`` (``tests/reference.py``), so the
     floats are identical; two empty names give 1 - 0 / 1 = 1."""
     return 1.0 - dist / np.maximum(np.maximum(tgt_len, src_len[:, None]), 1)
 
@@ -215,9 +174,10 @@ def _ratio(dist: np.ndarray, src_len: np.ndarray, tgt_len: np.ndarray) -> np.nda
 def _lev_ratio_rows(
     src_names: Sequence[str], codes: np.ndarray, lengths: np.ndarray, out: np.ndarray
 ) -> None:
-    """Fill ``out[r, t] = lev_ratio(src_names[r], target t)`` for all targets at once.
+    """Fill ``out[r, t]`` with the Levenshtein ratio of ``src_names[r]`` and
+    target t, for all targets at once.
 
-    This is the row recurrence of ``levenshtein`` run across every target,
+    This is the row recurrence of the edit-distance DP run across every target,
     kept in offset form P[j] = D[j] - j: a new row is
     min(P[j] + 1, P[j-1] - (tgt[j] == ch)), and the insertion sweep becomes a
     plain running minimum down the target positions. Padding sits to the
@@ -295,9 +255,9 @@ class _Patterns:
 
 
 def _myers_rows(src_names: Sequence[str], pat: _Patterns, out: np.ndarray) -> None:
-    """Fill ``out[r, t] = lev_ratio(src_names[r], target t)`` with Myers'
-    bit-vector edit distance (see the module docstring), all pairs of a
-    block of sources at once.
+    """Fill ``out[r, t]`` with the Levenshtein ratio of ``src_names[r]`` and
+    target t from Myers' bit-vector edit distance (see the module docstring),
+    all pairs of a block of sources at once.
     """
     n_tgt = pat.lengths.size
     src_len = np.array([len(name) for name in src_names], dtype=np.intp)
@@ -385,11 +345,12 @@ def string_sim_matrix(
 ) -> SimilarityMatrix:
     """Levenshtein-ratio scores for every source/target name pair.
 
-    Every score equals ``lev_ratio`` bit for bit. Targets of at most 64 code
-    points run Myers' recurrence (see the module docstring) over all pairs
-    of a block of sources at once, each op over (sources still reading) x
-    targets; an empty target has no bits and scores the source length.
-    Longer targets run ``_lev_ratio_rows``. With ``threads > 1`` the
+    Every score is 1 - distance / max(len) and equals the tests' scalar
+    oracle ``lev_ratio`` (``tests/reference.py``) bit for bit. Targets of at
+    most 64 code points run Myers' recurrence (see the module docstring) over
+    all pairs of a block of sources at once, each op over (sources still
+    reading) x targets; an empty target has no bits and scores the source
+    length. Longer targets run ``_lev_ratio_rows``. With ``threads > 1`` the
     sources are split into contiguous chunks, one per worker thread, each
     with its own buffers.
     """

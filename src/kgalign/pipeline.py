@@ -45,7 +45,7 @@ from .collective import (
     stable_matching,
 )
 from .errors import PipelineError
-from .fusion import FusionConfig, adaptive_fuse, confident_correspondences
+from .fusion import FusionConfig, adaptive_fuse
 from .gcn import ENCODER, TrainConfig, train
 from .kg import (
     AlignmentDataset,
@@ -233,17 +233,9 @@ def fuse_features(
 ) -> tuple[SimilarityMatrix, dict, str]:
     """Fuse the feature matrices; return the fused matrix, the ``fusion.json``
     payload (confident cells, feature weights, fallback flag) and the
-    ``fusion_report.txt`` text.
-
-    A single matrix passes through with weight 1.0: its cells are its own
-    confident correspondences and no fallback applies.
+    ``fusion_report.txt`` text. A single matrix gets weight exactly 1.0, so
+    its fused scores are its own.
     """
-    if len(matrices) == 1:
-        (m,) = matrices
-        cells = sorted({(c.source, c.target) for c in confident_correspondences(m)})
-        summary = {"cells": [list(c) for c in cells], "weights": {m.feature_tag: 1.0}}
-        return (SimilarityMatrix(m.scores, "fused"), summary,
-                f"feature_weight\t{m.feature_tag}\t1.0\n")
     fused, report = adaptive_fuse(matrices, cfg)
     summary = {
         "cells": [list(c) for c in sorted(report.correspondence_weights)],

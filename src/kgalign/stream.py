@@ -1,9 +1,8 @@
 """numpy ``Generator`` draws replayed from the raw words of its PCG64.
 
-The synthetic generator and the GCN negative sampler both promise outputs
-bit-for-bit equal to plain scalar ``rng.random()``/``rng.integers(m)`` loops,
-but compute them in array scans. :class:`Stream` is the one copy of numpy's
-draw model (numpy >= 1.24) they share:
+The synthetic generator promises files bit-for-bit equal to those of plain
+scalar ``rng.random()``/``rng.integers(m)`` loops, but computes them in array
+scans. :class:`Stream` is its copy of numpy's draw model (numpy >= 1.24):
 
 - ``random()`` is ``(word >> 11) * 2**-53`` of one 64-bit word.
 - A 32-bit draw is the buffered high half of the last word, if one is
@@ -11,7 +10,9 @@ draw model (numpy >= 1.24) they share:
   half is buffered (the bit generator's ``has_uint32``/``uinteger``).
   ``random()`` leaves the buffer alone.
 - ``integers(m)`` for ``1 <= m <= 2**32`` draws nothing when ``m == 1``;
-  otherwise it is Lemire's method on 32-bit draws (:func:`lemire`).
+  otherwise it is Lemire's method on 32-bit draws u: the value
+  ``(u * m) >> 32``, unless ``(u * m) mod 2**32 < 2**32 mod m``, which
+  rejects u and draws again.
 
 Contract:
 
@@ -33,20 +34,9 @@ _UNIT = 2.0**-53
 _PERIOD = 1 << 128  # advancing PCG64 by _PERIOD - k steps it back k words
 
 
-def lemire(u, m):
-    """numpy's ``integers(m)`` step for ``2 <= m <= 2**32`` on 32-bit draw(s)
-    ``u``: the value ``(u * m) >> 32``, and whether numpy accepts it, which it
-    does unless ``(u * m) mod 2**32 < 2**32 mod m`` (then it draws again).
-
-    Works on Python ints and, elementwise, on uint64 arrays.
-    """
-    scaled = u * m
-    return scaled >> 32, (scaled & _LOW) >= (1 << 32) % m
-
-
 class Stream:
-    """A PCG64 ``Generator``'s draws, replayed from words read ``block`` or
-    more at a time; see the module docstring for the contract."""
+    """A PCG64 ``Generator``'s draws, replayed from words read ``block`` at
+    a time; see the module docstring for the contract."""
 
     def __init__(self, rng: np.random.Generator, block: int):
         self._bitgen = rng.bit_generator
@@ -64,18 +54,15 @@ class Stream:
         self._hit_level: float | None = None
         self._hit_next = 0
 
-    def _read(self, count: int) -> None:
-        """Make at least ``count`` unused words available."""
-        short = count - (len(self._words) - self._pos)
-        if short > 0:
-            fresh = self._bitgen.random_raw(max(short, self._block))
-            self._words = np.concatenate([self._words[self._pos:], fresh])
+    def _read(self) -> None:
+        """Make an unused word available."""
+        if self._pos == len(self._words):
+            self._words = self._bitgen.random_raw(self._block)
             self._pos = 0
             self._hit_level = None
 
     def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._read(1)
+        self._read()
         self._pos += 1
         return int(self._words[self._pos - 1])
 
@@ -94,33 +81,9 @@ class Stream:
         if m == 1:
             return 0
         while True:
-            value, ok = lemire(self._next32(), m)
-            if ok:
-                return value
-
-    def peek32(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit draws as uint64, without using them."""
-        has = self._has32
-        need = (count - has + 1) // 2
-        self._read(need)
-        words = self._words[self._pos:self._pos + need]
-        out = np.empty(has + 2 * need, dtype=np.uint64)
-        out[:has] = self._u32
-        out[has::2] = words & _LOW
-        out[has + 1::2] = words >> 32
-        return out[:count]
-
-    def take32(self, count: int) -> None:
-        """Use the next ``count`` 32-bit draws, as ``count`` draws would."""
-        if count and self._has32:
-            self._has32 = 0
-            count -= 1
-        if count:
-            used = (count + 1) // 2
-            self._read(used)
-            self._pos += used
-            self._has32 = count & 1
-            self._u32 = int(self._words[self._pos - 1]) >> 32
+            scaled = self._next32() * m
+            if (scaled & _LOW) >= (1 << 32) % m:
+                return scaled >> 32
 
     def scan(self, level: float, limit: int) -> tuple[int, float | None]:
         """Draw ``random()`` up to ``limit`` times, stopping at the first draw
@@ -129,7 +92,7 @@ class Stream:
         """
         passed = 0
         while passed < limit:
-            self._read(1)
+            self._read()
             if self._hit_level != level:
                 units = (self._words >> 11) * _UNIT
                 self._hits = np.flatnonzero(units < level).tolist()

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from kgalign.gcn import _NegativeSampler, init_features
 from kgalign.kg import KnowledgeGraph, adjacency
 from kgalign.measures import Measure
-from kgalign.names import WordVectorTable, levenshtein, tokenize
+from kgalign.names import WordVectorTable, tokenize
 
 
 # -- measures -------------------------------------------------------------------
@@ -132,6 +132,48 @@ def blocked_sim_matrix(e1, e2, measure, block: int = 128) -> tuple[np.ndarray, i
 
 
 # -- names ----------------------------------------------------------------------
+
+def levenshtein(a: str, b: str) -> int:
+    """Minimal insert/delete/substitute count over Unicode scalar values."""
+    if a == b:
+        return 0
+    # Strip shared prefix and suffix; they never change the distance.
+    lo = 0
+    hi_a, hi_b = len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    a, b = a[lo:hi_a], b[lo:hi_b]
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+
+    tgt = np.array(list(b))
+    idx = np.arange(len(b) + 1)
+    prev = idx.copy()
+    cur = np.empty_like(prev)
+    for i, ch in enumerate(a, start=1):
+        cur[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + (tgt != ch), out=cur[1:])
+        # Propagate insertions along the row: cur[j] = min_k<=j cur[k] + (j - k).
+        np.minimum.accumulate(cur - idx, out=cur)
+        cur += idx
+        prev, cur = cur, prev
+    return int(prev[-1])
+
+
+def lev_ratio(a: str, b: str) -> float:
+    """1 - levenshtein(a, b) / max(len); two empty strings score 1."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - levenshtein(a, b) / longest
+
 
 def name_embedding(name: str, table: WordVectorTable) -> np.ndarray:
     """Average the vectors of in-vocabulary tokens; zero vector if none."""

@@ -242,11 +242,22 @@ def assert_same_runs(runs):
     return got, got_before, got_after
 
 
-def pinned_a2c_outcome(mode, rounds, wide, tau=6):
+def pinned_a2c_outcome(monkeypatch, mode, rounds, wide, tau=6):
     """sha256 of a2c_align's sorted pairs and provenance as JSON, or of
     "TrainingError: <message>", on a seeded 30 x 30 environment: scores in
     [0, 1) and learning rates 0.05 and 0.2, or, when ``wide``, normal scores
-    times 3 and learning rates 0.5; ``tau`` candidates per source."""
+    times 3 and learning rates 0.5; ``tau`` candidates per source. When
+    training does not diverge, a second sha256 of the final actor then
+    critic parameter bytes follows, so the pin sees what was learned even
+    where the greedy pass lands on the same pairs."""
+    policies = []
+
+    class Recorded(collective._Episodes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            policies.append(self)
+
+    monkeypatch.setattr(collective, "_Episodes", Recorded)
     rng = np.random.default_rng(21)
     scores = rng.normal(size=(30, 30)) * 3 if wide else rng.random((30, 30))
     src_nb = random_neighbors(rng, 30, 0.2)
@@ -259,11 +270,12 @@ def pinned_a2c_outcome(mode, rounds, wide, tau=6):
         with np.errstate(all="ignore"):
             result = a2c_align(env, cfg)
     except TrainingError as exc:
-        outcome = f"TrainingError: {exc}"
-    else:
-        outcome = json.dumps([sorted(result.pairs.items()),
-                              sorted(result.provenance.items())])
-    return hashlib.sha256(outcome.encode()).hexdigest()
+        return (hashlib.sha256(f"TrainingError: {exc}".encode()).hexdigest(),)
+    outcome = json.dumps([sorted(result.pairs.items()),
+                          sorted(result.provenance.items())]).encode()
+    (policy,) = policies
+    learned = policy.actor_flat.tobytes() + policy.critic_flat.tobytes()
+    return tuple(hashlib.sha256(data).hexdigest() for data in (outcome, learned))
 
 
 class TestPreliminaryFilter:
@@ -704,49 +716,77 @@ class TestA2cAlign:
     # dataclasses and set gamma and the hidden widths in RlConfig. The
     # reference episodes share GAMMA, HIDDEN and the draw order with the
     # library, so only this pin notices a change that moves both together.
+    # The parameter hashes were recorded later, on the flat-buffer library.
     GOLDEN = {
-        ("full", 0, False):  # diverges at epoch 19
+        ("full", 0, False): (  # diverges at epoch 19
             "eac9b7f33f5d9010782013cd2713d4bf62f8e32d48c536b579477d279a01c3af",
-        ("full", 2, False):
+        ),
+        ("full", 2, False): (
             "996395457c02522536cd39555f5504c210113122aead8757a4b2552160448a6a",
-        ("exclusiveness_only", 0, False):
+            "94c8194e9f326d22ae58e39539e5928cc3f987d907ea391769cb91820a235f19",
+        ),
+        ("exclusiveness_only", 0, False): (
             "29699516abb4d723e9c58d7cf2a17e8e729b1a49123d26809947aa5ce54f0c7b",
-        ("exclusiveness_only", 2, False):
+            "1cf744d010208cd7d70b190976be50c47e605de45e62a933a35aec7a6b29f0d3",
+        ),
+        ("exclusiveness_only", 2, False): (
             "b061988c14469f90c49912df9c3eceae28070767e07b1165c3201bc894b9f407",
-        ("coherence_only", 0, False):
+            "f5734e7ace1d494379db8cd8dcc7721099102ecc6049c8a9d2f2e0917a6c1e98",
+        ),
+        ("coherence_only", 0, False): (
             "499f1b635b0cdd23a73011ef4dae7ba33d4d0a8e5ab15fdc9632d454c10fa52b",
-        ("coherence_only", 2, False):
+            "4d3e4fd9abf93fa2126f17a07eec858f82ab4caff0834f35599921b969b79c93",
+        ),
+        ("coherence_only", 2, False): (
             "69c73bbc9bc7611cfb479fe28b62384976d1dc9594f7f8d804ac40acfb1f810c",
-        ("full", 2, True):  # diverges at epoch 1
+            "34f20daf62ef7f40b501e4d64d94ac57a5d8d6efae12dead3746247be740c035",
+        ),
+        ("full", 2, True): (  # diverges at epoch 1
             "97ff42a0f846b0f8e4d28ea1adba7952b643c5aa782b88413a45d7ec2b6c987e",
+        ),
         # Recorded while the step still used @ and compared with Python
         # zeros. With no preliminary round every source keeps tau
         # candidates: one (every decision forced), HIDDEN (the benchmark's
         # width) and more than HIDDEN.
-        ("full", 0, False, 1):
+        ("full", 0, False, 1): (
             "de6aa6b6b7e940ed1dc465a881783700ad13b0ee06e2af9d8f8484eed7ff3b8e",
-        ("coherence_only", 0, True, 1):
+            "5963ea36d251c7d2c613a844bbf0c35cd5b2ea8e49403d88cacc595f3b978932",
+        ),
+        ("coherence_only", 0, True, 1): (
             "592372078afaefdbf2ec6c097f3d72951132f29e3cee121e1ba1a82dcff9b54f",
-        ("full", 0, False, 10):  # diverges at epoch 2
+            "ceed7d6c49ac77eb894e333f6e503ba38ea517502d58e3fde159a5b4e3265512",
+        ),
+        ("full", 0, False, 10): (  # diverges at epoch 2
             "dc8e1c0debd06e8e795e0be23d2973f8222863a8c73de761613728acf14bb590",
-        ("exclusiveness_only", 0, False, 10):  # diverges at epoch 7
+        ),
+        ("exclusiveness_only", 0, False, 10): (  # diverges at epoch 7
             "dcaf122f2ec0d653d5b32ee7e4b7d5ad44cba588fa0d6e26d70ea4c9e768f2b9",
-        ("coherence_only", 0, False, 10):
+        ),
+        ("coherence_only", 0, False, 10): (
             "44ca044aaf4d13145d8a17425d738f62228c4426b5d1b8a64ec6c6b7b3eeba77",
-        ("coherence_only", 0, True, 10):
+            "b077ed92cad66235b59fc8a9d05347b8043edda46b96e2b2235ba37fd9846416",
+        ),
+        ("coherence_only", 0, True, 10): (
             "ac8a9e6ee35399e074c521b275c67364c12fa3a2102a94f38eee080890299ebc",
-        ("full", 0, False, 16):  # diverges at epoch 6
+            "11b835637fb969dfd9fbdfaf4733bea9f773aa517e0c27cc1dfbb83c1e7871fb",
+        ),
+        ("full", 0, False, 16): (  # diverges at epoch 6
             "fdf6b935013c35c145de8bf03aeabd43aee91385d31ffede8a2189fd0d903370",
-        ("exclusiveness_only", 0, False, 16):
+        ),
+        ("exclusiveness_only", 0, False, 16): (
             "cc9e4d21a28c05de238f064de5727d65fc60104bb6f5b4335129047d2901ca52",
-        ("coherence_only", 0, True, 16):
+            "71e32b8f3a2caa66415199879a63e2de99b49a101a429b1b3ac5d8a8dd0789a1",
+        ),
+        ("coherence_only", 0, True, 16): (
             "1f61181e4515fae0c936728c3aa1c543a3e1dabf06e41396e9115e4ab891cf2d",
+            "b1939d6c7cd7e58f06590fee5da0f13cf9be15f61ad5f8c8730868aa7f5688ea",
+        ),
     }
 
     @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: "-".join(
         [case[0], str(case[1])] + ["wide"] * case[2] + [f"tau{t}" for t in case[3:]]))
-    def test_golden_outcomes(self, case):
-        assert pinned_a2c_outcome(*case) == self.GOLDEN[case]
+    def test_golden_outcomes(self, monkeypatch, case):
+        assert pinned_a2c_outcome(monkeypatch, *case) == self.GOLDEN[case]
 
     def test_coordination_beats_greedy_on_scenario(self):
         wins = 0

@@ -18,7 +18,7 @@ from kgalign.metrics import (
     prf,
 )
 
-from reference import name_distance_stats
+from reference import levenshtein, name_distance_stats
 
 
 class TestPrf:
@@ -172,8 +172,6 @@ class TestNameDistanceStats:
             tgt = ["".join(rng.choice(alphabet, size=rng.integers(0, 8))) for _ in range(n)]
             pairs = [(i, i) for i in range(n)]
             avg, median, p10, p90 = name_distance_stats(pairs, src, tgt)
-            from kgalign.names import levenshtein
-
             dists = sorted(levenshtein(a, b) for a, b in zip(src, tgt))
             assert avg == pytest.approx(sum(dists) / n)
             assert median == dists[max(0, math.ceil(0.5 * n) - 1)]

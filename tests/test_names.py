@@ -13,8 +13,6 @@ from kgalign import names
 from kgalign.errors import ParseError
 from kgalign.names import (
     WordVectorTable,
-    lev_ratio,
-    levenshtein,
     load_word_vectors,
     name_embedding_matrix,
     string_sim_matrix,
@@ -22,7 +20,7 @@ from kgalign.names import (
 )
 
 import reference
-from reference import name_embedding
+from reference import lev_ratio, levenshtein, name_embedding
 
 
 def dp_levenshtein(a, b):

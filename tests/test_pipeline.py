@@ -452,7 +452,7 @@ class TestCli:
                 (run / f"sim_{tag}.npy").read_bytes()
         for name in ("sim_fused.npy", "fusion_report.txt"):
             assert (fused / name).read_bytes() == (run / name).read_bytes()
-        # One feature passes through fusion unweighted in both.
+        # One feature goes through adaptive fusion, with weight 1.0, in both.
         one = tmp_path / "semantic"
         run_pipeline(small_config(synth_dir, one, features=("semantic",),
                                   strategy="greedy"))

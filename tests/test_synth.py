@@ -1,7 +1,6 @@
-"""The synthetic generator: the word stream it shares with the negative sampler,
-its files and its argument checks."""
+"""The synthetic generator: the word stream it draws through, its files and
+its argument checks."""
 
-import copy
 import json
 import math
 import runpy
@@ -32,10 +31,6 @@ def scalar_scan(rng, level, limit):
     return limit, None
 
 
-def draws32(rng, count):
-    return rng.integers(0, 2**32, size=count, dtype=np.uint32).tolist()
-
-
 # Bounds near 2**31 and 2**32 reject about half the 32-bit draws.
 BOUNDS = st.one_of(st.integers(1, 30), st.integers(1, 2**32 - 1),
                    st.sampled_from([2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]))
@@ -43,16 +38,14 @@ OPS = st.lists(st.one_of(
     st.just(("random",)),
     st.tuples(st.just("integers"), BOUNDS),
     st.tuples(st.just("scan"), st.floats(0, 1), st.integers(1, 30)),
-    st.tuples(st.just("peek32"), st.integers(0, 9)),
-    st.tuples(st.just("take32"), st.integers(0, 9)),
 ), max_size=40)
 
 
 class TestWordStream:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), full=st.booleans(), ops=OPS,
-           block=st.sampled_from([1, 2, 3, 7, 1 << 12]), ahead=st.integers(0, 9))
-    def test_replays_interleaved_scalar_draws(self, seed, full, ops, block, ahead):
+           block=st.sampled_from([1, 2, 3, 7, 1 << 12]))
+    def test_replays_interleaved_scalar_draws(self, seed, full, ops, block):
         scalar = np.random.default_rng(seed)
         replay = np.random.default_rng(seed)
         if full:  # one 32-bit draw leaves the other half of its word buffered
@@ -65,16 +58,9 @@ class TestWordStream:
                 assert stream.random() == scalar.random()
             elif op[0] == "integers":
                 assert stream.integers(op[1]) == int(scalar.integers(op[1]))
-            elif op[0] == "scan":
-                assert stream.scan(*op[1:]) == scalar_scan(scalar, *op[1:])
-            elif op[0] == "peek32":  # the scalar side draws from a copy
-                twin = copy.deepcopy(scalar)
-                assert stream.peek32(op[1]).tolist() == draws32(twin, op[1])
             else:
-                stream.take32(op[1])
-                draws32(scalar, op[1])
-        # Reading ahead leaves words for close() to step back over.
-        stream.peek32(ahead)
+                assert stream.scan(*op[1:]) == scalar_scan(scalar, *op[1:])
+        # Blocks of more than one word leave words for close() to step back over.
         stream.close()
         assert replay.bit_generator.state == scalar.bit_generator.state
         np.testing.assert_array_equal(replay.integers(1000, size=3),
