@@ -177,8 +177,10 @@ def _cmd_eval(args) -> int:
     )
     sys.stdout.write(report.to_text())
     if args.out:
-        matio.save_text(Path(args.out) / "report.txt", report.to_text())
-        matio.save_text(Path(args.out) / "report.json", report.to_json() + "\n")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        matio.save_text(out / "report.txt", report.to_text())
+        matio.save_text(out / "report.json", report.to_json() + "\n")
     return 0
 
 

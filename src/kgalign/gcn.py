@@ -19,7 +19,11 @@ size. It runs full-batch gradient descent on X with hand-written backprop:
 an epoch is four products with A_hat, P = A_hat X and Z = A_hat relu(P)
 forward, then dX = A_hat ((A_hat G) * [P > 0]) for the gradient G at Z
 (A_hat is symmetric), and G is one incidence-matrix product over the seed
-and negative pairs. No dense d x d product is left. The output layer is
+and negative pairs. No dense d x d product is left. The elementwise work
+runs in place or in two (pairs x dim) buffers allocated once per call:
+relu overwrites P, the pairs' rows are gathered into one buffer and their
+signs taken into the other, and the backward product is masked, scaled by
+the learning rate and subtracted without a temporary. The output layer is
 linear so embeddings can take negative values. Subgradients at the L1 and
 relu kinks are 0.
 """
@@ -107,33 +111,44 @@ class _NegativeSampler:
         if pos.size and (pos.min() < 0 or (pos.max(axis=0) >= self.pools).any()):
             raise ValueError("a positive pair is outside the entity pools")
         self.slots = np.repeat(pos, k, axis=0)
+        self.index = np.arange(len(self.slots))
         # A pair (s, t) is the key s * n_target + t, which needs 64 bits.
         self.place = np.array([n_target, 1], dtype=np.uint64)
         self.pos_keys = np.unique(pos.astype(np.uint64) @ self.place)
 
+    def _corrupt(self, rng: np.random.Generator, cand: np.ndarray) -> np.ndarray:
+        """Replace one side of each row of ``cand`` in place; True where the
+        row became a positive."""
+        side = rng.integers(2, size=len(cand))
+        cand[self.index[:len(cand)], side] = rng.integers(self.pools[side])
+        keys = cand.astype(np.uint64) @ self.place
+        nearest = np.minimum(np.searchsorted(self.pos_keys, keys), len(self.pos_keys) - 1)
+        return self.pos_keys[nearest] == keys
+
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         out = self.slots.copy()
-        todo = np.arange(len(out))  # the slots still open
-        for _ in range(_MAX_ATTEMPTS):
-            side = rng.integers(2, size=len(todo))
-            cand = self.slots[todo]
-            cand[np.arange(len(todo)), side] = rng.integers(self.pools[side])
-            keys = cand.astype(np.uint64) @ self.place
-            nearest = np.minimum(np.searchsorted(self.pos_keys, keys),
-                                 len(self.pos_keys) - 1)
-            out[todo] = cand
-            todo = todo[self.pos_keys[nearest] == keys]
+        # The first round draws for every slot, straight into the output;
+        # each later one only for the slots whose candidate hit a positive.
+        todo = np.flatnonzero(self._corrupt(rng, out))
+        for _ in range(_MAX_ATTEMPTS - 1):
             if not len(todo):
-                return out
-        s, t = self.slots[todo[0]]
-        raise SamplingError(
-            f"could not corrupt pair ({s}, {t}) without colliding "
-            f"with a positive; entity pools too small"
-        )
+                break
+            cand = self.slots[todo]
+            collided = self._corrupt(rng, cand)
+            out[todo] = cand
+            todo = todo[collided]
+        if len(todo):
+            s, t = self.slots[todo[0]]
+            raise SamplingError(
+                f"could not corrupt pair ({s}, {t}) without colliding "
+                f"with a positive; entity pools too small"
+            )
+        return out
 
 
 def _margin_gradient(
-    z: np.ndarray, incidence: sp.csc_matrix, owner: np.ndarray, margin: float
+    z: np.ndarray, incidence: sp.csc_matrix, owner: np.ndarray, margin: float,
+    diff: np.ndarray, sign: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """The summed margin loss of the stacked embeddings ``z`` and its
     gradient with respect to ``z``.
@@ -142,12 +157,16 @@ def _margin_gradient(
     row, then -1 at its target row. The seed pairs come first, then the
     negatives, those of seed ``i`` where ``owner == i``. Each negative adds
     the hinge term d(seed) - d(negative) + margin, d the L1 distance of a
-    pair's rows.
+    pair's rows. ``diff`` and ``sign`` are (pairs x dim) buffers it
+    overwrites.
     """
     rows = incidence.indices.reshape(-1, 2)
     n_pos = len(rows) - len(owner)
-    diff = z[rows[:, 0]] - z[rows[:, 1]]
-    dist = np.abs(diff).sum(axis=1)
+    # The rows are in range by construction, and mode="raise" would gather
+    # into a temporary first.
+    np.take(z, rows[:, 0], axis=0, out=diff, mode="clip")
+    np.subtract(diff, np.take(z, rows[:, 1], axis=0, out=sign, mode="clip"), out=diff)
+    dist = np.abs(diff, out=sign).sum(axis=1)
     terms = dist[owner] - dist[n_pos:] + margin
     active = terms > 0
     loss = float(terms[active].sum())
@@ -157,9 +176,11 @@ def _margin_gradient(
     # Every cell sums small integers, so its order cannot change the value.
     weight = np.concatenate(
         [np.bincount(owner[active], minlength=n_pos), -active.astype(np.float64)])
-    np.sign(diff, out=diff)
-    diff *= weight[:, None]
-    return loss, incidence @ diff
+    # Into another buffer: in place, np.sign runs several times slower
+    # (numpy 2.4, float64).
+    np.sign(diff, out=sign)
+    sign *= weight[:, None]
+    return loss, incidence @ sign
 
 
 def train(
@@ -200,13 +221,21 @@ def train(
     )
     rows = incidence.indices.reshape(-1, 2)
     rows[:len(pos)] = pos + [0, n1]
+    diff, sign = np.empty((n_pairs, cfg.dim)), np.empty((n_pairs, cfg.dim))
     for epoch in range(cfg.epochs):
         rows[len(pos):] = sample(rng) + [0, n1]
-        p = adj @ x
-        loss, g = _margin_gradient(adj @ np.maximum(p, 0.0), incidence, owner, cfg.margin)
+        h = adj @ x
+        np.maximum(h, 0.0, out=h)  # relu(P): its positive cells are those of P
+        loss, g = _margin_gradient(adj @ h, incidence, owner, cfg.margin, diff, sign)
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}")
-        x -= cfg.learning_rate * (adj @ ((adj @ g) * (p > 0)))
+        # Rebinding g frees each product's operand once it is used, which
+        # keeps peak memory at that of the plain expression's temporaries.
+        g = adj @ g
+        np.multiply(g, h > 0, out=g)
+        g = adj @ g
+        g *= cfg.learning_rate
+        x -= g
         if not np.all(np.isfinite(x)):
             raise TrainingError(f"parameters became non-finite at epoch {epoch}")
         if on_epoch is not None:

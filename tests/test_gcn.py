@@ -1,5 +1,8 @@
 """Structural encoder: initialization, forward pass, loss, and gradients."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +174,18 @@ def sampling_cases(draw):
     return list(zip(sources, targets)), k, seed, n_source, n_target
 
 
+class _CountingGenerator:
+    """A seeded generator's ``integers``, counting its calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 class TestSampleNegatives:
     @settings(max_examples=300, deadline=None)
     @given(sampling_cases())
@@ -230,6 +245,58 @@ class TestSampleNegatives:
     def test_pool_too_small(self):
         with pytest.raises(SamplingError):
             sample_negatives([(0, 0)], 1, np.random.default_rng(0), 1, 1)
+
+    @pytest.mark.parametrize("case, rounds, draws, state", [
+        # The structure-250 benchmark's shape: 60 seeds x 5 over pools of 250.
+        ("structure-250", [2, 1, 2, 2, 2, 1],
+         "0e075cba0a3377bd59901f0aad655416c53f34bb494f09b4e4adca85fd2d824e",
+         "697d4ddb4f752a9021506aa00916cd93b32cb300e0ba74bb3d6b3dcdb75a73e3"),
+        # Pools of 3: a third of the candidates collide, so calls take up to
+        # four rounds of redraws.
+        ("small pools", [2, 3, 3, 2, 4, 3],
+         "4a57e57f560d58afc1fb741e429b1d371b524fad7eb84e31a55e8089a9fa543d",
+         "764c4d7fce162595270f529521d53c0ace29d8f274670cd1b6bf801a7634a65e"),
+        ("k=1", [2, 1, 1, 1, 1, 2],
+         "e9e39093f805077330f488c745e8b0e346d03c4a682acafea93b044d5b5ac4f1",
+         "b6a7f30e15842034e31a3e2d5b51d7f7983bb2f247804f4c5c71f943ac7c6e81"),
+    ], ids=["structure-250", "small pools", "k=1"])
+    def test_draws_pinned(self, case, rounds, draws, state):
+        # The sha256 of six successive calls' pairs and of the generator's
+        # state after them: any change to the draws, their order or their
+        # sizes fails here. The reference loop shares the sampler, so it
+        # cannot see such a change.
+        if case == "structure-250":
+            perm = np.random.default_rng(250)
+            pos = np.stack([perm.permutation(250)[:60], perm.permutation(250)[:60]], axis=1)
+            sampler = _NegativeSampler(pos, 5, 250, 250)
+        elif case == "small pools":
+            sampler = _NegativeSampler(np.array([(0, 0), (1, 1), (2, 2)]), 6, 3, 3)
+        else:
+            pos = np.stack([np.arange(25), (7 * np.arange(25)) % 30], axis=1)
+            sampler = _NegativeSampler(pos, 1, 40, 30)
+        rng = _CountingGenerator(11)
+        got_rounds, digest = [], hashlib.sha256()
+        for _ in range(6):
+            before = rng.calls
+            digest.update(sampler(rng).tobytes())
+            got_rounds.append((rng.calls - before) // 2)  # a coin and a replacement each
+        assert got_rounds == rounds
+        assert digest.hexdigest() == draws
+        end = json.dumps(rng.rng.bit_generator.state, sort_keys=True).encode()
+        assert hashlib.sha256(end).hexdigest() == state
+
+    def test_sampling_error_after_pinned_draws(self):
+        # Every candidate over pools of 2 x 1 is (0, 0) or (1, 0), a positive:
+        # the call raises after exactly 100 rounds, leaving the generator
+        # where these pinned draws do.
+        sampler = _NegativeSampler(np.array([(0, 0), (1, 0)]), 2, 2, 1)
+        rng = _CountingGenerator(5)
+        with pytest.raises(SamplingError, match=r"pair \(0, 0\)"):
+            sampler(rng)
+        assert rng.calls == 200
+        end = json.dumps(rng.rng.bit_generator.state, sort_keys=True).encode()
+        assert (hashlib.sha256(end).hexdigest()
+                == "7a33b9bef5df1aa54b5dc8c993651236f32318aedb51c1bacbe07d707a0ef892")
 
 
 def finite_difference(fn, w, h=1e-5):
@@ -313,6 +380,20 @@ class TestTrain:
             ref = train_per_graph(kg1, kg2, seeds, cfg, lambda e, l: want.append((e, l)))
             assert np.array_equal(z[0], ref[0]) and np.array_equal(z[1], ref[1])
             assert got == want
+
+    def test_bit_identical_to_reference_loop_at_benchmark_shape(self):
+        # structure-250's shape: two 250-entity graphs (A_hat about 3.5k
+        # nonzeros), dim 64, 60 seeds x 5 negatives, its learning rate.
+        kg1, kg2 = random_kg(250, 750, 250), random_kg(250, 750, 251)
+        perm = np.random.default_rng(252)
+        seeds = list(zip(perm.permutation(250)[:60].tolist(),
+                         perm.permutation(250)[:60].tolist()))
+        cfg = TrainConfig(dim=64, epochs=20, learning_rate=0.005, rng_seed=7)
+        got, want = [], []
+        z = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: got.append((e, l)))
+        ref = train_per_graph(kg1, kg2, seeds, cfg, lambda e, l: want.append((e, l)))
+        assert np.array_equal(z[0], ref[0]) and np.array_equal(z[1], ref[1])
+        assert got == want
 
     def test_loss_decreases_on_isomorphic_toy(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (0, 5)]

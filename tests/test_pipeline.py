@@ -605,6 +605,18 @@ class TestCli:
         assert "mrr\t0.75" in text
         assert (out / "report.json").exists()
 
+    def test_eval_creates_its_out_directory(self, tmp_path, capsys):
+        # Like every other subcommand's --out: it used to print the report,
+        # then fail with FileNotFoundError on report.txt.
+        (tmp_path / "pred.tsv").write_text("a\tx\tgreedy\n", encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("a\tx\n", encoding="utf-8")
+        out = tmp_path / "new" / "eval"
+        assert main(["eval", "--pred", str(tmp_path / "pred.tsv"),
+                     "--gold", str(tmp_path / "gold.tsv"), "--out", str(out)]) == 0
+        assert "precision\t1.0" in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["precision"] == 1.0
+        assert (out / "report.txt").exists()
+
     def test_align_baselines_produce_results(self, tmp_path):
         data = tmp_path / "data"
         main(["synth", "--out", str(data), "--n", "25", "--edge-prob", "0.15",
