@@ -73,6 +73,10 @@ class AlignmentDataset:
     test: tuple[tuple, ...]
 
     def __post_init__(self):
+        pairs = [*self.train, *self.val, *self.test]
+        if len({s for s, _ in pairs}) == len(pairs) == len({t for _, t in pairs}):
+            return
+        # An id repeats: walk the splits to name it and the split it was in.
         splits = {"train": self.train, "val": self.val, "test": self.test}
         seen_src: dict = {}
         seen_tgt: dict = {}
@@ -90,21 +94,57 @@ class AlignmentDataset:
                 seen_tgt[t] = label
 
 
-def _read_tsv(path: Path, n_fields: int):
-    """Yield (line_no, fields) for each nonempty line, enforcing field count."""
-    # Text mode turns \r\n and a lone \r into \n; no other character ends a line.
+# Every byte but tab and newline: deleting them leaves a file's separators.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b"\t\n")))
+
+
+def _read_tsv(path, n_fields: int, unit: str = "tab-separated fields"):
+    r"""The ``n_fields`` columns of ``path``'s nonempty lines, each a list of
+    fields in file order, and a ParseError naming the first line with another
+    field count ("expected 3 <unit>, got 2"), or None if there is none.
+
+    The columns stop before that line. The caller checks them before it
+    raises the error, so a reader names the earliest bad line, whatever is
+    wrong with it. Text mode turns \r\n and a lone \r into \n, and no other
+    character ends a line: not ``str.splitlines``, which also breaks on
+    \x1c, \u2028 and the like. No Python code runs per line: one
+    ``bytes.translate`` of the joined lines checks every field count, and
+    the lines are joined and split once.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = list(filter(None, fh.read().split("\n")))
+    text = "\n".join(lines)
+    row = b"\t" * (n_fields - 1) + b"\n"
+    bad = None
+    if text.encode().translate(None, _NOT_SEPARATORS) != (row * len(lines))[:-1]:
+        # A line has another field count: walk the lines to name the first.
+        got, k = next((line.count("\t") + 1, k) for k, line in enumerate(lines)
+                      if line.count("\t") != n_fields - 1)
+        bad = ParseError(path, _line_no(path, k), f"expected {n_fields} {unit}, got {got}")
+        lines = lines[:k]
+        text = "\n".join(lines)
+    fields = text.replace("\n", "\t").split("\t") if lines else []
+    return [fields[i::n_fields] for i in range(n_fields)], bad
+
+
+def _line_no(path, k: int) -> int:
+    """The line number of row ``k`` (from 0) of :func:`_read_tsv`, the
+    ``k``-th nonempty line of ``path``."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise ParseError(
-                path, line_no,
-                f"expected {n_fields} tab-separated fields, got {len(fields)}",
-            )
-        yield line_no, fields
+    return [i for i, line in enumerate(lines, start=1) if line][k]
+
+
+def _first_repeat(values: list) -> int:
+    """The position of the first value that an earlier position already
+    holds, or ``len(values)`` if no value repeats."""
+    if len(set(values)) == len(values):
+        return len(values)
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            return k
+        seen.add(value)
 
 
 def load_kg(triples_path, names_path) -> KnowledgeGraph:
@@ -115,37 +155,35 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
     files reproduces the same dense indexing.
     """
     triples_path, names_path = Path(triples_path), Path(names_path)
-    entity_ids: list[str] = []
-    entity_names: list[str] = []
-    index: dict[str, int] = {}
-    for line_no, (ext_id, name) in _read_tsv(names_path, 2):
-        if ext_id in index:
-            raise IntegrityError(
-                f"{names_path}:{line_no}: duplicate entity id {ext_id!r}"
-            )
-        index[ext_id] = len(entity_ids)
-        entity_ids.append(ext_id)
-        entity_names.append(name)
+    (entity_ids, entity_names), bad = _read_tsv(names_path, 2)
+    k = _first_repeat(entity_ids)
+    if k < len(entity_ids):
+        raise IntegrityError(f"{names_path}:{_line_no(names_path, k)}: "
+                             f"duplicate entity id {entity_ids[k]!r}")
+    if bad:
+        raise bad
+    index = dict(zip(entity_ids, range(len(entity_ids))))
 
-    relation_ids: list[str] = []
-    rel_index: dict[str, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    for line_no, (h, r, t) in _read_tsv(triples_path, 3):
-        for eid in (h, t):
-            if eid not in index:
-                raise IntegrityError(
-                    f"{triples_path}:{line_no}: entity id {eid!r} missing from "
-                    f"names file {names_path}"
-                )
-        if r not in rel_index:
-            rel_index[r] = len(relation_ids)
-            relation_ids.append(r)
-        rows.append((index[h], rel_index[r], index[t]))
+    (heads, rels, tails), bad = _read_tsv(triples_path, 3)
+    if not index.keys() >= {*heads, *tails}:
+        k, eid = next((k, eid) for k, pair in enumerate(zip(heads, tails))
+                      for eid in pair if eid not in index)
+        raise IntegrityError(
+            f"{triples_path}:{_line_no(triples_path, k)}: entity id {eid!r} "
+            f"missing from names file {names_path}"
+        )
+    if bad:
+        raise bad
+    # dict.fromkeys keeps each relation's first appearance, in order.
+    relation_ids = tuple(dict.fromkeys(rels))
+    rel_index = dict(zip(relation_ids, range(len(relation_ids))))
+    columns = [np.fromiter(map(ids.__getitem__, col), np.int64, len(col))
+               for ids, col in ((index, heads), (rel_index, rels), (index, tails))]
 
     return KnowledgeGraph(
         entity_ids=tuple(entity_ids),
-        relation_ids=tuple(relation_ids),
-        triples=np.array(rows, dtype=np.int64).reshape(-1, 3),
+        relation_ids=relation_ids,
+        triples=np.stack(columns, axis=1),
         entity_names=tuple(entity_names),
     )
 
@@ -153,7 +191,10 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
 def load_entity_ids(names_path) -> tuple[str, ...]:
     """The external ids of a names TSV in file order, which is the order of
     :func:`load_kg`'s ``entity_ids``."""
-    return tuple(fields[0] for _, fields in _read_tsv(Path(names_path), 2))
+    (entity_ids, _), bad = _read_tsv(Path(names_path), 2)
+    if bad:
+        raise bad
+    return tuple(entity_ids)
 
 
 def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:
@@ -171,18 +212,18 @@ def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:
 def load_alignment(path) -> list[tuple[str, str]]:
     """Load gold pairs from a two-column TSV; ids must be unique per side."""
     path = Path(path)
-    pairs: list[tuple[str, str]] = []
-    seen_src: set[str] = set()
-    seen_tgt: set[str] = set()
-    for line_no, (s, t) in _read_tsv(path, 2):
-        if s in seen_src:
-            raise IntegrityError(f"{path}:{line_no}: duplicate source id {s!r}")
-        if t in seen_tgt:
-            raise IntegrityError(f"{path}:{line_no}: duplicate target id {t!r}")
-        seen_src.add(s)
-        seen_tgt.add(t)
-        pairs.append((s, t))
-    return pairs
+    (sources, targets), bad = _read_tsv(path, 2)
+    k_src, k_tgt = _first_repeat(sources), _first_repeat(targets)
+    # The earliest line names its repeat, a source before a target.
+    if k_src <= k_tgt and k_src < len(sources):
+        raise IntegrityError(f"{path}:{_line_no(path, k_src)}: "
+                             f"duplicate source id {sources[k_src]!r}")
+    if k_tgt < len(targets):
+        raise IntegrityError(f"{path}:{_line_no(path, k_tgt)}: "
+                             f"duplicate target id {targets[k_tgt]!r}")
+    if bad:
+        raise bad
+    return list(zip(sources, targets))
 
 
 def save_alignment(pairs, path) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .collective import AlignmentResult
 from .errors import ParseError
+from .kg import _first_repeat, _line_no, _read_tsv
 
 FORMATS = ("npy", "tsv")
 
@@ -75,19 +76,20 @@ def save_result(
 
 
 def load_result(path) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    path, line_no, f"expected 3 fields, got {len(fields)}"
-                )
-            rows.append((fields[0], fields[1], fields[2]))
-    return rows
+    """The (source id, target id, provenance) rows of a result TSV, in file
+    order, read as the TSV loaders of :mod:`kgalign.kg` read.
+
+    A source id may appear once: a repeat raises ParseError naming its line,
+    as a line with another field count than 3 does; the earliest bad line is
+    named. Target ids may repeat.
+    """
+    (sources, targets, provenance), bad = _read_tsv(path, 3, "fields")
+    k = _first_repeat(sources)
+    if k < len(sources):
+        raise ParseError(path, _line_no(path, k), f"duplicate source id {sources[k]!r}")
+    if bad:
+        raise bad
+    return list(zip(sources, targets, provenance))
 
 
 def save_json(path, payload) -> None:

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 # float64 cells per tile buffer: 2^15 cells are 256 KB, and a bc tile holds
-# two such buffers and a bool mask, well inside a 2 MB L2 cache.
+# two such buffers and a bool per pair, well inside a 2 MB L2 cache.
 TILE_CELLS = 1 << 15
 COS_BLOCK = 128
 
@@ -107,7 +107,7 @@ def _distances(
     diff = np.empty((rows, cols, d))
     if measure is Measure.BRAY_CURTIS:
         den = np.empty_like(diff)
-        ok = np.empty(diff.shape, dtype=bool)
+        finite = np.empty((rows, cols), dtype=bool)
     elif measure is Measure.BRAY_CURTIS_TEXTBOOK:
         den = np.empty_like(diff)
         den_sum = np.empty((rows, cols))
@@ -135,19 +135,35 @@ def _distances(
                 np.divide(o, s, out=o, where=s != 0)
                 o[s == 0] = 0.0
             else:
-                np.abs(t, out=t)
+                # |u - v| / |u + v| is |(u - v) / (u + v)| exactly, so one abs
+                # pass is enough. A zero denominator (or an overflow) leaves
+                # its pair's sum non-finite; only those pairs are redone by
+                # the masked rule.
                 q = np.add(a, b, out=den[:r, :c])
-                np.abs(q, out=q)
-                m = np.greater(q, 0, out=ok[:r, :c])
-                if m.all():
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     np.divide(t, q, out=q)
-                else:
-                    events += int(np.count_nonzero(t[~m] > 0))
-                    # Where |u + v| is 0 the buffer already holds the 0 the
-                    # ratio takes.
-                    np.divide(t, q, out=q, where=m)
+                np.abs(q, out=q)
                 q.sum(axis=2, out=o)
+                f = np.isfinite(o, out=finite[:r, :c])
+                if not f.all():
+                    events += _bray_curtis_masked(a, b, ~f, o)
             np.subtract(1.0, o, out=o)
+    return events
+
+
+def _bray_curtis_masked(a, b, redo, o) -> int:
+    """Bray-Curtis distance of the tile pairs where ``redo`` is set, into
+    ``o``: a coordinate with |u + v| = 0 adds 0. Returns the count of those
+    coordinates where |u - v| > 0."""
+    rows, cols = np.nonzero(redo)
+    u, v = a[rows, 0], b[0, cols]
+    t = np.abs(u - v)
+    q = np.abs(u + v)
+    m = q > 0
+    events = int(np.count_nonzero(t[~m] > 0))
+    # Where |u + v| is 0 the buffer already holds the 0 the ratio takes.
+    np.divide(t, q, out=q, where=m)
+    o[rows, cols] = q.sum(axis=1)
     return events
 
 

@@ -19,7 +19,10 @@ is missing, and so does every stage that reads from it. Other stages are
 current: their artifacts are read back only where a stage that runs, or the
 returned ``PipelineArtifacts``, needs them, and artifacts round-trip
 bit-exactly. A fully current directory is answered from ``report.json``,
-``split.json``, ``result.tsv`` and the names files' id columns. Any stage
+``split.json``, ``result.tsv`` and the names files' id columns. The TSV
+files are read in bulk (one split per file, no Python code per line), and
+the settings reach ``config.json`` and the keys as flat dicts, so most of
+such a resume is hashing the input files, which it must do. Any stage
 failure aborts with the stage name and the original cause.
 """
 
@@ -159,7 +162,7 @@ class PipelineConfig:
         paths = [self.triples1, self.names1, self.triples2, self.names2, self.gold]
         if self.vectors:
             paths.append(self.vectors)
-        missing = [p for p in paths if not Path(p).exists()]
+        missing = [p for p in paths if not os.path.exists(p)]
         if missing:
             raise FileNotFoundError(f"missing input files: {missing}")
 
@@ -273,6 +276,13 @@ def decode(
     return a2c_align(env, rl_cfg)
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields as a flat ``{name: value}`` dict. Its JSON is
+    ``dataclasses.asdict``'s, without the deep copy: every field of the
+    configs is a scalar, a string or a tuple of strings."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _key(*parts) -> str:
     """sha256 of the JSON text of ``parts``; JSON prints floats exactly."""
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
@@ -317,7 +327,7 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
         cfg.val_frac)
     if "structural" in cfg.features:
         add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",), ENCODER,
-            dataclasses.asdict(cfg.train_config()))
+            _fields(cfg.train_config()))
     for tag in cfg.features:
         files = (f"sim_{tag}.{ext}",)
         if tag == "structural":
@@ -329,9 +339,9 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
             add(f"sim_{tag}", files, ("load",))
     add("fuse", (f"sim_fused.{ext}", "fusion.json", "fusion_report.txt"),
         tuple(f"sim_{tag}" for tag in cfg.features),
-        dataclasses.asdict(cfg.fusion_config()))
+        _fields(cfg.fusion_config()))
     add("align", ("result.tsv",), ("fuse",), cfg.strategy,
-        dataclasses.asdict(cfg.rl_config()) if cfg.strategy == "rl" else None)
+        _fields(cfg.rl_config()) if cfg.strategy == "rl" else None)
     add("eval", ("report.txt", "report.json"), ("align",))
     return plan
 
@@ -468,9 +478,12 @@ class _Run:
             ids1, ids2 = self.entity_ids
             src_pos = {ids1[s]: i for i, (s, _) in enumerate(test)}
             tgt_pos = {ids2[t]: i for i, (_, t) in enumerate(test)}
-            rows = matio.load_result(files[0])
-            return AlignmentResult(pairs={src_pos[s]: tgt_pos[t] for s, t, _ in rows},
-                                   provenance={src_pos[s]: p for s, _, p in rows})
+            result = AlignmentResult(pairs={}, provenance={})
+            for s, t, p in matio.load_result(files[0]):
+                i = src_pos[s]
+                result.pairs[i] = tgt_pos[t]
+                result.provenance[i] = p
+            return result
         return EvalReport.from_json(files[1].read_text(encoding="utf-8"))
 
 
@@ -482,8 +495,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
     plan = _in_stage("load", _plan, cfg)
     # config.json records the settings that produced the directory, so a
     # resume leaves it as a run without resume writes it.
-    settings = {**dataclasses.asdict(cfg), "features": list(cfg.features),
-                "resume": False}
+    settings = {**_fields(cfg), "features": list(cfg.features), "resume": False}
     config = out / "config.json"
     if not (cfg.resume and _load_record(config) == settings):
         matio.save_json(config, settings)

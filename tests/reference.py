@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from kgalign.gcn import _NegativeSampler, init_features
+from kgalign.errors import IntegrityError, ParseError
 from kgalign.kg import KnowledgeGraph, adjacency
 from kgalign.measures import Measure
 from kgalign.names import WordVectorTable, tokenize
@@ -131,6 +132,44 @@ def blocked_sim_matrix(e1, e2, measure, block: int = 128) -> tuple[np.ndarray, i
     return out, events
 
 
+
+def bray_curtis_tiles(e1, e2, tile_cells: int) -> tuple[np.ndarray, int]:
+    """``bc`` scores and zero-denominator count through the tile loop with a
+    bool mask over every (pair, coordinate) cell: |u - v| and |u + v| each
+    take an abs pass, and a tile with a zero |u + v| divides where the mask
+    is set."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    d = e1.shape[1]
+    out = np.empty((e1.shape[0], e2.shape[0]))
+    pairs = max(1, tile_cells // max(1, d))
+    cols = max(1, min(e2.shape[0], pairs))
+    rows = max(1, min(e1.shape[0], pairs // cols))
+    diff = np.empty((rows, cols, d))
+    den = np.empty_like(diff)
+    ok = np.empty(diff.shape, dtype=bool)
+    events = 0
+    for i in range(0, e1.shape[0], rows):
+        a = e1[i:i + rows, None, :]
+        for j in range(0, e2.shape[0], cols):
+            b = e2[None, j:j + cols, :]
+            r, c = a.shape[0], b.shape[1]
+            o = out[i:i + r, j:j + c]
+            t = diff[:r, :c]
+            np.subtract(a, b, out=t)
+            np.abs(t, out=t)
+            q = np.add(a, b, out=den[:r, :c])
+            np.abs(q, out=q)
+            m = np.greater(q, 0, out=ok[:r, :c])
+            if m.all():
+                np.divide(t, q, out=q)
+            else:
+                events += int(np.count_nonzero(t[~m] > 0))
+                np.divide(t, q, out=q, where=m)
+            q.sum(axis=2, out=o)
+            np.subtract(1.0, o, out=o)
+    return out, events
+
 # -- names ----------------------------------------------------------------------
 
 def levenshtein(a: str, b: str) -> int:
@@ -210,6 +249,105 @@ def name_distance_stats(
         float(_nearest_rank(dists, 0.1)),
         float(_nearest_rank(dists, 0.9)),
     )
+
+
+# -- TSV readers -------------------------------------------------------------------
+
+def read_tsv(path, n_fields: int):
+    """Yield (line_no, fields) for each nonempty line, enforcing field count."""
+    # Text mode turns \r\n and a lone \r into \n; no other character ends a line.
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                path, line_no,
+                f"expected {n_fields} tab-separated fields, got {len(fields)}",
+            )
+        yield line_no, fields
+
+
+def load_kg(triples_path, names_path) -> KnowledgeGraph:
+    """One KG, line by line: each check fires at the line that breaks it."""
+    triples_path, names_path = Path(triples_path), Path(names_path)
+    entity_ids: list[str] = []
+    entity_names: list[str] = []
+    index: dict[str, int] = {}
+    for line_no, (ext_id, name) in read_tsv(names_path, 2):
+        if ext_id in index:
+            raise IntegrityError(
+                f"{names_path}:{line_no}: duplicate entity id {ext_id!r}"
+            )
+        index[ext_id] = len(entity_ids)
+        entity_ids.append(ext_id)
+        entity_names.append(name)
+
+    relation_ids: list[str] = []
+    rel_index: dict[str, int] = {}
+    rows: list[tuple[int, int, int]] = []
+    for line_no, (h, r, t) in read_tsv(triples_path, 3):
+        for eid in (h, t):
+            if eid not in index:
+                raise IntegrityError(
+                    f"{triples_path}:{line_no}: entity id {eid!r} missing from "
+                    f"names file {names_path}"
+                )
+        if r not in rel_index:
+            rel_index[r] = len(relation_ids)
+            relation_ids.append(r)
+        rows.append((index[h], rel_index[r], index[t]))
+
+    return KnowledgeGraph(
+        entity_ids=tuple(entity_ids),
+        relation_ids=tuple(relation_ids),
+        triples=np.array(rows, dtype=np.int64).reshape(-1, 3),
+        entity_names=tuple(entity_names),
+    )
+
+
+def load_entity_ids(names_path) -> tuple[str, ...]:
+    return tuple(fields[0] for _, fields in read_tsv(Path(names_path), 2))
+
+
+def load_alignment(path) -> list[tuple[str, str]]:
+    path = Path(path)
+    pairs: list[tuple[str, str]] = []
+    seen_src: set[str] = set()
+    seen_tgt: set[str] = set()
+    for line_no, (s, t) in read_tsv(path, 2):
+        if s in seen_src:
+            raise IntegrityError(f"{path}:{line_no}: duplicate source id {s!r}")
+        if t in seen_tgt:
+            raise IntegrityError(f"{path}:{line_no}: duplicate target id {t!r}")
+        seen_src.add(s)
+        seen_tgt.add(t)
+        pairs.append((s, t))
+    return pairs
+
+
+def load_result(path) -> list[tuple[str, str, str]]:
+    """Result rows, line by line. A source id seen on an earlier line raises
+    ParseError at its line."""
+    rows = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(
+                    path, line_no, f"expected 3 fields, got {len(fields)}"
+                )
+            if fields[0] in seen:
+                raise ParseError(path, line_no, f"duplicate source id {fields[0]!r}")
+            seen.add(fields[0])
+            rows.append((fields[0], fields[1], fields[2]))
+    return rows
 
 
 # -- graphs ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgalign import matio
 from kgalign.errors import IntegrityError, ParseError
 from kgalign.kg import (
     KnowledgeGraph,
@@ -17,6 +18,7 @@ from kgalign.kg import (
     split_alignment,
 )
 
+import reference
 from reference import neighbor_sets as reference_neighbor_sets
 from reference import neighbors
 
@@ -110,6 +112,84 @@ class TestLoadAlignment:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "a.tsv", "")
         assert load_alignment(path) == []
+
+
+# Messy TSV files: blank lines, \r\n and lone \r endings, a missing final
+# newline, non-ASCII ids, trailing tabs and lines of the wrong field count,
+# drawn from few ids so that ids repeat and triples name unknown ids.
+TSV_FIELDS = st.one_of(st.sampled_from(["a", "b", "c", "é", "日本", "x y", ""]),
+                       st.text(alphabet="ab é\u2028\x85\x1c", max_size=3))
+TSV_END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def tsv_files(draw, n_fields: int):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "count", "trailing tab"]))
+        if kind == "blank":
+            line = ""
+        else:
+            n = n_fields
+            if kind == "count":
+                n = draw(st.integers(1, n_fields + 2).filter(lambda k: k != n_fields))
+            fields = [draw(TSV_FIELDS) for _ in range(n)]
+            line = "\t".join(fields) + ("\t" if kind == "trailing tab" else "")
+        lines.append(line + draw(TSV_END))
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(load, *paths):
+    """What ``load`` returns, or the type and message of what it raises."""
+    try:
+        value = load(*paths)
+    except (ParseError, IntegrityError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, KnowledgeGraph):
+        return (value.entity_ids, value.relation_ids, value.triples.dtype,
+                value.triples.tolist(), value.entity_names)
+    return value
+
+
+class TestReadersAgainstLineOracle:
+    """The bulk TSV readers give the values and the errors, with their line
+    numbers, of the per-line walks in ``reference``; the earliest bad line
+    is the one named."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(names=tsv_files(2), triples=tsv_files(3), gold=tsv_files(2),
+           result=tsv_files(3))
+    def test_same_values_and_errors(self, tmp_path_factory, names, triples, gold,
+                                    result):
+        d = tmp_path_factory.mktemp("tsv")
+        paths = {}
+        for name, text in (("names", names), ("triples", triples), ("gold", gold),
+                           ("result", result)):
+            paths[name] = d / f"{name}.tsv"
+            paths[name].write_bytes(text.encode("utf-8"))
+        assert (outcome(load_kg, paths["triples"], paths["names"])
+                == outcome(reference.load_kg, paths["triples"], paths["names"]))
+        assert (outcome(load_entity_ids, paths["names"])
+                == outcome(reference.load_entity_ids, paths["names"]))
+        assert (outcome(load_alignment, paths["gold"])
+                == outcome(reference.load_alignment, paths["gold"]))
+        # The triples file doubles as a result file.
+        for path in (paths["result"], paths["triples"]):
+            assert outcome(matio.load_result, path) == outcome(reference.load_result, path)
+
+    def test_earliest_bad_line_is_named(self, tmp_path):
+        names = write(tmp_path / "n.tsv", "a\tA\na\tB\nb\n")
+        with pytest.raises(IntegrityError, match=":2: duplicate entity id 'a'"):
+            load_kg(write(tmp_path / "t.tsv", ""), names)
+        names = write(tmp_path / "n.tsv", "a\tA\nb\nb\tB\nb\tC\n")
+        with pytest.raises(ParseError, match=":2: expected 2 tab-separated fields, got 1"):
+            load_kg(write(tmp_path / "t.tsv", ""), names)
+        gold = write(tmp_path / "g.tsv", "\na\tx\nb\tx\na\ty\n")
+        with pytest.raises(IntegrityError, match=":3: duplicate target id 'x'"):
+            load_alignment(gold)
 
 
 class TestSplitAlignment:

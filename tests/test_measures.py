@@ -12,6 +12,7 @@ from kgalign.measures import Measure, SimilarityMatrix, sim_matrix
 from reference import (
     blocked_sim_matrix,
     bray_curtis,
+    bray_curtis_tiles,
     bray_curtis_textbook,
     cosine_sim,
     euclidean,
@@ -216,6 +217,54 @@ class TestTilesAgainstBlockOracle:
         finally:
             tracemalloc.stop()
         assert peak <= m.scores.nbytes + (2 << 20), peak
+
+
+class TestBrayCurtisAgainstMaskedTiles:
+    """``bc`` divides every cell and redoes only the pairs whose sum is not
+    finite; scores and the zero-denominator count stay those of the tile
+    loop with a mask over every cell (``reference.bray_curtis_tiles``)."""
+
+    @staticmethod
+    def planted(n1, n2, d, seed):
+        e1, e2 = _embedding_pair(n1, n2, d, seed)
+        rng = np.random.default_rng(seed)
+        # Opposite coordinates scattered over the matrix, an all-zero pair of
+        # rows, and 1e308 coordinates whose difference or sum overflows.
+        for _ in range(8):
+            i, j, k = rng.integers(n1), rng.integers(n2), rng.integers(d)
+            e2[j, k] = -e1[i, k]
+        e1[-1] = 0.0
+        e2[n2 // 2] = 0.0
+        e1[n1 // 2, 0], e2[1, 0] = 1e308, -1e308
+        e1[1, -1], e2[n2 // 3, -1] = 1e308, 1e308
+        return e1, e2
+
+    @pytest.mark.parametrize("shape", [(3, 7, 1), (7, 13, 1), (9, 11, 5),
+                                       (37, 29, 16), (40, 33, 64)])
+    def test_bit_identical_for_every_budget(self, shape):
+        n1, n2, d = shape
+        e1, e2 = self.planted(n1, n2, d, seed=n1 + n2 + d)
+        for budget in sorted({1, d, 3 * d + 1, n2 * d, n1 * n2 * d, measures.TILE_CELLS}):
+            with np.errstate(over="ignore"):
+                expected, events = bray_curtis_tiles(e1, e2, budget)
+                out = np.empty_like(expected)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(measures, "TILE_CELLS", budget)
+                    got = measures._distances(e1, e2, Measure.BRAY_CURTIS, out)
+            assert events > 0
+            assert out.tobytes() == expected.tobytes(), budget
+            assert got == events, budget
+
+    def test_non_finite_inputs_match(self):
+        e1, e2 = self.planted(6, 5, 4, seed=1)
+        e1[2, 1], e2[3, 1], e2[4, 2] = np.inf, -np.inf, np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, events = bray_curtis_tiles(e1, e2, measures.TILE_CELLS)
+            out = np.empty_like(expected)
+            got = measures._distances(e1, e2, Measure.BRAY_CURTIS, out)
+        assert not np.isfinite(expected).all()
+        assert out.tobytes() == expected.tobytes()
+        assert got == events
 
 
 class TestSimilarityMatrixType:

@@ -10,7 +10,7 @@ import pytest
 from kgalign import matio, pipeline
 from kgalign.cli import MODE_FLAGS, build_parser, main
 from kgalign.collective import RlConfig, greedy_independent
-from kgalign.errors import PipelineError
+from kgalign.errors import ParseError, PipelineError
 from kgalign.fusion import FusionConfig
 from kgalign.gcn import TrainConfig
 from kgalign.kg import load_kg, save_alignment
@@ -290,6 +290,19 @@ class TestResume:
         # Nothing is rewritten, config.json and manifest.json included.
         assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
                 for f in out.iterdir()} == before
+
+    def test_current_resume_rejects_a_repeated_source(self, synth_dir, tmp_path):
+        # A repeated source row in result.tsv used to overwrite the first.
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out))
+        result = out / "result.tsv"
+        first = result.read_text(encoding="utf-8").split("\n")[0]
+        result.write_text(result.read_text(encoding="utf-8") + first + "\n",
+                          encoding="utf-8")
+        line_no = result.read_text(encoding="utf-8").count("\n")
+        with pytest.raises(PipelineError, match=f"stage 'align' failed: .*result.tsv:"
+                                                f"{line_no}: duplicate source id"):
+            run_pipeline(small_config(synth_dir, out, resume=True))
 
     def test_failed_run_resumes_after_its_last_complete_stage(self, synth_dir, tmp_path,
                                                               monkeypatch):
@@ -604,6 +617,20 @@ class TestCli:
         assert "hits@1\t0.5" in text  # gold targets at ranks 1 and 2
         assert "mrr\t0.75" in text
         assert (out / "report.json").exists()
+
+    def test_eval_rejects_a_repeated_source(self, tmp_path, capsys):
+        # It used to score only the source's last row, and count target reuse
+        # over one row per source. A repeated target stays legal.
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("a\tx\tgreedy\nb\tx\tgreedy\n\na\ty\trl\n", encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("a\tx\nb\ty\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"pred\.tsv:4: duplicate source id 'a'") as err:
+            main(["eval", "--pred", str(pred), "--gold", str(tmp_path / "gold.tsv")])
+        assert err.value.line_no == 4
+        assert capsys.readouterr().out == ""
+        pred.write_text("a\tx\tgreedy\nb\tx\tgreedy\n", encoding="utf-8")
+        assert main(["eval", "--pred", str(pred), "--gold", str(tmp_path / "gold.tsv")]) == 0
+        assert "multe\t1" in capsys.readouterr().out
 
     def test_eval_creates_its_out_directory(self, tmp_path, capsys):
         # Like every other subcommand's --out: it used to print the report,
