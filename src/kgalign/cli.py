@@ -5,19 +5,18 @@ Subcommands mirror the pipeline stages so each can run on its own:
 embeddings, ``features`` builds per-feature similarity matrices, ``fuse``
 combines them adaptively, ``align`` decodes matches, ``eval`` scores a
 result file, and ``pipeline`` chains everything with stage caching.
-
-The KGALIGN_THREADS environment variable sets the default worker count of
-the string-similarity stage, the only stage that runs in parallel.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import matio
 from .collective import AlignmentResult, RlConfig, count_multiplicities
+from .errors import ParseError
 from .fusion import FusionConfig
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
@@ -28,7 +27,6 @@ from .pipeline import (
     STRATEGIES,
     PipelineConfig,
     decode,
-    default_threads,
     feature_matrix,
     fuse_features,
     index_pairs,
@@ -92,7 +90,6 @@ def _cmd_features(args) -> int:
         args.error("the structural feature needs --z1 and --z2")
     if "semantic" in tags and not args.vectors:
         args.error("the semantic feature needs --vectors")
-    threads = default_threads() if args.threads is None else args.threads
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
     test = index_pairs(load_alignment(args.test), kg1, kg2)
@@ -103,7 +100,7 @@ def _cmd_features(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for tag in tags:
         m = feature_matrix(tag, kg1, kg2, test, args.measure, z1, z2,
-                           args.vectors, threads)
+                           args.vectors, threads=1)
         path = out / f"sim_{tag}.{args.format}"
         matio.save_matrix(path, m.scores, args.format)
         print(f"{tag}\t{path}")
@@ -163,10 +160,16 @@ def _cmd_eval(args) -> int:
     if args.ranked:
         ranked = {}
         with open(args.ranked, encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.rstrip("\n").split("\t")
-                if fields and fields[0]:
-                    ranked[fields[0]] = fields[1:]
+            for line_no, line in enumerate(fh, start=1):
+                source, *targets = line.rstrip("\n").split("\t")
+                if not (source or targets):  # a blank line
+                    continue
+                if not source:
+                    raise ParseError(args.ranked, line_no, "empty source id")
+                if source in ranked:
+                    raise ParseError(args.ranked, line_no,
+                                     f"duplicate source id {source!r}")
+                ranked[source] = targets
         hits, mrr = hits_mrr(ranked, gold, ks=(1, 10))
     mulse, multe = count_multiplicities(
         AlignmentResult(pairs=pred, provenance={s: "loaded" for s in pred})
@@ -185,25 +188,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "triples1", "names1", "triples2", "names2", "gold", "vectors",
-            "out_dir", "seed", "measure", "dim", "epochs", "strategy",
-            "tau", "rl_epochs", "prelim_rounds", "theta1", "theta2",
-            "threads", "learning_rate", "train_frac", "val_frac",
-        )
-        if getattr(args, key, None) is not None
-    }
-    if args.mode is not None:
-        overrides["mode"] = MODE_FLAGS[args.mode]
-    if args.features is not None:
-        overrides["features"] = tuple(args.features.split(","))
+    # Each flag sets the PipelineConfig field of its name; an unset flag
+    # leaves the config file's value, or else the field's default.
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
+    if "mode" in overrides:
+        overrides["mode"] = MODE_FLAGS[overrides["mode"]]
+    if "features" in overrides:
+        overrides["features"] = tuple(overrides["features"].split(","))
     if args.config:
         cfg = PipelineConfig.from_file(args.config, **overrides)
     else:
         cfg = PipelineConfig(**overrides)
-    cfg.resume = args.resume
     artifacts = run_pipeline(cfg)
     sys.stdout.write(artifacts.report.to_text())
     print(f"out_dir\t{artifacts.out_dir}")
@@ -248,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors")
     p.add_argument("--measure", choices=[m.value for m in Measure],
                    default=DEFAULT_MEASURE)
-    p.add_argument("--features", default="structural,semantic,string")
+    p.add_argument("--features", default=",".join(FEATURES))
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, help="default: KGALIGN_THREADS, else 1")
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
     p.set_defaults(fn=_cmd_features, error=p.error)
 
@@ -293,21 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors")
     p.add_argument("--out-dir")
     p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--val-frac", type=float, dest="val_frac")
+    p.add_argument("--train-frac", type=float)
+    p.add_argument("--val-frac", type=float)
     p.add_argument("--measure", choices=[m.value for m in Measure])
     p.add_argument("--features")
     p.add_argument("--dim", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--mode", choices=tuple(MODE_FLAGS))
     p.add_argument("--tau", type=int)
-    p.add_argument("--rl-epochs", type=int, dest="rl_epochs")
-    p.add_argument("--prelim-rounds", type=int, dest="prelim_rounds")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--rl-epochs", type=int)
+    p.add_argument("--prelim-rounds", type=int)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=_cmd_pipeline)
     return parser

@@ -67,8 +67,6 @@ class AlignmentResult:
 class AlignmentEnvironment:
     scores: np.ndarray
     confirmed: tuple[tuple[int, int], ...]
-    residual_sources: np.ndarray
-    residual_targets: np.ndarray
     order: tuple[int, ...]
     state_dim: int
     # Row i is for source order[i]: its candidates and their scores; its
@@ -179,8 +177,6 @@ def build_environment(
     return AlignmentEnvironment(
         scores=scores,
         confirmed=tuple(confirmed),
-        residual_sources=res_src,
-        residual_targets=res_tgt,
         order=order,
         state_dim=state_dim,
         candidate_rows=rows,

@@ -55,10 +55,6 @@ class KnowledgeGraph:
     def n_entities(self) -> int:
         return len(self.entity_ids)
 
-    @property
-    def n_relations(self) -> int:
-        return len(self.relation_ids)
-
     @cached_property
     def entity_index(self) -> dict[str, int]:
         return {eid: i for i, eid in enumerate(self.entity_ids)}

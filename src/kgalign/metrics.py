@@ -152,20 +152,12 @@ def hits_mrr_of_ranks(
     return hits, mrr
 
 
-def fusion_poc(corrs: Iterable, gold: Mapping) -> float | None:
-    """Fraction of distinct confident correspondences that are gold pairs.
-
-    Accepts correspondence objects or bare (source, target) tuples; returns
-    None when there are no correspondences at all.
+def fusion_poc(cells: Iterable, gold: Mapping) -> float | None:
+    """Fraction of distinct confident (source, target) cells that are gold
+    pairs; None when there are no cells at all.
     """
     gold = dict(gold)
-    cells = set()
-    for c in corrs:
-        if hasattr(c, "source"):
-            cells.add((c.source, c.target))
-        else:
-            s, t = c
-            cells.add((s, t))
+    cells = set(cells)
     if not cells:
         return None
     correct = sum(1 for s, t in cells if gold.get(s) == t)

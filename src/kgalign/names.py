@@ -3,8 +3,7 @@
 Entity names carry signal at two levels. The semantic level averages
 pre-trained word vectors over the tokens of a name; the string level scores
 character overlap with a normalized Levenshtein ratio. Names whose tokens
-are all out of vocabulary get a zero vector and are flagged so diagnostics
-can report coverage.
+are all out of vocabulary get a zero vector.
 
 The string matrix runs Myers' bit-vector edit distance in Hyyrö's
 global-distance form (Myers, JACM 1999; Hyyrö 2003) for every target name
@@ -57,14 +56,9 @@ class WordVectorTable:
 
 @dataclass
 class NameEmbeddingMatrix:
-    """One averaged word vector per entity plus an all-OOV row mask."""
+    """One averaged word vector per entity."""
 
     rows: np.ndarray
-    oov_mask: np.ndarray
-
-    def __post_init__(self):
-        if self.rows.shape[0] != self.oov_mask.shape[0]:
-            raise ValueError("rows and oov_mask differ in length")
 
 
 def tokenize(name: str) -> list[str]:
@@ -148,8 +142,7 @@ def name_embedding_matrix(
         for k in range(count):
             total += stacked[:, k]
         rows[members] = total / count
-    oov = np.array([not vecs for vecs in hits], dtype=bool)
-    return NameEmbeddingMatrix(rows=rows, oov_mask=oov)
+    return NameEmbeddingMatrix(rows=rows)
 
 
 def _encode(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

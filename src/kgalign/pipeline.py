@@ -32,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -68,23 +68,6 @@ MANIFEST = "manifest.json"
 SPLIT_PARTS = ("train", "val", "test")
 
 
-def default_threads() -> int:
-    """Worker threads of the string stage: ``KGALIGN_THREADS``, or 1 if unset.
-
-    A value that is not a positive integer raises ``ValueError``.
-    """
-    raw = os.environ.get("KGALIGN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"KGALIGN_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
 @dataclass
 class PipelineConfig:
     triples1: str
@@ -113,7 +96,7 @@ class PipelineConfig:
     rl_actor_lr: float = RlConfig.actor_lr
     rl_critic_lr: float = RlConfig.critic_lr
     prelim_rounds: int = RlConfig.preliminary_rounds
-    threads: int = field(default_factory=default_threads)
+    threads: int = 1
     matrix_format: str = "npy"
     resume: bool = False
 

@@ -372,7 +372,7 @@ def test_criterion_9_full_scale_string_baseline():
         m = string_sim_matrix(
             [kg1.entity_names[i] for i in test_src],
             [kg2.entity_names[i] for i in test_tgt],
-            threads=int(os.environ.get("KGALIGN_THREADS", "4")),
+            threads=4,
         )
         result = greedy_independent(m)
         p, _, _ = prf(result, {i: i for i in range(len(test_src))})

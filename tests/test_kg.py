@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kgalign import matio
 from kgalign.errors import IntegrityError, ParseError
 from kgalign.kg import (
+    AlignmentDataset,
     KnowledgeGraph,
     adjacency,
     load_alignment,
@@ -34,7 +35,7 @@ class TestLoadKg:
         names = write(tmp_path / "n.tsv", "0\talpha\n1\tbeta\n")
         kg = load_kg(triples, names)
         assert kg.n_entities == 2
-        assert kg.n_relations == 2
+        assert kg.relation_ids == ("0", "1")
         assert kg.triples.shape == (2, 3)
         assert kg.entity_names == ("alpha", "beta")
 
@@ -190,6 +191,23 @@ class TestReadersAgainstLineOracle:
         gold = write(tmp_path / "g.tsv", "\na\tx\nb\tx\na\ty\n")
         with pytest.raises(IntegrityError, match=":3: duplicate target id 'x'"):
             load_alignment(gold)
+
+
+class TestAlignmentDataset:
+    @pytest.mark.parametrize("train,val,test,message", [
+        ((("s1", "t1"),), (), (("s1", "t2"),), "source 's1' appears in both train and test"),
+        ((("s1", "t1"),), (("s2", "t1"),), (), "target 't1' appears in both train and val"),
+        ((), (), (("s1", "t1"), ("s2", "t2"), ("s1", "t3")),
+         "source 's1' appears in both test and test"),
+        ((("s1", "t1"),), (("s1", "t1"),), (), "source 's1' appears in both train and val"),
+    ])
+    def test_repeat_names_the_id_and_its_splits(self, train, val, test, message):
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            AlignmentDataset(train, val, test)
+
+    def test_distinct_ids_pass(self):
+        ds = AlignmentDataset((("s1", "t1"),), (("s2", "t2"),), (("s3", "t3"),))
+        assert ds.test == (("s3", "t3"),)
 
 
 class TestSplitAlignment:

@@ -191,14 +191,8 @@ class TestFusionPoc:
         assert fusion_poc([], {0: 0}) is None
 
     def test_duplicates_across_features_count_once(self):
-        from kgalign.fusion import ConfidentCorrespondence
-
-        corrs = [
-            ConfidentCorrespondence(0, 0, 0.9, "a"),
-            ConfidentCorrespondence(0, 0, 0.8, "b"),
-            ConfidentCorrespondence(1, 2, 0.7, "a"),
-        ]
-        assert fusion_poc(corrs, {0: 0, 1: 1}) == 0.5
+        # (0, 0) found by two features, (1, 2) by one.
+        assert fusion_poc([(0, 0), (0, 0), (1, 2)], {0: 0, 1: 1}) == 0.5
 
     def test_bounds(self):
         rng = np.random.default_rng(4)

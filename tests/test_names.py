@@ -138,14 +138,14 @@ class TestNameEmbedding:
         np.testing.assert_array_equal(name_embedding("red fox", TABLE), [0.5, 0.5])
 
     def test_all_oov_flagged(self):
+        # An all-OOV name is flagged by its zero row.
         mat = name_embedding_matrix(["quartz zinc"], TABLE)
         np.testing.assert_array_equal(mat.rows, [[0.0, 0.0]])
-        assert mat.oov_mask.tolist() == [True]
 
     def test_oov_rows_are_exactly_zero_rows(self):
         mat = name_embedding_matrix(["red fox", "zinc", "fox"], TABLE)
         zero_rows = ~mat.rows.any(axis=1)
-        np.testing.assert_array_equal(zero_rows, mat.oov_mask)
+        assert zero_rows.tolist() == [False, True, False]
 
     def test_token_order_invariance(self):
         np.testing.assert_array_equal(
@@ -167,8 +167,6 @@ class TestNameEmbedding:
         want = np.array([name_embedding(name, table) for name in names])
         want = want.reshape(-1, dim)
         assert mat.rows.tobytes() == want.tobytes()
-        assert mat.oov_mask.tolist() == [
-            not any(t in vectors for t in tokenize(name)) for name in names]
 
     def test_tokenizer_strips_punctuation_and_underscores(self):
         assert tokenize("Red_Fox (animal)") == ["red", "fox", "animal"]

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from kgalign import matio, pipeline
+from kgalign import cli, matio, pipeline
 from kgalign.cli import MODE_FLAGS, build_parser, main
 from kgalign.collective import RlConfig, greedy_independent
 from kgalign.errors import ParseError, PipelineError
@@ -21,7 +21,6 @@ from kgalign.pipeline import (
     FEATURES,
     PipelineConfig,
     decode,
-    default_threads,
     run_pipeline,
 )
 from kgalign.synth import gen_synthetic, write_synthetic
@@ -149,6 +148,16 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="load"):
             run_pipeline(cfg)
 
+    def test_missing_inputs_are_listed_before_anything_is_written(self, synth_dir,
+                                                                  tmp_path):
+        missing = [str(tmp_path / "no_triples2.tsv"), str(tmp_path / "no_vectors.vec")]
+        cfg = small_config(synth_dir, tmp_path / "run", triples2=missing[0],
+                           vectors=missing[1])
+        with pytest.raises(FileNotFoundError) as err:
+            run_pipeline(cfg)
+        assert str(err.value) == f"missing input files: {missing}"
+        assert not (tmp_path / "run").exists()
+
     def test_semantic_requires_vectors(self, synth_dir, tmp_path):
         with pytest.raises(ValueError, match="semantic"):
             small_config(synth_dir, tmp_path / "x", vectors=None)
@@ -212,6 +221,18 @@ class TestPipeline:
         matrix = rng.normal(size=(9, 5)) * 1e3
         save_matrix(tmp_path / "m.tsv", matrix, fmt="tsv")
         np.testing.assert_array_equal(load_matrix(tmp_path / "m.tsv"), matrix)
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("0\t1.0\t2.0\n1\t1.0\tx\n", 2, "could not convert string to float: 'x'"),
+        ("0\t1.0\n2\t1.0\n", 2, "expected row index 1, got 2"),
+        ("0\t1.0\t2.0\n\n1\t1.0\n", 3, "expected 2 values, got 1"),
+    ])
+    def test_tsv_matrix_errors_name_their_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "m.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"m.tsv:{line_no}: {message}")) as err:
+            load_matrix(path)
+        assert err.value.line_no == line_no
 
     def test_config_file_with_overrides(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -632,6 +653,68 @@ class TestCli:
         assert main(["eval", "--pred", str(pred), "--gold", str(tmp_path / "gold.tsv")]) == 0
         assert "multe\t1" in capsys.readouterr().out
 
+    def test_eval_rejects_a_repeated_or_empty_ranked_source(self, tmp_path, capsys):
+        # Scoring one of two lists of a source would hide the other; blank
+        # lines are no lists and are skipped.
+        (tmp_path / "pred.tsv").write_text("a\tx\tgreedy\nb\ty\tgreedy\n",
+                                           encoding="utf-8")
+        (tmp_path / "gold.tsv").write_text("a\tx\nb\tz\n", encoding="utf-8")
+        ranked = tmp_path / "ranked.tsv"
+        argv = ["eval", "--pred", str(tmp_path / "pred.tsv"),
+                "--gold", str(tmp_path / "gold.tsv"), "--ranked", str(ranked)]
+        for text, line_no, message in (
+            ("a\tx\ty\tz\nb\ty\tz\tx\n\na\ty\tx\tz\n", 4, "duplicate source id 'a'"),
+            ("a\tx\ty\tz\n\tz\tx\nb\ty\tz\tx\n", 2, "empty source id"),
+        ):
+            ranked.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError, match=re.escape(f"ranked.tsv:{line_no}: {message}")):
+                main(argv)
+            assert capsys.readouterr().out == ""
+        ranked.write_text("\na\tx\ty\tz\n\n\nb\ty\tz\tx\n\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert "hits@1\t0.5" in capsys.readouterr().out
+
+    def test_every_pipeline_flag_reaches_the_config(self, synth_dir, tmp_path,
+                                                    monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def record(cfg):
+            configs.append(cfg)
+            raise Stop
+
+        configs = []
+        monkeypatch.setattr(cli, "run_pipeline", record)
+        argv = ["pipeline", "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                "--names2", "n2", "--gold", "g", "--vectors", "v", "--out-dir", "o",
+                "--seed", "5", "--train-frac", "0.3", "--val-frac", "0.1",
+                "--measure", "cos", "--features", "string,semantic", "--dim", "7",
+                "--epochs", "9", "--learning-rate", "0.02", "--theta1", "0.7",
+                "--theta2", "0.15", "--strategy", "stable", "--mode", "coh",
+                "--tau", "4", "--rl-epochs", "11", "--prelim-rounds", "2", "--resume"]
+        # argv sets every pipeline flag but --config, each to a field of its name.
+        args = vars(build_parser().parse_args(argv))
+        assert {k for k, v in args.items() if v is None} == {"config"}
+        assert set(args) - {"command", "fn", "config"} <= {
+            f.name for f in dataclasses.fields(PipelineConfig)}
+        with pytest.raises(Stop):
+            main(argv)
+        assert configs.pop() == PipelineConfig(
+            triples1="t1", names1="n1", triples2="t2", names2="n2", gold="g",
+            vectors="v", out_dir="o", seed=5, train_frac=0.3, val_frac=0.1,
+            measure="cos", features=("string", "semantic"), dim=7, epochs=9,
+            learning_rate=0.02, theta1=0.7, theta2=0.15, strategy="stable",
+            mode="coherence_only", tau=4, rl_epochs=11, prelim_rounds=2, resume=True)
+        # With --config, a flag overrides the file's value and nothing else.
+        cfg = small_config(synth_dir, tmp_path / "run", tau=6)
+        matio.save_json(tmp_path / "config.json",
+                        {**dataclasses.asdict(cfg), "features": list(cfg.features)})
+        with pytest.raises(Stop):
+            main(["pipeline", "--config", str(tmp_path / "config.json"),
+                  "--features", "semantic", "--mode", "excl"])
+        assert configs.pop() == dataclasses.replace(
+            cfg, features=("semantic",), mode="exclusiveness_only")
+
     def test_eval_creates_its_out_directory(self, tmp_path, capsys):
         # Like every other subcommand's --out: it used to print the report,
         # then fail with FileNotFoundError on report.txt.
@@ -675,17 +758,26 @@ class TestCli:
 
 
 class TestThreads:
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
-    def test_bad_variable_raises_naming_it(self, monkeypatch, raw):
-        monkeypatch.setenv("KGALIGN_THREADS", raw)
-        with pytest.raises(ValueError, match=f"KGALIGN_THREADS.*{re.escape(repr(raw))}"):
-            default_threads()
+    def test_variable_is_not_read(self, monkeypatch):
+        # The field alone sets the count: no environment variable is read,
+        # so a bad value there cannot fail a config.
+        monkeypatch.setenv("KGALIGN_THREADS", "abc")
+        cfg = PipelineConfig(triples1="t1", names1="n1", triples2="t2", names2="n2",
+                             gold="g", features=("string",))
+        assert cfg.threads == 1
 
-    def test_variable_or_one(self, monkeypatch):
-        monkeypatch.setenv("KGALIGN_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.delenv("KGALIGN_THREADS")
-        assert default_threads() == 1
+    def test_config_threads_reach_the_string_stage(self, synth_dir, tmp_path,
+                                                   monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return string_sim_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "string_sim_matrix", recorded)
+        run_pipeline(small_config(synth_dir, tmp_path / "run", features=("string",),
+                                  vectors=None, strategy="greedy", threads=2))
+        assert calls == [{"threads": 2}]
 
     def test_config_rejects_fewer_than_one(self, synth_dir, tmp_path):
         with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
@@ -695,19 +787,8 @@ class TestThreads:
         with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
             string_sim_matrix(["a"], ["b"], threads=0)
 
-    def test_cli_reads_variable_only_where_used(self, synth_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("KGALIGN_THREADS", "abc")
-        build_parser()
-        (tmp_path / "pred.tsv").write_text("a\tx\tgreedy\n", encoding="utf-8")
-        (tmp_path / "gold.tsv").write_text("a\tx\n", encoding="utf-8")
-        assert main(["eval", "--pred", str(tmp_path / "pred.tsv"),
-                     "--gold", str(tmp_path / "gold.tsv")]) == 0
-        features = ["features", "--triples1", str(synth_dir["triples1"]),
-                    "--names1", str(synth_dir["names1"]),
-                    "--triples2", str(synth_dir["triples2"]),
-                    "--names2", str(synth_dir["names2"]),
-                    "--test", str(synth_dir["gold"]), "--features", "string",
-                    "--out", str(tmp_path / "feats")]
-        with pytest.raises(ValueError, match="KGALIGN_THREADS"):
-            main(features)
-        assert main([*features, "--threads", "2"]) == 0
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_cli_has_no_threads_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert "--threads" not in capsys.readouterr().out
