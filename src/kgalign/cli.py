@@ -17,7 +17,7 @@ from pathlib import Path
 from . import matio
 from .collective import AlignmentResult, RlConfig, count_multiplicities
 from .errors import ParseError
-from .fusion import FusionConfig
+from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
 from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix
@@ -28,7 +28,6 @@ from .pipeline import (
     PipelineConfig,
     decode,
     feature_matrix,
-    fuse_features,
     index_pairs,
     run_pipeline,
 )
@@ -114,22 +113,25 @@ def _cmd_fuse(args) -> int:
         if not path:
             args.error(f"expected tag=path, got {item!r}")
         matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
-    fused, summary, report_text = fuse_features(
+    fused, report = adaptive_fuse(
         matrices, FusionConfig(theta1=args.theta1, theta2=args.theta2)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     matio.save_matrix(out / f"sim_fused.{ext}", fused.scores, args.format)
-    matio.save_text(out / "fusion_report.txt", report_text)
-    for tag, w in sorted(summary["weights"].items()):
+    matio.save_text(out / "fusion.json", report.to_json() + "\n")
+    matio.save_text(out / "fusion_report.txt", report.to_text())
+    for tag, w in sorted(report.feature_weights.weights.items()):
         print(f"feature_weight\t{tag}\t{w!r}")
     print(f"fused\t{out / f'sim_fused.{ext}'}")
     return 0
 
 
 def _cmd_align(args) -> int:
-    scores = matio.load_matrix(args.matrix)
+    # The pipeline decodes a SimilarityMatrix too: a score that is NaN or
+    # infinite fails here, before anything is written.
+    scores = SimilarityMatrix(matio.load_matrix(args.matrix), "fused")
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
     test = index_pairs(load_alignment(args.test), kg1, kg2)

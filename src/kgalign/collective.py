@@ -51,6 +51,9 @@ class RlConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.preliminary_rounds < 0:
+            raise ValueError(
+                f"preliminary_rounds must be >= 0, got {self.preliminary_rounds}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

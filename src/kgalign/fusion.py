@@ -11,6 +11,7 @@ weighted sum of the inputs.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -74,6 +75,19 @@ class FusionReport:
             for tag, w in sorted(per_feature.items()):
                 lines.append(f"correspondence\t{tag}\t{s}\t{t}\t{w!r}")
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """The ``fusion.json`` text: the confident cells in sorted order, the
+        feature weights and the fallback flag."""
+        return json.dumps(
+            {
+                "cells": [list(c) for c in sorted(self.correspondence_weights)],
+                "weights": self.feature_weights.weights,
+                "fallback": self.feature_weights.fallback,
+            },
+            indent=2,
+            sort_keys=True,
+        )
 
 
 def confident_correspondences(m: SimilarityMatrix) -> list[ConfidentCorrespondence]:
@@ -181,7 +195,8 @@ def fuse(
 def adaptive_fuse(
     matrices: Sequence[SimilarityMatrix], cfg: FusionConfig
 ) -> tuple[SimilarityMatrix, FusionReport]:
-    """Run the full chain: detect, weight, normalize, combine."""
+    """Run the full chain: detect, weight, normalize, combine. A single matrix
+    gets weight exactly 1.0, so its fused scores are its own."""
     per_feature = {m.feature_tag: confident_correspondences(m) for m in matrices}
     corr_w = correspondence_weights(per_feature, cfg)
     fw = feature_weights(corr_w, [m.feature_tag for m in matrices])

@@ -227,6 +227,15 @@ def save_alignment(pairs, path) -> None:
         fh.writelines(f"{s}\t{t}\n" for s, t in pairs)
 
 
+def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    """Raise ValueError unless 0 < train, 0 < val and train + val < 1."""
+    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
+        raise ValueError(
+            f"fractions must satisfy 0 < train, 0 < val, train + val < 1; "
+            f"got train={train_frac}, val={val_frac}"
+        )
+
+
 def split_alignment(
     pairs: Sequence[tuple], train_frac: float, val_frac: float, rng_seed: int
 ) -> AlignmentDataset:
@@ -234,11 +243,7 @@ def split_alignment(
 
     Split sizes are round(frac * len(pairs)); the remainder is the test set.
     """
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
-        raise ValueError(
-            f"fractions must satisfy 0 < train, 0 < val, train + val < 1; "
-            f"got train={train_frac}, val={val_frac}"
-        )
+    check_split_fractions(train_frac, val_frac)
     n = len(pairs)
     perm = np.random.default_rng(rng_seed).permutation(n)
     shuffled = [tuple(pairs[i]) for i in perm]

@@ -52,6 +52,7 @@ from .fusion import FusionConfig, adaptive_fuse
 from .gcn import ENCODER, TrainConfig, train
 from .kg import (
     AlignmentDataset,
+    check_split_fractions,
     load_alignment,
     load_entity_ids,
     load_kg,
@@ -114,6 +115,9 @@ class PipelineConfig:
             raise ValueError(f"unknown features: {sorted(unknown)}")
         if not self.features:
             raise ValueError("need at least one feature")
+        if len(set(self.features)) != len(self.features):
+            raise ValueError(f"each feature may appear once, got {list(self.features)}")
+        check_split_fractions(self.train_frac, self.val_frac)
         Measure(self.measure)  # validates the flag value
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
@@ -212,23 +216,6 @@ def feature_matrix(
     if tag == "string":
         return string_sim_matrix(src_names, tgt_names, threads=threads)
     raise ValueError(f"unknown feature {tag!r}; choose from {FEATURES}")
-
-
-def fuse_features(
-    matrices: list[SimilarityMatrix], cfg: FusionConfig
-) -> tuple[SimilarityMatrix, dict, str]:
-    """Fuse the feature matrices; return the fused matrix, the ``fusion.json``
-    payload (confident cells, feature weights, fallback flag) and the
-    ``fusion_report.txt`` text. A single matrix gets weight exactly 1.0, so
-    its fused scores are its own.
-    """
-    fused, report = adaptive_fuse(matrices, cfg)
-    summary = {
-        "cells": [list(c) for c in sorted(report.correspondence_weights)],
-        "weights": report.feature_weights.weights,
-        "fallback": report.feature_weights.fallback,
-    }
-    return fused, summary, report.to_text()
 
 
 def decode(
@@ -350,14 +337,14 @@ def _save_manifest(path: Path, entries: dict) -> None:
 
 def _in_stage(name: str, fn, *args):
     """``fn(*args)``, with any failure re-raised as a PipelineError naming the
-    stage; the stages of the single features get one name."""
+    stage. A PipelineError passes through: it already names the stage that
+    failed, such as ``load`` when a later stage reads back a corrupt split."""
     try:
         return fn(*args)
     except PipelineError:
         raise
     except Exception as exc:
-        step = "features" if name.startswith("sim_") else name
-        raise PipelineError(f"stage {step!r} failed: {exc}") from exc
+        raise PipelineError(f"stage {name!r} failed: {exc}") from exc
 
 
 def _evaluate(n_test: int, fused: SimilarityMatrix, result: AlignmentResult,
@@ -423,12 +410,12 @@ class _Run:
             matio.save_matrix(files[0], m.scores, cfg.matrix_format)
             return m
         if name == "fuse":
-            fused, summary, report_text = fuse_features(
+            fused, report = adaptive_fuse(
                 [self.output(f"sim_{tag}") for tag in cfg.features], cfg.fusion_config())
             matio.save_matrix(files[0], fused.scores, cfg.matrix_format)
-            matio.save_text(files[2], report_text)
-            matio.save_json(files[1], summary)
-            return fused, [tuple(cell) for cell in summary["cells"]]
+            matio.save_text(files[1], report.to_json() + "\n")
+            matio.save_text(files[2], report.to_text())
+            return fused, sorted(report.correspondence_weights)
         fused, corr_cells = self.output("fuse")
         if name == "align":
             # Only the rl decoder reads the graphs (their neighbours).

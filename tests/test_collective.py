@@ -822,6 +822,10 @@ class TestGreedy:
         result = greedy_independent(np.array([[0.9, 0.1], [0.8, 0.2]]))
         assert result.pairs == {0: 0, 1: 0}
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="similarity matrix is empty"):
+            greedy_independent(np.zeros((0, 3)))
+
     def test_diagonal_dominant(self):
         result = greedy_independent(np.eye(3) + 0.01)
         assert result.pairs == {0: 0, 1: 1, 2: 2}

@@ -1,5 +1,7 @@
 """Confident correspondences, adaptive weights, and matrix fusion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,10 @@ class TestConfidentCorrespondences:
             scores = rng.random((rng.integers(1, 8), rng.integers(1, 8)))
             corrs = confident_correspondences(sm(scores))
             assert {(c.source, c.target) for c in corrs} == brute_force_confident(scores)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="similarity matrix is empty"):
+            confident_correspondences(sm(np.zeros((0, 3))))
 
     def test_feature_label_carried(self):
         corrs = confident_correspondences(sm([[1.0]], tag="semantic"))
@@ -171,6 +177,10 @@ class TestFuse:
                 FeatureWeights({"a": 0.5, "b": 0.5}),
             )
 
+    def test_no_matrices_rejected(self):
+        with pytest.raises(ValueError, match="need at least one matrix to fuse"):
+            fuse([], FeatureWeights({}))
+
     def test_missing_weight(self):
         with pytest.raises(ValueError):
             fuse([sm(np.zeros((2, 2)), "a")], FeatureWeights({"b": 1.0}))
@@ -193,3 +203,16 @@ class TestAdaptiveFuse:
         text = report.to_text()
         assert "feature_weight\ta\t" in text
         assert "correspondence\t" in text
+
+    def test_report_json_has_sorted_cells_weights_and_fallback(self):
+        # a detects (1, 1); b detects (0, 0) and, shared with a, (1, 1).
+        mats = [sm([[0.1, 0.2], [0.3, 0.9]], "a"), sm([[0.9, 0.1], [0.2, 0.3]], "b")]
+        _, report = adaptive_fuse(mats, FusionConfig())
+        payload = json.loads(report.to_json())
+        assert payload == {"cells": [[0, 0], [1, 1]],
+                           "weights": pytest.approx({"a": 0.4, "b": 0.6}),
+                           "fallback": False}
+        assert report.to_json() == json.dumps(payload, indent=2, sort_keys=True)
+        _, tied = adaptive_fuse([sm([[0.5, 0.5]], "a")], FusionConfig())
+        assert json.loads(tied.to_json()) == {"cells": [], "weights": {"a": 1.0},
+                                              "fallback": True}

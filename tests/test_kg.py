@@ -65,6 +65,17 @@ class TestLoadKg:
         with pytest.raises(IntegrityError, match="duplicate"):
             load_kg(triples, names)
 
+    @pytest.mark.parametrize("names,triples,error,message", [
+        (("a", "b"), [[0, 0, 1, 0]], ValueError, r"shape \(m, 3\), got \(1, 4\)"),
+        (("a",), [[0, 0, 1]], IntegrityError, "1 names for 2 entities"),
+        (("a", "b"), [[0, 0, 2]], IntegrityError, "entity index out of range"),
+        (("a", "b"), [[0, 1, 1]], IntegrityError, "relation index out of range"),
+    ])
+    def test_integrity_errors(self, names, triples, error, message):
+        with pytest.raises(error, match=message):
+            KnowledgeGraph(entity_ids=("0", "1"), relation_ids=("r",),
+                           triples=np.array(triples), entity_names=names)
+
     def test_round_trip_reproduces_indexing(self, tmp_path):
         triples = write(tmp_path / "t.tsv", "x\tr\ty\nz\ts\tx\n")
         names = write(tmp_path / "n.tsv", "x\tX\ny\tY\nz\tZ\n")

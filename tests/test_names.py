@@ -90,6 +90,14 @@ class TestLoadWordVectors:
             load_word_vectors(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "v.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="empty vector file") as err:
+            load_word_vectors(path)
+        assert err.value.line_no == 1
+
     @pytest.mark.parametrize("text", ["3 0\n", "3 0\ncat\n", "cat\ndog\n"])
     def test_zero_dimension_rejected(self, tmp_path, text):
         path = tmp_path / "v.vec"

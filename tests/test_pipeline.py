@@ -19,6 +19,7 @@ from kgalign.metrics import prf
 from kgalign.names import string_sim_matrix
 from kgalign.pipeline import (
     FEATURES,
+    STRATEGIES,
     PipelineConfig,
     decode,
     run_pipeline,
@@ -81,7 +82,7 @@ def spy(monkeypatch, *names):
     return calls
 
 
-STAGE_CALLS = ("train", "feature_matrix", "fuse_features", "decode", "_evaluate")
+STAGE_CALLS = ("train", "feature_matrix", "adaptive_fuse", "decode", "_evaluate")
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,7 @@ class TestPipeline:
         calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
         # A missing fuse artifact reruns fuse and every stage after it.
-        assert [name for name, _ in calls] == ["fuse_features", "decode", "_evaluate"]
+        assert [name for name, _ in calls] == ["adaptive_fuse", "decode", "_evaluate"]
         fused_after = (out / "sim_fused.npy").read_bytes()
         assert fused_after != fused_before
         # Restore: a resumed run on intact artifacts reproduces the cold bytes.
@@ -146,6 +147,14 @@ class TestPipeline:
         cfg = small_config(synth_dir, tmp_path / "bad", epochs=1)
         object.__setattr__(cfg, "gold", str(synth_dir["names1"]))  # wrong columns
         with pytest.raises(PipelineError, match="load"):
+            run_pipeline(cfg)
+
+    def test_failing_feature_names_its_own_stage(self, synth_dir, tmp_path):
+        vectors = tmp_path / "empty.vec"
+        vectors.write_text("", encoding="utf-8")
+        cfg = small_config(synth_dir, tmp_path / "run", vectors=str(vectors))
+        with pytest.raises(PipelineError,
+                           match="stage 'sim_semantic' failed: .*empty vector file"):
             run_pipeline(cfg)
 
     def test_missing_inputs_are_listed_before_anything_is_written(self, synth_dir,
@@ -174,6 +183,20 @@ class TestPipeline:
         ({"mode": "bogus"}, "mode must be one of"),
         ({"tau": 0}, "tau must be >= 1"),
         ({"matrix_format": "csv"}, "matrix_format must be one of"),
+        ({"features": ("string", "string")}, "each feature may appear once"),
+        ({"train_frac": 0.9, "val_frac": 0.2}, "fractions must satisfy"),
+        ({"prelim_rounds": -1}, "preliminary_rounds must be >= 0"),
+        ({"dim": 0}, "dim must be >= 1"),
+        ({"margin": 0.0}, "margin must be > 0"),
+        ({"negatives": 0}, "negatives must be >= 1"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+        ({"rl_actor_lr": 0.0}, "learning rates must be > 0"),
+        ({"rl_critic_lr": -1.0}, "learning rates must be > 0"),
+        ({"rl_epochs": -1}, "epochs must be >= 0"),
+        ({"theta2": 0.0}, "theta2 must be > 0"),
+        ({"strategy": "bogus"}, "strategy must be one of"),
+        ({"features": ("string", "bogus")}, r"unknown features: \['bogus'\]"),
+        ({"features": ()}, "need at least one feature"),
     ])
     def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
                                                 overrides, message):
@@ -278,7 +301,7 @@ class TestResume:
                                             measure="bc", resume=True))
         # The string feature reads no measure and training reads none.
         assert [name for name, _ in calls] == ["feature_matrix"] * 2 + [
-            "fuse_features", "decode", "_evaluate"]
+            "adaptive_fuse", "decode", "_evaluate"]
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
             "structural", "semantic"]
         for name in ("sim_structural.npy", "sim_semantic.npy", "sim_fused.npy",
@@ -347,6 +370,17 @@ class TestResume:
         del got["config.json"], want["config.json"]
         assert got == want
 
+    def test_corrupt_split_read_by_a_rerun_names_stage_load(self, synth_dir, tmp_path):
+        # embed reruns and reads the current load stage's split.json back;
+        # the failure names load, the stage whose artifact is corrupt.
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out, features=("structural",)))
+        (out / "split.json").write_text("{", encoding="utf-8")
+        (out / "z1.npy").unlink()
+        with pytest.raises(PipelineError, match="^stage 'load' failed: "):
+            run_pipeline(small_config(synth_dir, out, features=("structural",),
+                                      resume=True))
+
     def test_manifest_drops_stages_before_they_rerun(self, synth_dir, tmp_path,
                                                      monkeypatch):
         # Should a rerun die before its final manifest write, no entry may
@@ -394,7 +428,7 @@ class TestResume:
         resumed = run_pipeline(small_config(synth_dir, out, strategy="hungarian",
                                             resume=True))
         assert [name for name, _ in calls] == ["train"] + ["feature_matrix"] * 3 + [
-            "fuse_features", "decode", "_evaluate"]
+            "adaptive_fuse", "decode", "_evaluate"]
         assert resumed == cold
         assert dir_bytes(out) == want
 
@@ -421,7 +455,7 @@ class TestResume:
         calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
         assert [name for name, _ in calls] == [
-            "train", "feature_matrix", "fuse_features", "decode", "_evaluate"]
+            "train", "feature_matrix", "adaptive_fuse", "decode", "_evaluate"]
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
             "structural"]
         assert resumed == cold
@@ -484,7 +518,7 @@ class TestCli:
         for tag in FEATURES:
             assert (feats / f"sim_{tag}.npy").read_bytes() == \
                 (run / f"sim_{tag}.npy").read_bytes()
-        for name in ("sim_fused.npy", "fusion_report.txt"):
+        for name in ("sim_fused.npy", "fusion.json", "fusion_report.txt"):
             assert (fused / name).read_bytes() == (run / name).read_bytes()
         # One feature goes through adaptive fusion, with weight 1.0, in both.
         one = tmp_path / "semantic"
@@ -493,7 +527,7 @@ class TestCli:
         fused_one = tmp_path / "fused_one"
         assert main(["fuse", "--inputs", f"semantic={feats / 'sim_semantic.npy'}",
                      "--out", str(fused_one)]) == 0
-        for name in ("sim_fused.npy", "fusion_report.txt"):
+        for name in ("sim_fused.npy", "fusion.json", "fusion_report.txt"):
             assert (fused_one / name).read_bytes() == (one / name).read_bytes()
         for strategy in runs:
             result = tmp_path / f"result_{strategy}.tsv"
@@ -726,6 +760,22 @@ class TestCli:
         assert "precision\t1.0" in capsys.readouterr().out
         assert json.loads((out / "report.json").read_text(encoding="utf-8"))["precision"] == 1.0
         assert (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_align_rejects_non_finite_scores(self, synth_dir, tmp_path, strategy):
+        for bad in ("nan_cell", "inf_row"):
+            scores = np.random.default_rng(0).random((20, 20))
+            if bad == "nan_cell":
+                scores[3, 4] = np.nan
+            else:
+                scores[7] = np.inf
+            save_matrix(tmp_path / f"{bad}.npy", scores)
+            out = tmp_path / f"result_{bad}.tsv"
+            with pytest.raises(ValueError, match="similarity scores must be finite"):
+                main(["align", *kg_flags(synth_dir), "--test", str(synth_dir["gold"]),
+                      "--matrix", str(tmp_path / f"{bad}.npy"), "--strategy", strategy,
+                      "--out", str(out)])
+            assert not out.exists()
 
     def test_align_baselines_produce_results(self, tmp_path):
         data = tmp_path / "data"
