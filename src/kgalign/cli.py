@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -57,14 +58,26 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _settings(args, build):
+    """``build()``, a command's settings, built before any input is read: a
+    setting it rejects, or a required one it misses, is a usage error (exit
+    status 2)."""
+    try:
+        return build()
+    except json.JSONDecodeError:
+        raise  # a malformed --config file is an input error, not a setting
+    except (TypeError, ValueError) as exc:
+        args.error(str(exc))
+
+
 def _cmd_embed(args) -> int:
+    cfg = _settings(args, lambda: TrainConfig(
+        dim=args.dim, margin=args.margin, epochs=args.epochs,
+        negatives=args.negatives, learning_rate=args.lr, rng_seed=args.seed,
+    ))
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
     seeds = index_pairs(load_alignment(args.train), kg1, kg2)
-    cfg = TrainConfig(
-        dim=args.dim, margin=args.margin, epochs=args.epochs,
-        negatives=args.negatives, learning_rate=args.lr, rng_seed=args.seed,
-    )
     losses: list[float] = []
     z1, z2 = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: losses.append(l))
     out = Path(args.out)
@@ -107,15 +120,14 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    cfg = _settings(args, lambda: FusionConfig(theta1=args.theta1, theta2=args.theta2))
     matrices = []
     for item in args.inputs:
         tag, _, path = item.partition("=")
         if not path:
             args.error(f"expected tag=path, got {item!r}")
         matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
-    fused, report = adaptive_fuse(
-        matrices, FusionConfig(theta1=args.theta1, theta2=args.theta2)
-    )
+    fused, report = adaptive_fuse(matrices, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = args.format
@@ -129,16 +141,17 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    rl_cfg = _settings(args, lambda: RlConfig(
+        tau=args.tau, epochs=args.epochs, rng_seed=args.seed,
+        preliminary_rounds=args.prelim_rounds, mode=MODE_FLAGS[args.mode],
+    ))
     # The pipeline decodes a SimilarityMatrix too: a score that is NaN or
-    # infinite fails here, before anything is written.
+    # infinite fails here, and a matrix of another shape than the test split
+    # in decode, before anything is written.
     scores = SimilarityMatrix(matio.load_matrix(args.matrix), "fused")
     kg1 = load_kg(args.triples1, args.names1)
     kg2 = load_kg(args.triples2, args.names2)
     test = index_pairs(load_alignment(args.test), kg1, kg2)
-    rl_cfg = RlConfig(
-        tau=args.tau, epochs=args.epochs, rng_seed=args.seed,
-        preliminary_rounds=args.prelim_rounds, mode=MODE_FLAGS[args.mode],
-    )
     result = decode(args.strategy, scores, kg1, kg2, test, rl_cfg)
     matio.save_result(
         args.out, result,
@@ -198,10 +211,8 @@ def _cmd_pipeline(args) -> int:
         overrides["mode"] = MODE_FLAGS[overrides["mode"]]
     if "features" in overrides:
         overrides["features"] = tuple(overrides["features"].split(","))
-    if args.config:
-        cfg = PipelineConfig.from_file(args.config, **overrides)
-    else:
-        cfg = PipelineConfig(**overrides)
+    cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides)
+                    if args.config else PipelineConfig(**overrides))
     artifacts = run_pipeline(cfg)
     sys.stdout.write(artifacts.report.to_text())
     print(f"out_dir\t{artifacts.out_dir}")
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
-    p.set_defaults(fn=_cmd_embed)
+    p.set_defaults(fn=_cmd_embed, error=p.error)
 
     p = sub.add_parser("features", help="build per-feature similarity matrices")
     _add_kg_args(p)
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=RlConfig.rng_seed)
     p.add_argument("--prelim-rounds", type=int, default=RlConfig.preliminary_rounds)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_align)
+    p.set_defaults(fn=_cmd_align, error=p.error)
 
     p = sub.add_parser("eval", help="score a result file against gold pairs")
     p.add_argument("--pred", required=True)
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rl-epochs", type=int)
     p.add_argument("--prelim-rounds", type=int)
     p.add_argument("--resume", action="store_true")
-    p.set_defaults(fn=_cmd_pipeline)
+    p.set_defaults(fn=_cmd_pipeline, error=p.error)
     return parser
 
 

@@ -184,15 +184,6 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
     )
 
 
-def load_entity_ids(names_path) -> tuple[str, ...]:
-    """The external ids of a names TSV in file order, which is the order of
-    :func:`load_kg`'s ``entity_ids``."""
-    (entity_ids, _), bad = _read_tsv(Path(names_path), 2)
-    if bad:
-        raise bad
-    return tuple(entity_ids)
-
-
 def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:
     """Write a KG back to the TSV layout accepted by :func:`load_kg`."""
     ids, rels = kg.entity_ids, kg.relation_ids

@@ -68,11 +68,13 @@ def save_result(
     src_ids: Sequence[str],
     tgt_ids: Sequence[str],
 ) -> None:
-    """Write matrix-indexed pairs as external-id TSV rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sorted(result.pairs):
-            t = result.pairs[s]
-            fh.write(f"{src_ids[s]}\t{tgt_ids[t]}\t{result.provenance[s]}\n")
+    """Write matrix-indexed pairs as external-id TSV rows, in source order.
+
+    The text is built before the file is opened, so an index outside the ids
+    leaves no partial file.
+    """
+    save_text(path, "".join(f"{src_ids[s]}\t{tgt_ids[t]}\t{result.provenance[s]}\n"
+                            for s, t in sorted(result.pairs.items())))
 
 
 def load_result(path) -> list[tuple[str, str, str]]:

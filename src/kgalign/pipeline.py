@@ -18,11 +18,11 @@ runs again when its manifest key is missing or differs or one of its files
 is missing, and so does every stage that reads from it. Other stages are
 current: their artifacts are read back only where a stage that runs, or the
 returned ``PipelineArtifacts``, needs them, and artifacts round-trip
-bit-exactly. A fully current directory is answered from ``report.json``,
-``split.json``, ``result.tsv`` and the names files' id columns. The TSV
-files are read in bulk (one split per file, no Python code per line), and
-the settings reach ``config.json`` and the keys as flat dicts, so most of
-such a resume is hashing the input files, which it must do. Any stage
+bit-exactly. ``split.json`` carries the test pairs' external ids, so a
+fully current directory is answered from ``report.json``, ``split.json``
+and ``result.tsv`` alone, and opens the input files only to hash them.
+``result.tsv`` is read in bulk (one split, no Python code per line), and
+the settings reach ``config.json`` and the keys as flat dicts. Any stage
 failure aborts with the stage name and the original cause.
 """
 
@@ -54,7 +54,6 @@ from .kg import (
     AlignmentDataset,
     check_split_fractions,
     load_alignment,
-    load_entity_ids,
     load_kg,
     neighbor_sets,
     split_alignment,
@@ -67,6 +66,9 @@ STRATEGIES = ("greedy", "stable", "hungarian", "rl")
 FEATURES = ("structural", "semantic", "string")
 MANIFEST = "manifest.json"
 SPLIT_PARTS = ("train", "val", "test")
+# split.json's fields: the index pairs of each part, then the test pairs'
+# external ids, from which result.tsv is written and read back.
+SPLIT_FIELDS = (*SPLIT_PARTS, "test_ids")
 
 
 @dataclass
@@ -223,9 +225,15 @@ def decode(
 ) -> AlignmentResult:
     """Decode matches from a test-pair score matrix with one of STRATEGIES.
 
-    ``rl`` projects each graph's neighbours onto the test pairs, so row and
-    column indices double as entity positions, and trains with ``rl_cfg``.
+    ``scores`` (a SimilarityMatrix or an array) must have one row and one
+    column per test pair, or ValueError names both shapes. ``rl`` projects
+    each graph's neighbours onto the test pairs, so row and column indices
+    double as entity positions, and trains with ``rl_cfg``.
     """
+    n = len(test_pairs)
+    shape = getattr(scores, "scores", scores).shape
+    if shape != (n, n):
+        raise ValueError(f"scores have shape {shape}, but {n} test pairs need ({n}, {n})")
     if strategy == "greedy":
         return greedy_independent(scores)
     if strategy == "stable":
@@ -282,7 +290,8 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
     key reads them; ``matrix_format`` enters only as the file names'
     extension, so an entry never vouches for files of the other format.
     The embed key also reads ``gcn.ENCODER``, so embeddings that another
-    encoder wrote are never resumed as this one's.
+    encoder wrote are never resumed as this one's, and the load key reads
+    ``SPLIT_FIELDS``, so a ``split.json`` with other fields is never resumed.
     """
     ext = cfg.matrix_format
     plan: dict[str, _Stage] = {}
@@ -294,7 +303,7 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
     inputs = [_file_key(p) for p in
               (cfg.triples1, cfg.names1, cfg.triples2, cfg.names2, cfg.gold)]
     add("load", ("split.json",), (), inputs, cfg.seed, cfg.train_frac,
-        cfg.val_frac)
+        cfg.val_frac, SPLIT_FIELDS)
     if "structural" in cfg.features:
         add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",), ENCODER,
             _fields(cfg.train_config()))
@@ -379,12 +388,6 @@ class _Run:
         cfg = self.cfg
         return load_kg(cfg.triples1, cfg.names1), load_kg(cfg.triples2, cfg.names2)
 
-    @cached_property
-    def entity_ids(self):
-        if "kgs" in vars(self):  # already parsed
-            return tuple(kg.entity_ids for kg in self.kgs)
-        return load_entity_ids(self.cfg.names1), load_entity_ids(self.cfg.names2)
-
     def _compute(self, name: str):
         cfg = self.cfg
         files = [self.out / f for f in self.plan[name].files]
@@ -392,10 +395,10 @@ class _Run:
             kg1, kg2 = self.kgs
             split = split_alignment(index_pairs(load_alignment(cfg.gold), kg1, kg2),
                                     cfg.train_frac, cfg.val_frac, cfg.seed)
-            matio.save_json(files[0], {part: [list(p) for p in getattr(split, part)]
-                                       for part in SPLIT_PARTS})
-            return split
-        split = self.output("load")
+            test_ids = [(kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in split.test]
+            matio.save_json(files[0], {**_fields(split), "test_ids": test_ids})
+            return split, test_ids
+        split, test_ids = self.output("load")
         if name == "embed":
             z = train(*self.kgs, list(split.train), cfg.train_config())
             for path, matrix in zip(files, z):
@@ -421,9 +424,8 @@ class _Run:
             # Only the rl decoder reads the graphs (their neighbours).
             kg1, kg2 = self.kgs if cfg.strategy == "rl" else (None, None)
             result = decode(cfg.strategy, fused, kg1, kg2, split.test, cfg.rl_config())
-            ids1, ids2 = self.entity_ids
-            matio.save_result(files[0], result, [ids1[s] for s, _ in split.test],
-                              [ids2[t] for _, t in split.test])
+            matio.save_result(files[0], result, [s for s, _ in test_ids],
+                              [t for _, t in test_ids])
             return result
         report = _evaluate(len(split.test), fused, self.output("align"), corr_cells)
         matio.save_text(files[0], report.to_text())
@@ -434,8 +436,9 @@ class _Run:
         files = [self.out / f for f in self.plan[name].files]
         if name == "load":
             parts = matio.load_json(files[0])
-            return AlignmentDataset(*(tuple(map(tuple, parts[part]))
-                                      for part in SPLIT_PARTS))
+            return (AlignmentDataset(*(tuple(map(tuple, parts[part]))
+                                       for part in SPLIT_PARTS)),
+                    list(map(tuple, parts["test_ids"])))
         if name == "embed":
             return tuple(matio.load_matrix(path) for path in files)
         if name.startswith("sim_"):
@@ -444,10 +447,9 @@ class _Run:
             return (SimilarityMatrix(matio.load_matrix(files[0]), "fused"),
                     [tuple(cell) for cell in matio.load_json(files[1])["cells"]])
         if name == "align":
-            test = self.output("load").test
-            ids1, ids2 = self.entity_ids
-            src_pos = {ids1[s]: i for i, (s, _) in enumerate(test)}
-            tgt_pos = {ids2[t]: i for i, (_, t) in enumerate(test)}
+            _, test_ids = self.output("load")
+            src_pos = {s: i for i, (s, _) in enumerate(test_ids)}
+            tgt_pos = {t: i for i, (_, t) in enumerate(test_ids)}
             result = AlignmentResult(pairs={}, provenance={})
             for s, t, p in matio.load_result(files[0]):
                 i = src_pos[s]
@@ -493,4 +495,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
         if done != recorded:
             _save_manifest(manifest, done)
     return PipelineArtifacts(report=run.output("eval"), result=run.output("align"),
-                             out_dir=out, test_pairs=list(run.output("load").test))
+                             out_dir=out, test_pairs=list(run.output("load")[0].test))

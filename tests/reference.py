@@ -308,10 +308,6 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
     )
 
 
-def load_entity_ids(names_path) -> tuple[str, ...]:
-    return tuple(fields[0] for _, fields in read_tsv(Path(names_path), 2))
-
-
 def load_alignment(path) -> list[tuple[str, str]]:
     path = Path(path)
     pairs: list[tuple[str, str]] = []

@@ -12,7 +12,6 @@ from kgalign.kg import (
     KnowledgeGraph,
     adjacency,
     load_alignment,
-    load_entity_ids,
     load_kg,
     neighbor_sets,
     save_kg,
@@ -95,20 +94,20 @@ class TestLineEndings:
         # final newline.
         names.write_bytes("x\tX\r\n\r\ny\tY two\rz\t\u2028Z\x85".encode("utf-8"))
         kg = load_kg(triples, names)
-        assert kg.entity_ids == ("x", "y", "z") == load_entity_ids(names)
+        assert kg.entity_ids == ("x", "y", "z")
         assert kg.entity_names == ("X", "Y two", "\u2028Z\x85")
 
     def test_empty_names_file(self, tmp_path):
         names = write(tmp_path / "n.tsv", "")
-        assert load_entity_ids(names) == ()
+        kg = load_kg(write(tmp_path / "t.tsv", ""), names)
+        assert kg.entity_ids == kg.entity_names == ()
 
     def test_bad_line_named(self, tmp_path):
         names = tmp_path / "n.tsv"
         names.write_bytes(b"x\tX\r\n\r\ny\n")
-        for load in (load_entity_ids, lambda p: load_kg(write(tmp_path / "t.tsv", ""), p)):
-            with pytest.raises(ParseError) as err:
-                load(names)
-            assert err.value.line_no == 3
+        with pytest.raises(ParseError) as err:
+            load_kg(write(tmp_path / "t.tsv", ""), names)
+        assert err.value.line_no == 3
 
 
 class TestLoadAlignment:
@@ -178,14 +177,14 @@ class TestReadersAgainstLineOracle:
                                     result):
         d = tmp_path_factory.mktemp("tsv")
         paths = {}
-        for name, text in (("names", names), ("triples", triples), ("gold", gold),
-                           ("result", result)):
+        for name, text in (("names", names), ("triples", triples), ("empty", ""),
+                           ("gold", gold), ("result", result)):
             paths[name] = d / f"{name}.tsv"
             paths[name].write_bytes(text.encode("utf-8"))
-        assert (outcome(load_kg, paths["triples"], paths["names"])
-                == outcome(reference.load_kg, paths["triples"], paths["names"]))
-        assert (outcome(load_entity_ids, paths["names"])
-                == outcome(reference.load_entity_ids, paths["names"]))
+        # With no triples, the names file alone decides the value or error.
+        for triples in (paths["triples"], paths["empty"]):
+            assert (outcome(load_kg, triples, paths["names"])
+                    == outcome(reference.load_kg, triples, paths["names"]))
         assert (outcome(load_alignment, paths["gold"])
                 == outcome(reference.load_alignment, paths["gold"]))
         # The triples file doubles as a result file.

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgalign import cli, matio, pipeline
+from kgalign import cli, kg, matio, pipeline
 from kgalign.cli import MODE_FLAGS, build_parser, main
-from kgalign.collective import RlConfig, greedy_independent
+from kgalign.collective import AlignmentResult, RlConfig, greedy_independent
 from kgalign.errors import ParseError, PipelineError
 from kgalign.fusion import FusionConfig
 from kgalign.gcn import TrainConfig
@@ -133,6 +134,22 @@ class TestPipeline:
         resumed_clean = run_pipeline(small_config(synth_dir, out, resume=True))
         assert (out / "sim_fused.npy").read_bytes() == fused_before
         assert resumed_clean.report.precision == cold.report.precision
+
+    @pytest.mark.parametrize("strategy", ["rl", "hungarian"])
+    def test_split_test_ids_name_the_result_rows(self, synth_dir, tmp_path, strategy):
+        # split.json's test_ids are the test pairs' external ids in test order:
+        # result.tsv holds one row per test source in that order, each aligned
+        # to a test target.
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out, strategy=strategy))
+        split = json.loads((out / "split.json").read_text(encoding="utf-8"))
+        kg1 = load_kg(synth_dir["triples1"], synth_dir["names1"])
+        kg2 = load_kg(synth_dir["triples2"], synth_dir["names2"])
+        assert split["test_ids"] == [[kg1.entity_ids[s], kg2.entity_ids[t]]
+                                     for s, t in split["test"]]
+        rows = load_result(out / "result.tsv")
+        assert [s for s, _, _ in rows] == [s for s, _ in split["test_ids"]]
+        assert {t for _, t, _ in rows} <= {t for _, t in split["test_ids"]}
 
     def test_greedy_strategy(self, synth_dir, tmp_path):
         artifacts = run_pipeline(
@@ -326,11 +343,24 @@ class TestResume:
         def refuse(*args, **kwargs):
             raise AssertionError("a current resume must not compute or load this")
 
-        for name in ("load_kg", "train", "sim_matrix", "string_sim_matrix", "decode"):
+        for name in ("load_kg", "train", "sim_matrix", "string_sim_matrix", "decode",
+                     "load_word_vectors"):
             monkeypatch.setattr(pipeline, name, refuse)
         monkeypatch.setattr(matio, "load_matrix", refuse)
+        # No TSV outside the run directory is parsed (triples, names, gold),
+        # and the input files are opened only to be hashed.
+        for module in (kg, matio):
+            def read_tsv(path, *args, _read=module._read_tsv):
+                assert Path(path).parent == out, f"a current resume parsed {path}"
+                return _read(path, *args)
+            monkeypatch.setattr(module, "_read_tsv", read_tsv)
+        hashed = []
+        file_key = pipeline._file_key
+        monkeypatch.setattr(pipeline, "_file_key",
+                            lambda path: hashed.append(path) or file_key(path))
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
         assert resumed == cold
+        assert sorted(hashed) == sorted(map(str, synth_dir.values()))
         # Nothing is rewritten, config.json and manifest.json included.
         assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
                 for f in out.iterdir()} == before
@@ -435,15 +465,17 @@ class TestResume:
     def test_embeddings_of_the_trained_weight_encoder_are_not_resumed(
             self, synth_dir, tmp_path, monkeypatch):
         # Before the embed key named the encoder, it hashed the settings alone,
-        # and z1/z2 came from the encoder with trained layer weights. Such a
-        # manifest must rerun embed and everything downstream of it.
+        # and z1/z2 came from the encoder with trained layer weights. Before
+        # the load key named split.json's fields, split.json held no test ids.
+        # Such a manifest must rerun every stage.
         out = tmp_path / "run"
         cfg = small_config(synth_dir, out)
         cold = run_pipeline(cfg)
         want = dir_bytes(out)
         key = pipeline._key
         monkeypatch.setattr(pipeline, "_key", lambda *parts: key(
-            *(part for part in parts if part != pipeline.ENCODER)))
+            *(part for part in parts
+              if part != pipeline.ENCODER and part != pipeline.SPLIT_FIELDS)))
         old = {name: stage.key for name, stage in pipeline._plan(cfg).items()}
         monkeypatch.undo()
         # The embed key the previous encoder's pipeline wrote for this directory.
@@ -451,13 +483,16 @@ class TestResume:
             "213a20f8cb4ab65e6a007cc9073a92e4fb415fc481164835883c8fa9bc4c8c5a")
         for name in ("z1.npy", "z2.npy"):
             save_matrix(out / name, np.zeros_like(load_matrix(out / name)))
+        split = json.loads(want["split.json"])
+        del split["test_ids"]
+        matio.save_json(out / "split.json", split)
         matio.save_json(out / pipeline.MANIFEST, old)
         calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
-        assert [name for name, _ in calls] == [
-            "train", "feature_matrix", "adaptive_fuse", "decode", "_evaluate"]
+        assert [name for name, _ in calls] == ["train"] + ["feature_matrix"] * 3 + [
+            "adaptive_fuse", "decode", "_evaluate"]
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
-            "structural"]
+            *FEATURES]
         assert resumed == cold
         assert dir_bytes(out) == want
 
@@ -584,7 +619,7 @@ class TestCli:
         # Every pipeline flag defaults to unset, so PipelineConfig's default applies.
         pipeline_args = vars(parse(["pipeline"]))
         assert {k for k, v in pipeline_args.items() if v is not None} == {
-            "command", "fn", "resume"}
+            "command", "fn", "error", "resume"}
 
     def test_synth_then_pipeline(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -729,7 +764,7 @@ class TestCli:
         # argv sets every pipeline flag but --config, each to a field of its name.
         args = vars(build_parser().parse_args(argv))
         assert {k for k, v in args.items() if v is None} == {"config"}
-        assert set(args) - {"command", "fn", "config"} <= {
+        assert set(args) - {"command", "fn", "error", "config"} <= {
             f.name for f in dataclasses.fields(PipelineConfig)}
         with pytest.raises(Stop):
             main(argv)
@@ -776,6 +811,58 @@ class TestCli:
                       "--matrix", str(tmp_path / f"{bad}.npy"), "--strategy", strategy,
                       "--out", str(out)])
             assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("n", [20, 5])
+    def test_align_rejects_a_matrix_of_another_shape(self, synth_dir, tmp_path,
+                                                     strategy, n):
+        # Larger and smaller than the 10 test pairs: both fail before any
+        # decoding, and no result file is written.
+        test = tmp_path / "test.tsv"
+        test.write_text("".join(synth_dir["gold"].read_text(encoding="utf-8")
+                                .splitlines(keepends=True)[:10]), encoding="utf-8")
+        save_matrix(tmp_path / "m.npy", np.random.default_rng(0).random((n, n)))
+        out = tmp_path / "result.tsv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"scores have shape ({n}, {n}), but 10 test pairs need (10, 10)")):
+            main(["align", *kg_flags(synth_dir), "--test", str(test),
+                  "--matrix", str(tmp_path / "m.npy"), "--strategy", strategy,
+                  "--out", str(out)])
+        assert not out.exists()
+
+    def test_save_result_writes_nothing_on_a_bad_index(self, tmp_path):
+        result = AlignmentResult(pairs={0: 0, 1: 1, 2: 5},
+                                 provenance=dict.fromkeys(range(3), "greedy"))
+        out = tmp_path / "result.tsv"
+        with pytest.raises(IndexError):
+            matio.save_result(out, result, ["a", "b", "c"], ["x", "y", "z"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("embed", ["--train", "gold.tsv", "--out", "out", "--dim", "0"],
+         "dim must be >= 1, got 0"),
+        ("fuse", ["--inputs", "string=m.npy", "--theta2", "0", "--out", "out"],
+         "theta2 must be > 0, got 0.0"),
+        ("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--tau", "0",
+                   "--out", "out"], "tau must be >= 1, got 0"),
+        ("pipeline", ["--out-dir", "out"], "missing 5 required positional arguments"),
+        ("pipeline", ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv", "--out-dir", "out",
+                      "--features", "string,string"], "each feature may appear once"),
+    ])
+    def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                                command, flags, message):
+        # No input file exists: the settings are checked before any is read.
+        monkeypatch.chdir(tmp_path)
+        kg_args = ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                   "--names2", "n2"] if command in ("embed", "align") else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *kg_args, *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: kgalign {command}")
+        assert f"kgalign {command}: error: " in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_align_baselines_produce_results(self, tmp_path):
         data = tmp_path / "data"
