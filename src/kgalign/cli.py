@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import matio
 from .collective import AlignmentResult, RlConfig, count_multiplicities
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
@@ -108,6 +108,10 @@ def _cmd_features(args) -> int:
     z1 = z2 = None
     if "structural" in tags:
         z1, z2 = matio.load_matrix(args.z1), matio.load_matrix(args.z2)
+        for flag, z, kg in (("--z1", z1, kg1), ("--z2", z2, kg2)):
+            if len(z) != kg.n_entities:
+                raise IntegrityError(f"{flag} has {len(z)} rows, but its graph "
+                                     f"has {kg.n_entities} entities")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for tag in tags:
@@ -121,12 +125,16 @@ def _cmd_features(args) -> int:
 
 def _cmd_fuse(args) -> int:
     cfg = _settings(args, lambda: FusionConfig(theta1=args.theta1, theta2=args.theta2))
-    matrices = []
+    paths = {}  # every tag is checked before any matrix is loaded
     for item in args.inputs:
         tag, _, path = item.partition("=")
-        if not path:
+        if not (tag and path):
             args.error(f"expected tag=path, got {item!r}")
-        matrices.append(SimilarityMatrix(matio.load_matrix(path), tag))
+        if tag in paths:
+            args.error(f"tag {tag!r} appears twice in --inputs")
+        paths[tag] = path
+    matrices = [SimilarityMatrix(matio.load_matrix(path), tag)
+                for tag, path in paths.items()]
     fused, report = adaptive_fuse(matrices, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,6 +219,12 @@ def _cmd_pipeline(args) -> int:
         overrides["mode"] = MODE_FLAGS[overrides["mode"]]
     if "features" in overrides:
         overrides["features"] = tuple(overrides["features"].split(","))
+    if not args.config:
+        missing = [f"--{f.name}" for f in dataclasses.fields(PipelineConfig)
+                   if f.default is dataclasses.MISSING and f.name not in overrides]
+        if missing:
+            args.error("without --config, the following arguments are required: "
+                       + ", ".join(missing))
     cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides)
                     if args.config else PipelineConfig(**overrides))
     artifacts = run_pipeline(cfg)

@@ -47,7 +47,7 @@ from .collective import (
     hungarian,
     stable_matching,
 )
-from .errors import PipelineError
+from .errors import IntegrityError, PipelineError
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import ENCODER, TrainConfig, train
 from .kg import (
@@ -189,8 +189,15 @@ class PipelineArtifacts:
 
 
 def index_pairs(pairs, kg1, kg2) -> list[tuple[int, int]]:
-    """External (source id, target id) pairs as (kg1 index, kg2 index)."""
-    return [(kg1.entity_index[s], kg2.entity_index[t]) for s, t in pairs]
+    """External (source id, target id) pairs as (kg1 index, kg2 index). An id
+    that is no entity of its graph raises IntegrityError naming its side."""
+    index1, index2 = kg1.entity_index, kg2.entity_index
+    for s, t in pairs:
+        if s not in index1:
+            raise IntegrityError(f"source id {s!r} is not an entity of the first graph")
+        if t not in index2:
+            raise IntegrityError(f"target id {t!r} is not an entity of the second graph")
+    return [(index1[s], index2[t]) for s, t in pairs]
 
 
 def feature_matrix(

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from kgalign import cli, kg, matio, pipeline
 from kgalign.cli import MODE_FLAGS, build_parser, main
 from kgalign.collective import AlignmentResult, RlConfig, greedy_independent
-from kgalign.errors import ParseError, PipelineError
+from kgalign.errors import IntegrityError, ParseError, PipelineError
 from kgalign.fusion import FusionConfig
 from kgalign.gcn import TrainConfig
 from kgalign.kg import load_kg, save_alignment
@@ -334,36 +337,81 @@ class TestResume:
         assert got == want
         assert resumed == dataclasses.replace(cold, out_dir=out)
 
+    def test_mode_and_input_changes_rerun_what_reads_them(self, synth_dir, tmp_path,
+                                                          monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, out))
+
+        def manifest():
+            return json.loads((out / pipeline.MANIFEST).read_text(encoding="utf-8"))
+
+        def resume(**overrides):
+            calls = spy(monkeypatch, *STAGE_CALLS)
+            run_pipeline(small_config(synth_dir, out, resume=True, **overrides))
+            monkeypatch.undo()
+            return [name for name, _ in calls]
+
+        # The decoder's other two state modes: each reruns align and eval and
+        # no stage before them.
+        cold = previous = manifest()
+        for mode in ("exclusiveness_only", "coherence_only"):
+            assert resume(mode=mode) == ["decode", "_evaluate"]
+            now = manifest()
+            for stage in ("load", "embed", "sim_structural", "sim_semantic",
+                          "sim_string", "fuse"):
+                assert now[stage] == cold[stage], stage
+            assert now["align"] not in (cold["align"], previous["align"])
+            previous = now
+        # One changed name in a copy of names2.tsv reruns load and every stage
+        # after it: no stage answers from the stale directory.
+        names2 = tmp_path / "names2.tsv"
+        lines = synth_dir["names2"].read_text(encoding="utf-8").split("\n")
+        lines[0] += "x"
+        names2.write_text("\n".join(lines), encoding="utf-8")
+        assert resume(mode="coherence_only", names2=str(names2)) == [
+            "train"] + ["feature_matrix"] * 3 + ["adaptive_fuse", "decode", "_evaluate"]
+        now = manifest()
+        assert sorted(now) == sorted(previous)
+        for stage in previous:
+            assert now[stage] != previous[stage], stage
+
     def test_current_resume_reads_only_final_artifacts(self, synth_dir, tmp_path,
                                                        monkeypatch):
-        out = tmp_path / "run"
-        cold = run_pipeline(small_config(synth_dir, out))
-        before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in out.iterdir()}
-
         def refuse(*args, **kwargs):
             raise AssertionError("a current resume must not compute or load this")
 
-        for name in ("load_kg", "train", "sim_matrix", "string_sim_matrix", "decode",
-                     "load_word_vectors"):
-            monkeypatch.setattr(pipeline, name, refuse)
-        monkeypatch.setattr(matio, "load_matrix", refuse)
-        # No TSV outside the run directory is parsed (triples, names, gold),
-        # and the input files are opened only to be hashed.
-        for module in (kg, matio):
-            def read_tsv(path, *args, _read=module._read_tsv):
-                assert Path(path).parent == out, f"a current resume parsed {path}"
-                return _read(path, *args)
-            monkeypatch.setattr(module, "_read_tsv", read_tsv)
         hashed = []
         file_key = pipeline._file_key
-        monkeypatch.setattr(pipeline, "_file_key",
-                            lambda path: hashed.append(path) or file_key(path))
-        resumed = run_pipeline(small_config(synth_dir, out, resume=True))
-        assert resumed == cold
-        assert sorted(hashed) == sorted(map(str, synth_dir.values()))
-        # Nothing is rewritten, config.json and manifest.json included.
-        assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
-                for f in out.iterdir()} == before
+        # Every feature, and the semantic feature alone through adaptive fusion
+        # and the rl decoder (the rl-250 benchmark's shape), each resumed twice.
+        for features in (FEATURES, ("semantic",)):
+            out = tmp_path / "_".join(features)
+            cold = run_pipeline(small_config(synth_dir, out, features=features))
+            before = {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                      for f in out.iterdir()}
+            for name in ("load_kg", "train", "sim_matrix", "string_sim_matrix",
+                         "decode", "load_word_vectors"):
+                monkeypatch.setattr(pipeline, name, refuse)
+            monkeypatch.setattr(matio, "load_matrix", refuse)
+            # No TSV outside the run directory is parsed (triples, names, gold),
+            # and the input files are opened only to be hashed.
+            for module in (kg, matio):
+                def read_tsv(path, *args, _read=module._read_tsv, _out=out):
+                    assert Path(path).parent == _out, f"a current resume parsed {path}"
+                    return _read(path, *args)
+                monkeypatch.setattr(module, "_read_tsv", read_tsv)
+            monkeypatch.setattr(pipeline, "_file_key",
+                                lambda path: hashed.append(path) or file_key(path))
+            for _ in range(2):
+                hashed.clear()
+                resumed = run_pipeline(small_config(synth_dir, out, features=features,
+                                                    resume=True))
+                assert resumed == cold
+                assert sorted(hashed) == sorted(map(str, synth_dir.values()))
+                # Nothing is rewritten, config.json and manifest.json included.
+                assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
+                        for f in out.iterdir()} == before
+            monkeypatch.undo()
 
     def test_current_resume_rejects_a_repeated_source(self, synth_dir, tmp_path):
         # A repeated source row in result.tsv used to overwrite the first.
@@ -592,14 +640,108 @@ class TestCli:
         assert not out.exists()
 
     def test_fuse_rejects_input_without_path(self, tmp_path, capsys):
+        # No matrix file exists: every tag is checked before any is loaded.
         out = tmp_path / "fused"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["fuse", "--inputs", "semantic", "--out", str(out)])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: kgalign fuse")
-        assert "kgalign fuse: error: expected tag=path, got 'semantic'" in err
+        for inputs, message in (
+            (["semantic"], "expected tag=path, got 'semantic'"),
+            (["=a.npy"], "expected tag=path, got '=a.npy'"),
+            (["string=a.npy", "semantic=b.npy", "string=a.npy"],
+             "tag 'string' appears twice in --inputs"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["fuse", "--inputs", *inputs, "--out", str(out)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: kgalign fuse")
+            assert f"kgalign fuse: error: {message}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--z1", "--z2"])
+    @pytest.mark.parametrize("extra", [10, -20])
+    def test_features_rejects_embeddings_of_another_graph(self, synth_dir, tmp_path,
+                                                          flag, extra):
+        # Too many rows used to write sim_structural from the wrong rows, too
+        # few an IndexError after --out was created.
+        n = load_kg(synth_dir["triples1"], synth_dir["names1"]).n_entities
+        z = {"--z1": tmp_path / "z1.npy", "--z2": tmp_path / "z2.npy"}
+        for name, path in z.items():
+            save_matrix(path, np.ones((n + extra if name == flag else n, 4)))
+        out = tmp_path / "feats"
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"{flag} has {n + extra} rows, but its graph has {n} entities")):
+            main(["features", *kg_flags(synth_dir), "--test", str(synth_dir["gold"]),
+                  "--features", "structural", "--z1", str(z["--z1"]),
+                  "--z2", str(z["--z2"]), "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("s999\tt29\n", "source id 's999' is not an entity of the first graph"),
+        ("s29\tt999\n", "target id 't999' is not an entity of the second graph"),
+    ], ids=["source", "target"])
+    def test_unknown_alignment_ids_are_integrity_errors(self, synth_dir, tmp_path,
+                                                         monkeypatch, line, message):
+        # They used to fail as a bare KeyError naming the id alone.
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("s1\tt1\n" + line, encoding="utf-8")
+        save_matrix(tmp_path / "m.npy", np.eye(2))
+        with pytest.raises(PipelineError, match=re.escape(
+                f"stage 'load' failed: {message}")) as err:
+            run_pipeline(small_config(synth_dir, tmp_path / "run", gold=str(pairs)))
+        assert isinstance(err.value.__cause__, IntegrityError)
+        # config.json is written before any stage runs; load writes nothing.
+        assert os.listdir(tmp_path / "run") == ["config.json"]
+        monkeypatch.chdir(tmp_path)
+        for command, flags in (
+            ("embed", ["--train", "pairs.tsv", "--out", "emb"]),
+            ("features", ["--test", "pairs.tsv", "--features", "string", "--out", "feats"]),
+            ("align", ["--matrix", "m.npy", "--test", "pairs.tsv", "--out", "result.tsv"]),
+        ):
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                main([command, *kg_flags(synth_dir), *flags])
+        assert sorted(os.listdir(tmp_path)) == ["m.npy", "pairs.tsv", "run"]
+
+    def test_walkthrough_through_the_module_entry_point(self, tmp_path):
+        # The README walkthrough at n=60 run as `python -m kgalign.cli`: the
+        # entry point and the exit statuses, which calls of main() cannot show.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def kgalign(*argv):
+            return subprocess.run([sys.executable, "-m", "kgalign.cli", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        data = ["--triples1", "data/triples1.tsv", "--names1", "data/names1.tsv",
+                "--triples2", "data/triples2.tsv", "--names2", "data/names2.tsv"]
+        steps = [
+            ["synth", "--out", "data", "--n", "60", "--edge-prob", "0.08",
+             "--name-noise", "0.25", "--edge-noise", "0.12", "--seed", "7"],
+            ["pipeline", *data, "--gold", "data/gold.tsv", "--vectors", "data/vectors.vec",
+             "--out-dir", "run", "--seed", "7", "--dim", "16", "--epochs", "20",
+             "--learning-rate", "0.05", "--measure", "cos", "--strategy", "rl",
+             "--rl-epochs", "30"],
+        ]
+        for argv in steps:
+            done = kgalign(*argv)
+            assert done.returncode == 0, done.stderr
+        report = tmp_path / "run" / "report.json"
+        cold = report.read_bytes()
+        for _ in range(2):
+            done = kgalign("pipeline", "--config", "run/config.json", "--resume")
+            assert done.returncode == 0, done.stderr
+            assert report.read_bytes() == cold
+        done = kgalign("pipeline", "--out-dir", "no_inputs")
+        assert done.returncode == 2
+        assert "the following arguments are required: --triples1" in done.stderr
+        assert not (tmp_path / "no_inputs").exists()
+        scores = np.eye(60)
+        scores[0, 1] = np.nan
+        save_matrix(tmp_path / "nan.npy", scores)
+        done = kgalign("align", *data, "--matrix", "nan.npy", "--test", "data/gold.tsv",
+                       "--strategy", "greedy", "--out", "nan_result.tsv")
+        assert done.returncode == 1
+        assert "similarity scores must be finite" in done.stderr
+        assert not (tmp_path / "nan_result.tsv").exists()
 
     def test_parser_defaults_equal_config_defaults(self):
         parse = build_parser().parse_args
@@ -845,7 +987,8 @@ class TestCli:
          "theta2 must be > 0, got 0.0"),
         ("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--tau", "0",
                    "--out", "out"], "tau must be >= 1, got 0"),
-        ("pipeline", ["--out-dir", "out"], "missing 5 required positional arguments"),
+        ("pipeline", ["--out-dir", "out"], "without --config, the following arguments "
+         "are required: --triples1, --names1, --triples2, --names2, --gold"),
         ("pipeline", ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                       "--names2", "n2", "--gold", "gold.tsv", "--out-dir", "out",
                       "--features", "string,string"], "each feature may appear once"),
