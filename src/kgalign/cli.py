@@ -31,6 +31,7 @@ from .pipeline import (
     feature_matrix,
     index_pairs,
     run_pipeline,
+    save_outputs,
 )
 from .synth import write_synthetic
 
@@ -70,30 +71,35 @@ def _settings(args, build):
         args.error(str(exc))
 
 
+def _load_inputs(args, pairs_file):
+    """The graphs of ``args``, and the pairs in ``pairs_file`` as index pairs
+    and as their (source ids, target ids)."""
+    kg1 = load_kg(args.triples1, args.names1)
+    kg2 = load_kg(args.triples2, args.names2)
+    ids = load_alignment(pairs_file)
+    return kg1, kg2, index_pairs(ids, kg1, kg2), ([s for s, _ in ids], [t for _, t in ids])
+
+
 def _cmd_embed(args) -> int:
     cfg = _settings(args, lambda: TrainConfig(
         dim=args.dim, margin=args.margin, epochs=args.epochs,
         negatives=args.negatives, learning_rate=args.lr, rng_seed=args.seed,
     ))
-    kg1 = load_kg(args.triples1, args.names1)
-    kg2 = load_kg(args.triples2, args.names2)
-    seeds = index_pairs(load_alignment(args.train), kg1, kg2)
+    kg1, kg2, seeds, _ = _load_inputs(args, args.train)
     losses: list[float] = []
-    z1, z2 = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: losses.append(l))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    matio.save_matrix(out / f"z1.{ext}", z1, args.format)
-    matio.save_matrix(out / f"z2.{ext}", z2, args.format)
+    z = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: losses.append(l))
+    paths = save_outputs(args.out, "embed", args.format, *z)
     print(f"loss\tfirst={losses[0]!r}\tlast={losses[-1]!r}")
-    print(f"z1\t{out / f'z1.{ext}'}")
-    print(f"z2\t{out / f'z2.{ext}'}")
+    for path in paths:
+        print(f"{path.stem}\t{path}")
     return 0
 
 
 def _cmd_features(args) -> int:
     # Every tag and the flags it needs are checked before anything is written.
     tags = args.features.split(",")
+    if len(set(tags)) != len(tags):
+        args.error(f"each feature may appear once in --features, got {args.features!r}")
     for tag in tags:
         if tag not in FEATURES:
             args.error(f"unknown feature {tag!r} in --features; "
@@ -102,9 +108,7 @@ def _cmd_features(args) -> int:
         args.error("the structural feature needs --z1 and --z2")
     if "semantic" in tags and not args.vectors:
         args.error("the semantic feature needs --vectors")
-    kg1 = load_kg(args.triples1, args.names1)
-    kg2 = load_kg(args.triples2, args.names2)
-    test = index_pairs(load_alignment(args.test), kg1, kg2)
+    kg1, kg2, test, _ = _load_inputs(args, args.test)
     z1 = z2 = None
     if "structural" in tags:
         z1, z2 = matio.load_matrix(args.z1), matio.load_matrix(args.z2)
@@ -112,13 +116,10 @@ def _cmd_features(args) -> int:
             if len(z) != kg.n_entities:
                 raise IntegrityError(f"{flag} has {len(z)} rows, but its graph "
                                      f"has {kg.n_entities} entities")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for tag in tags:
         m = feature_matrix(tag, kg1, kg2, test, args.measure, z1, z2,
                            args.vectors, threads=1)
-        path = out / f"sim_{tag}.{args.format}"
-        matio.save_matrix(path, m.scores, args.format)
+        path, = save_outputs(args.out, f"sim_{tag}", args.format, m.scores)
         print(f"{tag}\t{path}")
     return 0
 
@@ -136,15 +137,11 @@ def _cmd_fuse(args) -> int:
     matrices = [SimilarityMatrix(matio.load_matrix(path), tag)
                 for tag, path in paths.items()]
     fused, report = adaptive_fuse(matrices, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    matio.save_matrix(out / f"sim_fused.{ext}", fused.scores, args.format)
-    matio.save_text(out / "fusion.json", report.to_json() + "\n")
-    matio.save_text(out / "fusion_report.txt", report.to_text())
+    paths = save_outputs(args.out, "fuse", args.format, fused.scores,
+                         report.to_json() + "\n", report.to_text())
     for tag, w in sorted(report.feature_weights.weights.items()):
         print(f"feature_weight\t{tag}\t{w!r}")
-    print(f"fused\t{out / f'sim_fused.{ext}'}")
+    print(f"fused\t{paths[0]}")
     return 0
 
 
@@ -157,15 +154,10 @@ def _cmd_align(args) -> int:
     # infinite fails here, and a matrix of another shape than the test split
     # in decode, before anything is written.
     scores = SimilarityMatrix(matio.load_matrix(args.matrix), "fused")
-    kg1 = load_kg(args.triples1, args.names1)
-    kg2 = load_kg(args.triples2, args.names2)
-    test = index_pairs(load_alignment(args.test), kg1, kg2)
+    kg1, kg2, test, ids = _load_inputs(args, args.test)
     result = decode(args.strategy, scores, kg1, kg2, test, rl_cfg)
-    matio.save_result(
-        args.out, result,
-        [kg1.entity_ids[s] for s, _ in test],
-        [kg2.entity_ids[t] for _, t in test],
-    )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    matio.save_result(args.out, result, *ids)
     mulse, multe = count_multiplicities(result)
     print(f"pairs\t{len(result.pairs)}")
     print(f"mulse\t{mulse}\nmulte\t{multe}")
@@ -203,10 +195,7 @@ def _cmd_eval(args) -> int:
     )
     sys.stdout.write(report.to_text())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        matio.save_text(out / "report.txt", report.to_text())
-        matio.save_text(out / "report.json", report.to_json() + "\n")
+        save_outputs(args.out, "eval", None, report.to_text(), report.to_json() + "\n")
     return 0
 
 
@@ -219,12 +208,15 @@ def _cmd_pipeline(args) -> int:
         overrides["mode"] = MODE_FLAGS[overrides["mode"]]
     if "features" in overrides:
         overrides["features"] = tuple(overrides["features"].split(","))
-    if not args.config:
-        missing = [f"--{f.name}" for f in dataclasses.fields(PipelineConfig)
-                   if f.default is dataclasses.MISSING and f.name not in overrides]
-        if missing:
-            args.error("without --config, the following arguments are required: "
-                       + ", ".join(missing))
+    given = set(overrides) | set(matio.load_json(args.config) if args.config else ())
+    missing = [f.name for f in dataclasses.fields(PipelineConfig)
+               if f.default is dataclasses.MISSING and f.name not in given]
+    if missing and not args.config:
+        args.error("without --config, the following arguments are required: "
+                   + ", ".join(f"--{name}" for name in missing))
+    if missing:
+        args.error(f"{args.config} and the flags leave required inputs unset: "
+                   + ", ".join(f"{name} (--{name})" for name in missing))
     cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides)
                     if args.config else PipelineConfig(**overrides))
     artifacts = run_pipeline(cfg)

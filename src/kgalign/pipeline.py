@@ -1,8 +1,9 @@
 """End-to-end pipeline: features, fusion, collective decoding, evaluation.
 
-``index_pairs``, ``feature_matrix`` and ``decode`` are the stage layer: the
-pipeline and the command-line stages both build features and decode
-through them.
+``index_pairs``, ``feature_matrix`` and ``decode`` are the stage layer's
+computation, ``stage_files`` (the table of each stage's file names) and
+``save_outputs`` its writer: the pipeline and the command-line stages
+compute, name and write every stage's artifacts through them.
 
 The pipeline's stages are load, embed (structural feature only), one
 features stage per feature, fuse, align and eval. Each writes its artifacts
@@ -281,6 +282,32 @@ def _file_key(path) -> str:
     return digest.hexdigest()
 
 
+_FILES = {"load": ("split.json",), "embed": ("z1.", "z2."),
+          "fuse": ("sim_fused.", "fusion.json", "fusion_report.txt"),
+          "align": ("result.tsv",), "eval": ("report.txt", "report.json")}
+
+
+def stage_files(stage: str, fmt: str | None) -> tuple[str, ...]:
+    """The files ``stage`` writes, in the order ``save_outputs`` takes their
+    values. A name ending in "." is a matrix's and takes ``fmt`` as extension;
+    a feature stage ``sim_<tag>`` writes the one matrix ``sim_<tag>.<fmt>``."""
+    return tuple(name + fmt if name.endswith(".") else name
+                 for name in _FILES.get(stage, (f"{stage}.",)))
+
+
+def save_outputs(out, stage: str, fmt: str | None, *values) -> list[Path]:
+    """Write ``values`` to ``stage``'s files in directory ``out``, creating it,
+    and return their paths: a str as text, an array as a matrix in ``fmt``."""
+    Path(out).mkdir(parents=True, exist_ok=True)
+    paths = [Path(out, name) for name in stage_files(stage, fmt)]
+    for path, value in zip(paths, values, strict=True):
+        if isinstance(value, str):
+            matio.save_text(path, value)
+        else:
+            matio.save_matrix(path, value, fmt)
+    return paths
+
+
 @dataclass(frozen=True)
 class _Stage:
     key: str
@@ -300,35 +327,30 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
     encoder wrote are never resumed as this one's, and the load key reads
     ``SPLIT_FIELDS``, so a ``split.json`` with other fields is never resumed.
     """
-    ext = cfg.matrix_format
     plan: dict[str, _Stage] = {}
 
-    def add(name, files, upstream, *settings):
+    def add(name, upstream, *settings):
+        files = stage_files(name, cfg.matrix_format)
         key = _key(name, files, [plan[u].key for u in upstream], *settings)
         plan[name] = _Stage(key, files, upstream)
 
     inputs = [_file_key(p) for p in
               (cfg.triples1, cfg.names1, cfg.triples2, cfg.names2, cfg.gold)]
-    add("load", ("split.json",), (), inputs, cfg.seed, cfg.train_frac,
-        cfg.val_frac, SPLIT_FIELDS)
+    add("load", (), inputs, cfg.seed, cfg.train_frac, cfg.val_frac, SPLIT_FIELDS)
     if "structural" in cfg.features:
-        add("embed", (f"z1.{ext}", f"z2.{ext}"), ("load",), ENCODER,
-            _fields(cfg.train_config()))
+        add("embed", ("load",), ENCODER, _fields(cfg.train_config()))
     for tag in cfg.features:
-        files = (f"sim_{tag}.{ext}",)
         if tag == "structural":
-            add("sim_structural", files, ("embed",), cfg.measure)
+            add("sim_structural", ("embed",), cfg.measure)
         elif tag == "semantic":
-            add("sim_semantic", files, ("load",), cfg.measure,
-                _file_key(cfg.vectors))
+            add("sim_semantic", ("load",), cfg.measure, _file_key(cfg.vectors))
         else:
-            add(f"sim_{tag}", files, ("load",))
-    add("fuse", (f"sim_fused.{ext}", "fusion.json", "fusion_report.txt"),
-        tuple(f"sim_{tag}" for tag in cfg.features),
+            add(f"sim_{tag}", ("load",))
+    add("fuse", tuple(f"sim_{tag}" for tag in cfg.features),
         _fields(cfg.fusion_config()))
-    add("align", ("result.tsv",), ("fuse",), cfg.strategy,
+    add("align", ("fuse",), cfg.strategy,
         _fields(cfg.rl_config()) if cfg.strategy == "rl" else None)
-    add("eval", ("report.txt", "report.json"), ("align",))
+    add("eval", ("align",))
     return plan
 
 
@@ -395,21 +417,23 @@ class _Run:
         cfg = self.cfg
         return load_kg(cfg.triples1, cfg.names1), load_kg(cfg.triples2, cfg.names2)
 
+    @cached_property
+    def gold(self):
+        return index_pairs(load_alignment(self.cfg.gold), *self.kgs)
+
     def _compute(self, name: str):
-        cfg = self.cfg
+        cfg, fmt = self.cfg, self.cfg.matrix_format
         files = [self.out / f for f in self.plan[name].files]
         if name == "load":
             kg1, kg2 = self.kgs
-            split = split_alignment(index_pairs(load_alignment(cfg.gold), kg1, kg2),
-                                    cfg.train_frac, cfg.val_frac, cfg.seed)
+            split = split_alignment(self.gold, cfg.train_frac, cfg.val_frac, cfg.seed)
             test_ids = [(kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in split.test]
             matio.save_json(files[0], {**_fields(split), "test_ids": test_ids})
             return split, test_ids
         split, test_ids = self.output("load")
         if name == "embed":
             z = train(*self.kgs, list(split.train), cfg.train_config())
-            for path, matrix in zip(files, z):
-                matio.save_matrix(path, matrix, cfg.matrix_format)
+            save_outputs(self.out, name, fmt, *z)
             return z
         if name.startswith("sim_"):
             tag = name.removeprefix("sim_")
@@ -417,14 +441,13 @@ class _Run:
             kg1, kg2 = (None, None) if tag == "structural" else self.kgs
             m = feature_matrix(tag, kg1, kg2, split.test, cfg.measure, z1, z2,
                                cfg.vectors, cfg.threads)
-            matio.save_matrix(files[0], m.scores, cfg.matrix_format)
+            save_outputs(self.out, name, fmt, m.scores)
             return m
         if name == "fuse":
             fused, report = adaptive_fuse(
                 [self.output(f"sim_{tag}") for tag in cfg.features], cfg.fusion_config())
-            matio.save_matrix(files[0], fused.scores, cfg.matrix_format)
-            matio.save_text(files[1], report.to_json() + "\n")
-            matio.save_text(files[2], report.to_text())
+            save_outputs(self.out, name, fmt, fused.scores, report.to_json() + "\n",
+                         report.to_text())
             return fused, sorted(report.correspondence_weights)
         fused, corr_cells = self.output("fuse")
         if name == "align":
@@ -435,8 +458,7 @@ class _Run:
                               [t for _, t in test_ids])
             return result
         report = _evaluate(len(split.test), fused, self.output("align"), corr_cells)
-        matio.save_text(files[0], report.to_text())
-        matio.save_text(files[1], report.to_json() + "\n")
+        save_outputs(self.out, name, fmt, report.to_text(), report.to_json() + "\n")
         return report
 
     def _read(self, name: str):
@@ -470,29 +492,33 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
     """Run every stage that is not current, in order; return the report and result."""
     cfg.validate_paths()
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan = _in_stage("load", _plan, cfg)
-    # config.json records the settings that produced the directory, so a
-    # resume leaves it as a run without resume writes it.
-    settings = {**_fields(cfg), "features": list(cfg.features), "resume": False}
-    config = out / "config.json"
-    if not (cfg.resume and _load_record(config) == settings):
-        matio.save_json(config, settings)
     manifest = out / MANIFEST
     recorded = _load_record(manifest) if cfg.resume else {}
-    present = set(os.listdir(out))
+    present = set(os.listdir(out)) if out.is_dir() else set()
     stale: set[str] = set()
     for name, stage in plan.items():
         if (recorded.get(name) != stage.key
                 or any(u in stale for u in stage.upstream)
                 or not present.issuperset(stage.files)):
             stale.add(name)
+    run = _Run(cfg, out, plan)
+    if "load" in stale:
+        # The inputs are parsed and indexed before anything is created or
+        # written, so a bad input leaves the output directory as it was.
+        _in_stage("load", lambda: run.gold)
+    out.mkdir(parents=True, exist_ok=True)
+    # config.json records the settings that produced the directory, so a
+    # resume leaves it as a run without resume writes it.
+    settings = {**_fields(cfg), "features": list(cfg.features), "resume": False}
+    config = out / "config.json"
+    if not (cfg.resume and _load_record(config) == settings):
+        matio.save_json(config, settings)
     done = {name: plan[name].key for name in plan if name not in stale}
     if stale and manifest.exists():
         # No entry may vouch for files that are about to be rewritten, should
         # the process die before the final manifest write.
         _save_manifest(manifest, done)
-    run = _Run(cfg, out, plan)
     try:
         for name in plan:
             if name in stale:

@@ -576,33 +576,40 @@ class TestStageLayer:
 
 class TestCli:
     def test_stages_write_the_pipeline_bytes(self, synth_dir, tmp_path):
-        # features, fuse and align on the pipeline's test split and
-        # embeddings reproduce its artifacts byte for byte.
+        # embed, features, fuse and align on the pipeline's splits reproduce
+        # its artifacts byte for byte, in either matrix format.
         runs = {}
         for strategy in ("rl", "hungarian"):
             cfg = small_config(synth_dir, tmp_path / strategy, strategy=strategy,
                                tau=3, prelim_rounds=0)
             runs[strategy] = run_pipeline(cfg)
-        run = tmp_path / "rl"
+        run_pipeline(small_config(synth_dir, tmp_path / "tsv_run", strategy="hungarian",
+                                  matrix_format="tsv"))
         kg1 = load_kg(synth_dir["triples1"], synth_dir["names1"])
         kg2 = load_kg(synth_dir["triples2"], synth_dir["names2"])
-        test = tmp_path / "test.tsv"
-        save_alignment([(kg1.entity_ids[s], kg2.entity_ids[t])
-                        for s, t in runs["rl"].test_pairs], test)
-        stage = [*kg_flags(synth_dir), "--test", str(test)]
-        feats = tmp_path / "feats"
-        assert main(["features", *stage, "--z1", str(run / "z1.npy"),
-                     "--z2", str(run / "z2.npy"), "--vectors", str(synth_dir["vectors"]),
-                     "--measure", cfg.measure, "--out", str(feats)]) == 0
-        fused = tmp_path / "fused"
-        assert main(["fuse", "--inputs", *[f"{tag}={feats / f'sim_{tag}.npy'}"
-                                           for tag in FEATURES],
-                     "--out", str(fused)]) == 0
-        for tag in FEATURES:
-            assert (feats / f"sim_{tag}.npy").read_bytes() == \
-                (run / f"sim_{tag}.npy").read_bytes()
-        for name in ("sim_fused.npy", "fusion.json", "fusion_report.txt"):
-            assert (fused / name).read_bytes() == (run / name).read_bytes()
+        split = json.loads((tmp_path / "rl" / "split.json").read_text(encoding="utf-8"))
+        for part in ("train", "test"):
+            save_alignment([(kg1.entity_ids[s], kg2.entity_ids[t])
+                            for s, t in split[part]], tmp_path / f"{part}.tsv")
+        stage = [*kg_flags(synth_dir), "--test", str(tmp_path / "test.tsv")]
+        embed = ["embed", *kg_flags(synth_dir), "--train", str(tmp_path / "train.tsv"),
+                 "--dim", str(cfg.dim), "--epochs", str(cfg.epochs),
+                 "--lr", str(cfg.learning_rate), "--seed", str(cfg.seed)]
+        for fmt, run in (("npy", tmp_path / "rl"), ("tsv", tmp_path / "tsv_run")):
+            emb, feats, fused = (tmp_path / fmt / name for name in ("emb", "feats", "fused"))
+            assert main([*embed, "--format", fmt, "--out", str(emb)]) == 0
+            assert main(["features", *stage, "--z1", str(emb / f"z1.{fmt}"),
+                         "--z2", str(emb / f"z2.{fmt}"),
+                         "--vectors", str(synth_dir["vectors"]), "--measure", cfg.measure,
+                         "--format", fmt, "--out", str(feats)]) == 0
+            assert main(["fuse", "--inputs", *[f"{tag}={feats / f'sim_{tag}.{fmt}'}"
+                                               for tag in FEATURES],
+                         "--format", fmt, "--out", str(fused)]) == 0
+            written = [path for out in (emb, feats, fused) for path in out.iterdir()]
+            assert len(written) == 8
+            for path in written:
+                assert path.read_bytes() == (run / path.name).read_bytes(), path
+        feats, fused = tmp_path / "npy" / "feats", tmp_path / "npy" / "fused"
         # One feature goes through adaptive fusion, with weight 1.0, in both.
         one = tmp_path / "semantic"
         run_pipeline(small_config(synth_dir, one, features=("semantic",),
@@ -626,6 +633,8 @@ class TestCli:
          "the structural feature needs --z1 and --z2"),
         ("string,semantic", ["--z1", "z1.npy"], "the semantic feature needs --vectors"),
         ("string,bogus", [], "unknown feature 'bogus' in --features"),
+        ("string,semantic,string", ["--vectors", "v.vec"],
+         "each feature may appear once in --features, got 'string,semantic,string'"),
     ])
     def test_features_rejects_flags_before_writing(self, synth_dir, tmp_path, capsys,
                                                    features, flags, message):
@@ -688,8 +697,19 @@ class TestCli:
                 f"stage 'load' failed: {message}")) as err:
             run_pipeline(small_config(synth_dir, tmp_path / "run", gold=str(pairs)))
         assert isinstance(err.value.__cause__, IntegrityError)
-        # config.json is written before any stage runs; load writes nothing.
-        assert os.listdir(tmp_path / "run") == ["config.json"]
+        # The inputs are indexed before the run directory is created.
+        assert not (tmp_path / "run").exists()
+        # A directory that exists keeps its files, config.json and manifest
+        # included, when a rerun fails at load.
+        done = tmp_path / "done"
+        string_greedy = dict(features=("string",), strategy="greedy")
+        run_pipeline(small_config(synth_dir, done, **string_greedy))
+        want = dir_bytes(done)
+        for resume in (False, True):
+            with pytest.raises(PipelineError, match=re.escape(message)):
+                run_pipeline(small_config(synth_dir, done, gold=str(pairs), resume=resume,
+                                          **string_greedy))
+            assert dir_bytes(done) == want
         monkeypatch.chdir(tmp_path)
         for command, flags in (
             ("embed", ["--train", "pairs.tsv", "--out", "emb"]),
@@ -698,7 +718,7 @@ class TestCli:
         ):
             with pytest.raises(IntegrityError, match=re.escape(message)):
                 main([command, *kg_flags(synth_dir), *flags])
-        assert sorted(os.listdir(tmp_path)) == ["m.npy", "pairs.tsv", "run"]
+        assert sorted(os.listdir(tmp_path)) == ["done", "m.npy", "pairs.tsv"]
 
     def test_walkthrough_through_the_module_entry_point(self, tmp_path):
         # The README walkthrough at n=60 run as `python -m kgalign.cli`: the
@@ -938,6 +958,16 @@ class TestCli:
         assert json.loads((out / "report.json").read_text(encoding="utf-8"))["precision"] == 1.0
         assert (out / "report.txt").exists()
 
+    def test_align_creates_its_out_directory(self, synth_dir, tmp_path, capsys):
+        # It used to decode, then fail with FileNotFoundError on the result.
+        save_matrix(tmp_path / "m.npy", np.eye(60))
+        out = tmp_path / "new" / "result.tsv"
+        assert main(["align", *kg_flags(synth_dir), "--test", str(synth_dir["gold"]),
+                     "--matrix", str(tmp_path / "m.npy"), "--strategy", "hungarian",
+                     "--out", str(out)]) == 0
+        assert f"result\t{out}" in capsys.readouterr().out
+        assert [(s, t) for s, t, _ in load_result(out)] == kg.load_alignment(synth_dir["gold"])
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_align_rejects_non_finite_scores(self, synth_dir, tmp_path, strategy):
         for bad in ("nan_cell", "inf_row"):
@@ -992,11 +1022,17 @@ class TestCli:
         ("pipeline", ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                       "--names2", "n2", "--gold", "gold.tsv", "--out-dir", "out",
                       "--features", "string,string"], "each feature may appear once"),
+        ("pipeline", ["--config", "cfg.json", "--names1", "n1", "--gold", "gold.tsv"],
+         "cfg.json and the flags leave required inputs unset: "
+         "triples2 (--triples2), names2 (--names2)"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
         # No input file exists: the settings are checked before any is read.
         monkeypatch.chdir(tmp_path)
+        settings = ["cfg.json"] if "--config" in flags else []
+        if settings:  # the flags set names1 and gold, the file triples1
+            matio.save_json(tmp_path / "cfg.json", {"triples1": "t1", "out_dir": "out"})
         kg_args = ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                    "--names2", "n2"] if command in ("embed", "align") else []
         with pytest.raises(SystemExit) as exit_info:
@@ -1005,7 +1041,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: kgalign {command}")
         assert f"kgalign {command}: error: " in err and message in err
-        assert list(tmp_path.iterdir()) == []
+        assert [path.name for path in tmp_path.iterdir()] == settings
 
     def test_align_baselines_produce_results(self, tmp_path):
         data = tmp_path / "data"
