@@ -22,11 +22,12 @@ from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
 from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix
-from .metrics import EvalReport, hits_mrr, prf
+from .metrics import evaluate, ranks_in_lists
 from .pipeline import (
     FEATURES,
     STRATEGIES,
     PipelineConfig,
+    check_features,
     decode,
     feature_matrix,
     index_pairs,
@@ -96,18 +97,11 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    # Every tag and the flags it needs are checked before anything is written.
+    # Every tag and the flags it needs are checked before any input is read.
     tags = args.features.split(",")
-    if len(set(tags)) != len(tags):
-        args.error(f"each feature may appear once in --features, got {args.features!r}")
-    for tag in tags:
-        if tag not in FEATURES:
-            args.error(f"unknown feature {tag!r} in --features; "
-                       f"choose from {', '.join(FEATURES)}")
+    _settings(args, lambda: check_features(tags, args.vectors))
     if "structural" in tags and not (args.z1 and args.z2):
         args.error("the structural feature needs --z1 and --z2")
-    if "semantic" in tags and not args.vectors:
-        args.error("the semantic feature needs --vectors")
     kg1, kg2, test, _ = _load_inputs(args, args.test)
     z1 = z2 = None
     if "structural" in tags:
@@ -116,9 +110,10 @@ def _cmd_features(args) -> int:
             if len(z) != kg.n_entities:
                 raise IntegrityError(f"{flag} has {len(z)} rows, but its graph "
                                      f"has {kg.n_entities} entities")
-    for tag in tags:
-        m = feature_matrix(tag, kg1, kg2, test, args.measure, z1, z2,
-                           args.vectors, threads=1)
+    # Every matrix is computed before any is written: a failure leaves --out as it was.
+    matrices = [feature_matrix(tag, kg1, kg2, test, args.measure, z1, z2,
+                               args.vectors, threads=1) for tag in tags]
+    for tag, m in zip(tags, matrices):
         path, = save_outputs(args.out, f"sim_{tag}", args.format, m.scores)
         print(f"{tag}\t{path}")
     return 0
@@ -166,12 +161,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    pred_rows = matio.load_result(args.pred)
+    rows = matio.load_result(args.pred)
+    result = AlignmentResult(pairs={s: t for s, t, _ in rows},
+                             provenance={s: p for s, _, p in rows})
     gold = dict(load_alignment(args.gold))
-    pred = {s: t for s, t, _ in pred_rows}
-    precision, recall, f1 = prf(pred, gold)
-    hits: dict[int, float] = {}
-    mrr = None
+    ranks = None
     if args.ranked:
         ranked = {}
         with open(args.ranked, encoding="utf-8") as fh:
@@ -185,14 +179,8 @@ def _cmd_eval(args) -> int:
                     raise ParseError(args.ranked, line_no,
                                      f"duplicate source id {source!r}")
                 ranked[source] = targets
-        hits, mrr = hits_mrr(ranked, gold, ks=(1, 10))
-    mulse, multe = count_multiplicities(
-        AlignmentResult(pairs=pred, provenance={s: "loaded" for s in pred})
-    )
-    report = EvalReport(
-        precision=precision, recall=recall, f1=f1,
-        hits=hits, mrr=mrr, mulse=mulse, multe=multe,
-    )
+        ranks = ranks_in_lists(ranked, gold)
+    report = evaluate(result, gold, ranks)
     sys.stdout.write(report.to_text())
     if args.out:
         save_outputs(args.out, "eval", None, report.to_text(), report.to_json() + "\n")
@@ -207,8 +195,10 @@ def _cmd_pipeline(args) -> int:
     if "mode" in overrides:
         overrides["mode"] = MODE_FLAGS[overrides["mode"]]
     if "features" in overrides:
-        overrides["features"] = tuple(overrides["features"].split(","))
-    given = set(overrides) | set(matio.load_json(args.config) if args.config else ())
+        overrides["features"] = overrides["features"].split(",")
+    # A config key set to null leaves its field unset, as an absent key does.
+    config = matio.load_json(args.config) if args.config else {}
+    given = set(overrides) | {name for name, value in config.items() if value is not None}
     missing = [f.name for f in dataclasses.fields(PipelineConfig)
                if f.default is dataclasses.MISSING and f.name not in given]
     if missing and not args.config:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .collective import AlignmentResult
+from .collective import AlignmentResult, count_multiplicities
 from .errors import EvaluationError
 
 # Rows per block in gold_ranks: its boolean temporaries stay O(block x columns).
@@ -97,11 +97,13 @@ def prf(pred, gold: Mapping) -> tuple[float, float, float]:
 def hits_mrr(
     ranked: Mapping, gold: Mapping, ks: Sequence[int] = (1, 10)
 ) -> tuple[dict[int, float], float]:
-    """Hits at each k and mean reciprocal rank of the gold target.
+    """Hits at each k and mean reciprocal rank of the gold target."""
+    return hits_mrr_of_ranks(ranks_in_lists(ranked, gold), ks)
 
-    Every gold source must have a ranked list that contains its gold target;
-    anything less is an evaluation error, not a zero.
-    """
+
+def ranks_in_lists(ranked: Mapping, gold: Mapping) -> list[int]:
+    """The 1-based rank of each gold target in its source's ``ranked`` list, in
+    ``gold`` order. A missing list or gold target is an EvaluationError, not a zero."""
     gold = dict(gold)
     if not gold:
         raise ValueError("gold mapping is empty")
@@ -116,7 +118,7 @@ def hits_mrr(
             raise EvaluationError(
                 f"gold target {t!r} missing from the ranked list of {s!r}"
             ) from None
-    return hits_mrr_of_ranks(ranks, ks)
+    return ranks
 
 
 def gold_ranks(scores: np.ndarray) -> list[int]:
@@ -162,3 +164,15 @@ def fusion_poc(cells: Iterable, gold: Mapping) -> float | None:
         return None
     correct = sum(1 for s, t in cells if gold.get(s) == t)
     return correct / len(cells)
+
+
+def evaluate(result: AlignmentResult, gold: Mapping, ranks: Sequence[int] | None = None,
+             cells: Iterable | None = None) -> EvalReport:
+    """``result``'s precision, recall, F1 and target reuse against ``gold``; if
+    given, hits@1/10 and MRR of the gold targets' 1-based ``ranks`` (``gold``
+    order) and the fraction of the confident ``cells`` that are gold pairs."""
+    precision, recall, f1 = prf(result, gold)
+    hits, mrr = hits_mrr_of_ranks(ranks, ks=(1, 10)) if ranks is not None else ({}, None)
+    mulse, multe = count_multiplicities(result)
+    return EvalReport(precision, recall, f1, hits, mrr, mulse, multe,
+                      poc=None if cells is None else fusion_poc(cells, gold))

@@ -43,7 +43,6 @@ from .collective import (
     RlConfig,
     a2c_align,
     build_environment,
-    count_multiplicities,
     greedy_independent,
     hungarian,
     stable_matching,
@@ -60,7 +59,7 @@ from .kg import (
     split_alignment,
 )
 from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix, sim_matrix
-from .metrics import EvalReport, fusion_poc, gold_ranks, hits_mrr_of_ranks, prf
+from .metrics import EvalReport, evaluate, gold_ranks
 from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
 STRATEGIES = ("greedy", "stable", "hungarian", "rl")
@@ -70,6 +69,20 @@ SPLIT_PARTS = ("train", "val", "test")
 # split.json's fields: the index pairs of each part, then the test pairs'
 # external ids, from which result.tsv is written and read back.
 SPLIT_FIELDS = (*SPLIT_PARTS, "test_ids")
+
+
+def check_features(features, vectors) -> None:
+    """Raise ValueError unless ``features`` is a non-empty list of distinct
+    FEATURES tags, with a word-vector file ``vectors`` if it holds semantic."""
+    unknown = set(features) - set(FEATURES)
+    if unknown:
+        raise ValueError(f"unknown features: {sorted(unknown)}")
+    if not features:
+        raise ValueError("need at least one feature")
+    if len(set(features)) != len(features):
+        raise ValueError(f"each feature may appear once, got {list(features)}")
+    if "semantic" in features and not vectors:
+        raise ValueError("the semantic feature requires a word-vector file")
 
 
 @dataclass
@@ -113,19 +126,12 @@ class PipelineConfig:
             self.vectors = os.fspath(self.vectors)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        unknown = set(self.features) - set(FEATURES)
-        if unknown:
-            raise ValueError(f"unknown features: {sorted(unknown)}")
-        if not self.features:
-            raise ValueError("need at least one feature")
-        if len(set(self.features)) != len(self.features):
-            raise ValueError(f"each feature may appear once, got {list(self.features)}")
+        self.features = tuple(self.features)
+        check_features(self.features, self.vectors)
         check_split_fractions(self.train_frac, self.val_frac)
         Measure(self.measure)  # validates the flag value
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if "semantic" in self.features and not self.vectors:
-            raise ValueError("the semantic feature requires a word-vector file")
         if self.matrix_format not in matio.FORMATS:
             raise ValueError(f"matrix_format must be one of {matio.FORMATS}, "
                              f"got {self.matrix_format!r}")
@@ -144,8 +150,6 @@ class PipelineConfig:
         for name in ("embed_seed", "rl_seed"):
             if name in payload and payload[name] is None:
                 del payload[name]
-        if "features" in payload and not isinstance(payload["features"], tuple):
-            payload["features"] = tuple(payload["features"])
         return cls(**payload)
 
     def validate_paths(self) -> None:
@@ -385,17 +389,6 @@ def _in_stage(name: str, fn, *args):
         raise PipelineError(f"stage {name!r} failed: {exc}") from exc
 
 
-def _evaluate(n_test: int, fused: SimilarityMatrix, result: AlignmentResult,
-             corr_cells) -> EvalReport:
-    """Score a decoded test split whose row i aligns with column i."""
-    gold = {i: i for i in range(n_test)}
-    precision, recall, f1 = prf(result, gold)
-    hits, mrr = hits_mrr_of_ranks(gold_ranks(fused.scores), ks=(1, 10))
-    mulse, multe = count_multiplicities(result)
-    return EvalReport(precision=precision, recall=recall, f1=f1, hits=hits, mrr=mrr,
-                      mulse=mulse, multe=multe, poc=fusion_poc(corr_cells, gold))
-
-
 class _Run:
     """The outputs of one run's stages by name: computed by the stages that
     run, or read back from a current stage's artifacts on first use."""
@@ -457,7 +450,9 @@ class _Run:
             matio.save_result(files[0], result, [s for s, _ in test_ids],
                               [t for _, t in test_ids])
             return result
-        report = _evaluate(len(split.test), fused, self.output("align"), corr_cells)
+        # Row i of the test split aligns with column i.
+        report = evaluate(self.output("align"), {i: i for i in range(len(split.test))},
+                          gold_ranks(fused.scores), corr_cells)
         save_outputs(self.out, name, fmt, report.to_text(), report.to_json() + "\n")
         return report
 

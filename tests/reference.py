@@ -7,7 +7,6 @@ hand; the library's array kernels must agree with them.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,35 +219,6 @@ def name_embedding(name: str, table: WordVectorTable) -> np.ndarray:
     if not hits:
         return np.zeros(table.dim)
     return np.mean(hits, axis=0)
-
-
-def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile: the ceil(q * n)-th smallest value."""
-    n = len(sorted_values)
-    rank = max(1, math.ceil(q * n))
-    return sorted_values[rank - 1]
-
-
-def name_distance_stats(
-    pairs: Sequence[tuple[int, int]],
-    src_names: Sequence[str],
-    tgt_names: Sequence[str],
-) -> tuple[float, float, float, float]:
-    """(average, median, p10, p90) of per-pair name edit distances.
-
-    Percentiles use the nearest-rank rule, which stays on the observed
-    integer distances.
-    """
-    if not pairs:
-        raise ValueError("need at least one gold pair")
-    dists = sorted(levenshtein(src_names[s], tgt_names[t]) for s, t in pairs)
-    average = sum(dists) / len(dists)
-    return (
-        average,
-        float(_nearest_rank(dists, 0.5)),
-        float(_nearest_rank(dists, 0.1)),
-        float(_nearest_rank(dists, 0.9)),
-    )
 
 
 # -- TSV readers -------------------------------------------------------------------

@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign import metrics
+from kgalign.collective import AlignmentResult
 from kgalign.errors import EvaluationError
 from kgalign.metrics import (
     EvalReport,
+    evaluate,
     fusion_poc,
     gold_ranks,
     hits_mrr,
     hits_mrr_of_ranks,
     prf,
 )
-
-from reference import levenshtein, name_distance_stats
 
 
 class TestPrf:
@@ -139,46 +139,6 @@ class TestGoldRanks:
             hits_mrr_of_ranks([])
 
 
-class TestNameDistanceStats:
-    def test_identical_names(self):
-        names = ["alpha", "beta"]
-        stats = name_distance_stats([(0, 0), (1, 1)], names, names)
-        assert stats == (0.0, 0.0, 0.0, 0.0)
-
-    def test_documented_example(self):
-        # Distances 0, 0, 4, 12: mean 4; nearest-rank median is the 2nd
-        # smallest (0), unlike the interpolated value 2.
-        src = ["aa", "bb", "cccc", "dddddddddddd"]
-        tgt = ["aa", "bb", "gggg", "xxxxxxxxxxxx"]
-        pairs = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        avg, median, p10, p90 = name_distance_stats(pairs, src, tgt)
-        assert avg == 4.0
-        assert median == 0.0
-        assert p10 == 0.0
-        assert p90 == 12.0
-
-    def test_single_pair(self):
-        stats = name_distance_stats([(0, 0)], ["abc"], ["xyz"])
-        assert stats == (3.0, 3.0, 3.0, 3.0)
-
-    def test_against_sort_oracle(self):
-        import math
-
-        rng = np.random.default_rng(3)
-        alphabet = list("abcd")
-        for _ in range(1000):
-            n = int(rng.integers(1, 12))
-            src = ["".join(rng.choice(alphabet, size=rng.integers(0, 8))) for _ in range(n)]
-            tgt = ["".join(rng.choice(alphabet, size=rng.integers(0, 8))) for _ in range(n)]
-            pairs = [(i, i) for i in range(n)]
-            avg, median, p10, p90 = name_distance_stats(pairs, src, tgt)
-            dists = sorted(levenshtein(a, b) for a, b in zip(src, tgt))
-            assert avg == pytest.approx(sum(dists) / n)
-            assert median == dists[max(0, math.ceil(0.5 * n) - 1)]
-            assert p10 == dists[max(0, math.ceil(0.1 * n) - 1)]
-            assert p90 == dists[max(0, math.ceil(0.9 * n) - 1)]
-
-
 class TestFusionPoc:
     def test_all_gold(self):
         assert fusion_poc([(0, 0), (1, 1)], {0: 0, 1: 1}) == 1.0
@@ -201,6 +161,20 @@ class TestFusionPoc:
             corrs = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(n)]
             poc = fusion_poc(corrs, {i: i for i in range(n)})
             assert poc is None or 0.0 <= poc <= 1.0
+
+
+class TestEvaluate:
+    def test_fills_ranking_and_poc_only_when_given(self):
+        # Sources 0 and 1 both take target 1: two correct pairs of three.
+        result = AlignmentResult(pairs={0: 1, 1: 1, 2: 2},
+                                 provenance=dict.fromkeys(range(3), "greedy"))
+        gold = {i: i for i in range(3)}
+        bare = EvalReport(precision=2 / 3, recall=2 / 3, f1=2 / 3, mulse=2, multe=1)
+        assert evaluate(result, gold) == bare
+        assert evaluate(result, gold, [2, 1, 1], [(0, 0), (1, 2)]) == EvalReport(
+            precision=2 / 3, recall=2 / 3, f1=2 / 3, hits={1: 2 / 3, 10: 1.0},
+            mrr=(0.5 + 1 + 1) / 3, mulse=2, multe=1, poc=0.5)
+        assert evaluate(result, gold, cells=[]).poc is None
 
 
 class TestEvalReport:

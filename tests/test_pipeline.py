@@ -86,7 +86,7 @@ def spy(monkeypatch, *names):
     return calls
 
 
-STAGE_CALLS = ("train", "feature_matrix", "adaptive_fuse", "decode", "_evaluate")
+STAGE_CALLS = ("train", "feature_matrix", "adaptive_fuse", "decode", "evaluate")
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +129,7 @@ class TestPipeline:
         calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
         # A missing fuse artifact reruns fuse and every stage after it.
-        assert [name for name, _ in calls] == ["adaptive_fuse", "decode", "_evaluate"]
+        assert [name for name, _ in calls] == ["adaptive_fuse", "decode", "evaluate"]
         fused_after = (out / "sim_fused.npy").read_bytes()
         assert fused_after != fused_before
         # Restore: a resumed run on intact artifacts reproduces the cold bytes.
@@ -321,7 +321,7 @@ class TestResume:
                                             measure="bc", resume=True))
         # The string feature reads no measure and training reads none.
         assert [name for name, _ in calls] == ["feature_matrix"] * 2 + [
-            "adaptive_fuse", "decode", "_evaluate"]
+            "adaptive_fuse", "decode", "evaluate"]
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
             "structural", "semantic"]
         for name in ("sim_structural.npy", "sim_semantic.npy", "sim_fused.npy",
@@ -355,7 +355,7 @@ class TestResume:
         # no stage before them.
         cold = previous = manifest()
         for mode in ("exclusiveness_only", "coherence_only"):
-            assert resume(mode=mode) == ["decode", "_evaluate"]
+            assert resume(mode=mode) == ["decode", "evaluate"]
             now = manifest()
             for stage in ("load", "embed", "sim_structural", "sim_semantic",
                           "sim_string", "fuse"):
@@ -369,7 +369,7 @@ class TestResume:
         lines[0] += "x"
         names2.write_text("\n".join(lines), encoding="utf-8")
         assert resume(mode="coherence_only", names2=str(names2)) == [
-            "train"] + ["feature_matrix"] * 3 + ["adaptive_fuse", "decode", "_evaluate"]
+            "train"] + ["feature_matrix"] * 3 + ["adaptive_fuse", "decode", "evaluate"]
         now = manifest()
         assert sorted(now) == sorted(previous)
         for stage in previous:
@@ -441,7 +441,7 @@ class TestResume:
         monkeypatch.undo()
         calls = spy(monkeypatch, *STAGE_CALLS)
         run_pipeline(small_config(synth_dir, out, resume=True))
-        assert [name for name, _ in calls] == ["decode", "_evaluate"]
+        assert [name for name, _ in calls] == ["decode", "evaluate"]
         monkeypatch.undo()
         run_pipeline(small_config(synth_dir, tmp_path / "cold"))
         got, want = dir_bytes(out), dir_bytes(tmp_path / "cold")
@@ -506,7 +506,7 @@ class TestResume:
         resumed = run_pipeline(small_config(synth_dir, out, strategy="hungarian",
                                             resume=True))
         assert [name for name, _ in calls] == ["train"] + ["feature_matrix"] * 3 + [
-            "adaptive_fuse", "decode", "_evaluate"]
+            "adaptive_fuse", "decode", "evaluate"]
         assert resumed == cold
         assert dir_bytes(out) == want
 
@@ -538,7 +538,7 @@ class TestResume:
         calls = spy(monkeypatch, *STAGE_CALLS)
         resumed = run_pipeline(small_config(synth_dir, out, resume=True))
         assert [name for name, _ in calls] == ["train"] + ["feature_matrix"] * 3 + [
-            "adaptive_fuse", "decode", "_evaluate"]
+            "adaptive_fuse", "decode", "evaluate"]
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
             *FEATURES]
         assert resumed == cold
@@ -631,10 +631,11 @@ class TestCli:
     @pytest.mark.parametrize("features,flags,message", [
         ("string,structural", ["--vectors", "v.vec"],
          "the structural feature needs --z1 and --z2"),
-        ("string,semantic", ["--z1", "z1.npy"], "the semantic feature needs --vectors"),
-        ("string,bogus", [], "unknown feature 'bogus' in --features"),
+        ("string,semantic", ["--z1", "z1.npy"],
+         "the semantic feature requires a word-vector file"),
+        ("string,bogus", [], "unknown features: ['bogus']"),
         ("string,semantic,string", ["--vectors", "v.vec"],
-         "each feature may appear once in --features, got 'string,semantic,string'"),
+         "each feature may appear once, got ['string', 'semantic', 'string']"),
     ])
     def test_features_rejects_flags_before_writing(self, synth_dir, tmp_path, capsys,
                                                    features, flags, message):
@@ -646,6 +647,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: kgalign features")
         assert f"kgalign features: error: {message}" in err
+        assert not out.exists()
+
+    def test_features_writes_nothing_when_a_feature_fails(self, synth_dir, tmp_path):
+        # It used to write sim_string, then fail on the semantic feature.
+        out = tmp_path / "feats"
+        with pytest.raises(FileNotFoundError):
+            main(["features", *kg_flags(synth_dir), "--test", str(synth_dir["gold"]),
+                  "--features", "string,semantic", "--vectors", str(tmp_path / "missing.vec"),
+                  "--out", str(out)])
         assert not out.exists()
 
     def test_fuse_rejects_input_without_path(self, tmp_path, capsys):
@@ -870,6 +880,26 @@ class TestCli:
         assert "mrr\t0.75" in text
         assert (out / "report.json").exists()
 
+    def test_eval_prints_the_pipeline_report(self, synth_dir, tmp_path, capsys):
+        # The eval stage and `kgalign eval` score through one evaluate: given
+        # the run's test pairs as gold and each row of sim_fused as a ranked
+        # list, eval prints the run's report.txt but for its poc line.
+        run = tmp_path / "run"
+        run_pipeline(small_config(synth_dir, run))
+        test_ids = json.loads((run / "split.json").read_text(encoding="utf-8"))["test_ids"]
+        save_alignment([tuple(pair) for pair in test_ids], tmp_path / "gold.tsv")
+        targets = np.array([t for _, t in test_ids])
+        with open(tmp_path / "ranked.tsv", "w", encoding="utf-8") as fh:
+            for (source, _), row in zip(test_ids, load_matrix(run / "sim_fused.npy")):
+                order = targets[np.argsort(-row, kind="stable")]
+                fh.write("\t".join([source, *order]) + "\n")
+        assert main(["eval", "--pred", str(run / "result.tsv"),
+                     "--gold", str(tmp_path / "gold.tsv"),
+                     "--ranked", str(tmp_path / "ranked.tsv")]) == 0
+        report = (run / "report.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert capsys.readouterr().out == "".join(
+            line for line in report if not line.startswith("poc\t"))
+
     def test_eval_rejects_a_repeated_source(self, tmp_path, capsys):
         # It used to score only the source's last row, and count target reuse
         # over one row per source. A repeated target stays legal.
@@ -1022,17 +1052,24 @@ class TestCli:
         ("pipeline", ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                       "--names2", "n2", "--gold", "gold.tsv", "--out-dir", "out",
                       "--features", "string,string"], "each feature may appear once"),
-        ("pipeline", ["--config", "cfg.json", "--names1", "n1", "--gold", "gold.tsv"],
+        ("pipeline", ["--config", {"triples1": "t1", "out_dir": "out"},
+                      "--names1", "n1", "--gold", "gold.tsv"],
          "cfg.json and the flags leave required inputs unset: "
          "triples2 (--triples2), names2 (--names2)"),
+        # A null value sets no input: it used to fail on os.fspath(None).
+        ("pipeline", ["--config", {"triples1": None, "out_dir": "out"}, "--names1", "n1",
+                      "--triples2", "t2", "--names2", "n2", "--gold", "gold.tsv"],
+         "cfg.json and the flags leave required inputs unset: triples1 (--triples1)"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
         # No input file exists: the settings are checked before any is read.
         monkeypatch.chdir(tmp_path)
-        settings = ["cfg.json"] if "--config" in flags else []
-        if settings:  # the flags set names1 and gold, the file triples1
-            matio.save_json(tmp_path / "cfg.json", {"triples1": "t1", "out_dir": "out"})
+        settings = []
+        if "--config" in flags:  # the dict after it is written to cfg.json
+            at = flags.index("--config") + 1
+            matio.save_json(tmp_path / "cfg.json", flags[at])
+            flags, settings = [*flags[:at], "cfg.json", *flags[at + 1:]], ["cfg.json"]
         kg_args = ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                    "--names2", "n2"] if command in ("embed", "align") else []
         with pytest.raises(SystemExit) as exit_info:
@@ -1041,6 +1078,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: kgalign {command}")
         assert f"kgalign {command}: error: " in err and message in err
+        # No --out-dir (out) is created.
         assert [path.name for path in tmp_path.iterdir()] == settings
 
     def test_align_baselines_produce_results(self, tmp_path):
