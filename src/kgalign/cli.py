@@ -189,26 +189,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     # Each flag sets the PipelineConfig field of its name; an unset flag
-    # leaves the config file's value, or else the field's default.
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
-                 if getattr(args, f.name, None) is not None}
-    if "mode" in overrides:
-        overrides["mode"] = MODE_FLAGS[overrides["mode"]]
-    if "features" in overrides:
-        overrides["features"] = overrides["features"].split(",")
-    # A config key set to null leaves its field unset, as an absent key does.
-    config = matio.load_json(args.config) if args.config else {}
-    given = set(overrides) | {name for name, value in config.items() if value is not None}
-    missing = [f.name for f in dataclasses.fields(PipelineConfig)
-               if f.default is dataclasses.MISSING and f.name not in given]
-    if missing and not args.config:
-        args.error("without --config, the following arguments are required: "
-                   + ", ".join(f"--{name}" for name in missing))
-    if missing:
-        args.error(f"{args.config} and the flags leave required inputs unset: "
-                   + ", ".join(f"{name} (--{name})" for name in missing))
-    cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides)
-                    if args.config else PipelineConfig(**overrides))
+    # (None) leaves the settings file's value, or else the field's default.
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in dataclasses.fields(PipelineConfig)}
+    if args.mode is not None:
+        overrides["mode"] = MODE_FLAGS[args.mode]
+    if args.features is not None:
+        overrides["features"] = args.features.split(",")
+    cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides))
     artifacts = run_pipeline(cfg)
     sys.stdout.write(artifacts.report.to_text())
     print(f"out_dir\t{artifacts.out_dir}")
@@ -288,30 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--config", help="JSON config; flags override its values")
-    p.add_argument("--triples1")
-    p.add_argument("--names1")
-    p.add_argument("--triples2")
-    p.add_argument("--names2")
-    p.add_argument("--gold")
-    p.add_argument("--vectors")
-    p.add_argument("--out-dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--val-frac", type=float)
-    p.add_argument("--measure", choices=[m.value for m in Measure])
-    p.add_argument("--features")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--mode", choices=tuple(MODE_FLAGS))
-    p.add_argument("--tau", type=int)
-    p.add_argument("--rl-epochs", type=int)
-    p.add_argument("--prelim-rounds", type=int)
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--config", help="JSON settings file; flags override its values")
+    # One flag per PipelineConfig field, named after it, except threads, which
+    # only a settings file sets.
+    choices = {"measure": [m.value for m in Measure], "strategy": STRATEGIES,
+               "mode": tuple(MODE_FLAGS), "matrix_format": matio.FORMATS}
+    for f in dataclasses.fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "resume":
+            p.add_argument(flag, action="store_true")
+        elif f.name != "threads":
+            kind = type(f.default) if isinstance(f.default, (int, float)) else str
+            p.add_argument(flag, type=kind, choices=choices.get(f.name))
     p.set_defaults(fn=_cmd_pipeline, error=p.error)
     return parser
 

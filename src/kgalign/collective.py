@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +57,9 @@ class RlConfig:
                 f"preliminary_rounds must be >= 0, got {self.preliminary_rounds}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        seed = self.rng_seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,6 +32,10 @@ class FusionConfig:
     theta2: float = 0.48  # replacement weight for damped detections
 
     def __post_init__(self):
+        for name in ("theta1", "theta2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.theta2 <= 0:
             raise ValueError(f"theta2 must be > 0, got {self.theta2}")
 

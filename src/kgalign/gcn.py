@@ -30,6 +30,7 @@ relu kinks are 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,6 +67,9 @@ class TrainConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        seed = self.rng_seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 def truncated_normal(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:

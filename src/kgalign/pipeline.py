@@ -142,15 +142,24 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload.update({k: v for k, v in overrides.items() if v is not None})
-        # Older config.json files hold per-stage seeds, unset: each stage
-        # then used ``seed``, as every stage now does.
-        for name in ("embed_seed", "rl_seed"):
-            if name in payload and payload[name] is None:
-                del payload[name]
-        return cls(**payload)
+        """The settings in the JSON object of file ``path`` (None: no file),
+        with each ``overrides`` value that is not None in its key's place. A
+        null value counts as unset, as an absent key does. A file holding no
+        JSON object, or required inputs left unset, raise ValueError."""
+        payload = matio.load_json(path) if path is not None else {}
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {type(payload).__name__}")
+        settings = {k: v for k, v in payload.items() if v is not None}
+        settings.update((k, v) for k, v in overrides.items() if v is not None)
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in settings]
+        if missing and path is None:
+            raise ValueError("without --config, the following arguments are required: "
+                             + ", ".join(f"--{name}" for name in missing))
+        if missing:
+            raise ValueError(f"{path} and the flags leave required inputs unset: "
+                             + ", ".join(f"{name} (--{name})" for name in missing))
+        return cls(**settings)
 
     def validate_paths(self) -> None:
         paths = [self.triples1, self.names1, self.triples2, self.names2, self.gold]

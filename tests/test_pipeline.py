@@ -217,6 +217,15 @@ class TestPipeline:
         ({"strategy": "bogus"}, "strategy must be one of"),
         ({"features": ("string", "bogus")}, r"unknown features: \['bogus'\]"),
         ({"features": ()}, "need at least one feature"),
+        # An unseeded run, and a theta1 that used to fail stage fuse only
+        # after training: both fail before any input is read.
+        ({"seed": None}, "rng_seed must be a non-negative integer, got None"),
+        ({"seed": 2.0}, "rng_seed must be a non-negative integer, got 2.0"),
+        ({"seed": True}, "rng_seed must be a non-negative integer, got True"),
+        # numpy refuses it: a run used to fail at stage load, after writing.
+        ({"seed": -1}, "rng_seed must be a non-negative integer, got -1"),
+        ({"theta1": None}, "theta1 must be a number, got None"),
+        ({"theta2": "0.5"}, "theta2 must be a number, got '0.5'"),
     ])
     def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
                                                 overrides, message):
@@ -302,6 +311,50 @@ class TestPipeline:
         matio.save_json(cfg_path, {**payload, "rl_seed": 5})
         with pytest.raises(TypeError, match="rl_seed"):
             PipelineConfig.from_file(cfg_path)
+
+    @pytest.mark.parametrize("cls,settings,message", [
+        (TrainConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
+        (RlConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
+        (RlConfig, {"rng_seed": "3"}, "must be a non-negative integer, got '3'"),
+        (RlConfig, {"rng_seed": -2}, "must be a non-negative integer, got -2"),
+        (FusionConfig, {"theta1": None}, "theta1 must be a number, got None"),
+        (FusionConfig, {"theta2": False}, "theta2 must be a number, got False"),
+    ])
+    def test_stage_settings_reject_non_numbers(self, cls, settings, message):
+        with pytest.raises(ValueError, match=message):
+            cls(**settings)
+        assert cls(**dict.fromkeys(settings, np.int64(1))) == cls(**dict.fromkeys(settings, 1))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)
+                                      if f.default is not dataclasses.MISSING])
+    def test_null_setting_counts_as_unset(self, synth_dir, tmp_path, name):
+        # Without vectors, no semantic feature.
+        cfg = small_config(synth_dir, tmp_path / "run", **(
+            {"vectors": None, "features": ("structural", "string")}
+            if name == "vectors" else {}))
+        payload = {**dataclasses.asdict(cfg), "features": list(cfg.features)}
+        del payload[name]
+        matio.save_json(tmp_path / "absent.json", payload)
+        matio.save_json(tmp_path / "null.json", {**payload, name: None})
+        absent = PipelineConfig.from_file(tmp_path / "absent.json")
+        null = PipelineConfig.from_file(tmp_path / "null.json")
+        assert null == absent
+        assert getattr(null, name) == getattr(PipelineConfig, name)
+        assert pipeline._plan(null) == pipeline._plan(absent)
+
+    def test_null_seed_runs_seed_zero(self, synth_dir, tmp_path):
+        # "seed": null used to reach numpy as None: each run trained unseeded.
+        cfg = small_config(synth_dir, tmp_path / "zero", seed=0)
+        run_pipeline(cfg)
+        want = dir_bytes(tmp_path / "zero")
+        want.pop("config.json")
+        payload = {**dataclasses.asdict(cfg), "features": list(cfg.features), "seed": None}
+        for run in ("a", "b"):
+            matio.save_json(tmp_path / "cfg.json", {**payload, "out_dir": str(tmp_path / run)})
+            run_pipeline(PipelineConfig.from_file(tmp_path / "cfg.json"))
+            got = dir_bytes(tmp_path / run)
+            assert json.loads(got.pop("config.json"))["seed"] == 0
+            assert got == want
 
     def test_stage_settings_default_to_their_configs(self):
         cfg = PipelineConfig(triples1="t1", names1="n1", triples2="t2", names2="n2",
@@ -494,6 +547,19 @@ class TestResume:
             **json.loads(want.pop("config.json")), "out_dir": str(out)}
         assert {name: got[name] for name in want} == want
         assert resumed == dataclasses.replace(cold, out_dir=out)
+
+    def test_config_json_resumes_its_run(self, synth_dir, tmp_path, monkeypatch):
+        # config.json holds every setting: read back, it names the same run.
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out, matrix_format="tsv", margin=2.0, negatives=3)
+        run_pipeline(cfg)
+        before = dir_bytes(out)
+        resumed = PipelineConfig.from_file(out / "config.json", resume=True)
+        assert resumed == dataclasses.replace(cfg, resume=True)
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        run_pipeline(resumed)
+        assert calls == []
+        assert dir_bytes(out) == before
 
     def test_truncated_manifest_and_config_rerun_every_stage(self, synth_dir, tmp_path,
                                                      monkeypatch):
@@ -952,12 +1018,14 @@ class TestCli:
                 "--measure", "cos", "--features", "string,semantic", "--dim", "7",
                 "--epochs", "9", "--learning-rate", "0.02", "--theta1", "0.7",
                 "--theta2", "0.15", "--strategy", "stable", "--mode", "coh",
-                "--tau", "4", "--rl-epochs", "11", "--prelim-rounds", "2", "--resume"]
+                "--tau", "4", "--rl-epochs", "11", "--prelim-rounds", "2", "--resume",
+                "--margin", "1.5", "--negatives", "3", "--rl-actor-lr", "0.002",
+                "--rl-critic-lr", "0.02", "--matrix-format", "tsv"]
         # argv sets every pipeline flag but --config, each to a field of its name.
         args = vars(build_parser().parse_args(argv))
         assert {k for k, v in args.items() if v is None} == {"config"}
-        assert set(args) - {"command", "fn", "error", "config"} <= {
-            f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(args) - {"command", "fn", "error", "config"} == {
+            f.name for f in dataclasses.fields(PipelineConfig)} - {"threads"}
         with pytest.raises(Stop):
             main(argv)
         assert configs.pop() == PipelineConfig(
@@ -965,7 +1033,9 @@ class TestCli:
             vectors="v", out_dir="o", seed=5, train_frac=0.3, val_frac=0.1,
             measure="cos", features=("string", "semantic"), dim=7, epochs=9,
             learning_rate=0.02, theta1=0.7, theta2=0.15, strategy="stable",
-            mode="coherence_only", tau=4, rl_epochs=11, prelim_rounds=2, resume=True)
+            mode="coherence_only", tau=4, rl_epochs=11, prelim_rounds=2, resume=True,
+            margin=1.5, negatives=3, rl_actor_lr=0.002, rl_critic_lr=0.02,
+            matrix_format="tsv")
         # With --config, a flag overrides the file's value and nothing else.
         cfg = small_config(synth_dir, tmp_path / "run", tau=6)
         matio.save_json(tmp_path / "config.json",
@@ -975,6 +1045,14 @@ class TestCli:
                   "--features", "semantic", "--mode", "excl"])
         assert configs.pop() == dataclasses.replace(
             cfg, features=("semantic",), mode="exclusiveness_only")
+
+    def test_pipeline_has_one_flag_per_setting(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["pipeline", "--help"])
+        listed = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == ["--config", *(
+            "--" + f.name.replace("_", "-")
+            for f in dataclasses.fields(PipelineConfig) if f.name != "threads")]
 
     def test_eval_creates_its_out_directory(self, tmp_path, capsys):
         # Like every other subcommand's --out: it used to print the report,
@@ -1060,6 +1138,14 @@ class TestCli:
         ("pipeline", ["--config", {"triples1": None, "out_dir": "out"}, "--names1", "n1",
                       "--triples2", "t2", "--names2", "n2", "--gold", "gold.tsv"],
          "cfg.json and the flags leave required inputs unset: triples1 (--triples1)"),
+        # A file that holds no JSON object used to fail with a traceback.
+        ("pipeline", ["--config", []], "cfg.json must hold a JSON object, got list"),
+        ("pipeline", ["--config", "x"], "cfg.json must hold a JSON object, got str"),
+        ("pipeline", ["--config", 3], "cfg.json must hold a JSON object, got int"),
+        ("pipeline", ["--config", {"seed": "7", "out_dir": "out", "vectors": "v"},
+                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv"],
+         "rng_seed must be a non-negative integer, got '7'"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
