@@ -142,8 +142,9 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_align(args) -> int:
     rl_cfg = _settings(args, lambda: RlConfig(
-        tau=args.tau, epochs=args.epochs, rng_seed=args.seed,
-        preliminary_rounds=args.prelim_rounds, mode=MODE_FLAGS[args.mode],
+        actor_lr=args.actor_lr, critic_lr=args.critic_lr, tau=args.tau, epochs=args.epochs,
+        rng_seed=args.seed, preliminary_rounds=args.prelim_rounds,
+        mode=MODE_FLAGS[args.mode],
     ))
     # The pipeline decodes a SimilarityMatrix too: a score that is NaN or
     # infinite fails here, and a matrix of another shape than the test split
@@ -261,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="rl")
     p.add_argument("--mode", choices=tuple(MODE_FLAGS),
                    default=FLAG_OF_MODE[RlConfig.mode])
+    p.add_argument("--actor-lr", type=float, default=RlConfig.actor_lr)
+    p.add_argument("--critic-lr", type=float, default=RlConfig.critic_lr)
     p.add_argument("--tau", type=int, default=RlConfig.tau)
     p.add_argument("--epochs", type=int, default=RlConfig.epochs)
     p.add_argument("--seed", type=int, default=RlConfig.rng_seed)

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import TrainingError
+from .errors import TrainingError, check_number
 from .measures import SimilarityMatrix
 
 MODES = ("full", "exclusiveness_only", "coherence_only")
@@ -46,20 +45,14 @@ class RlConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.preliminary_rounds < 0:
-            raise ValueError(
-                f"preliminary_rounds must be >= 0, got {self.preliminary_rounds}")
+        check_number("actor_lr", self.actor_lr, 0, above=True)
+        check_number("critic_lr", self.critic_lr, 0, above=True)
+        check_number("tau", self.tau, 1, integer=True)
+        check_number("epochs", self.epochs, 0, integer=True)
+        check_number("rng_seed", self.rng_seed, 0, integer=True)
+        check_number("preliminary_rounds", self.preliminary_rounds, 0, integer=True)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        seed = self.rng_seed
-        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -100,8 +93,7 @@ def preliminary_filter(
 
     Returns the confirmed pairs and the residual source/target index sets.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    check_number("rounds", rounds, 0, integer=True)
     scores = _as_scores(m)
     src = np.arange(scores.shape[0])
     tgt = np.arange(scores.shape[1])

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of numeric settings."""
+
+import math
+import numbers
 
 
 class ParseError(ValueError):
@@ -28,3 +31,20 @@ class EvaluationError(ValueError):
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; message names the stage and the cause."""
+
+
+def check_number(name: str, value, low=None, *, integer=False, above=False) -> None:
+    """Raise ValueError unless ``value`` is a valid numeric setting ``name``:
+    with ``integer`` an int or numpy integer (no bool, no 3.0), else a finite
+    real number (no bool); then >= ``low``, or > ``low`` with ``above``. No
+    value is converted, so a valid one reaches config.json and the stage keys
+    as it was given."""
+    kind = type(value)  # int and float skip the slower ABC checks
+    if not (kind is int or kind is float and not integer or kind is not bool
+            and isinstance(value, numbers.Integral if integer else numbers.Real)):
+        rule = "a non-negative integer" if low == 0 else "an integer"
+        raise ValueError(f"{name} must be {rule if integer else 'a number'}, got {value!r}")
+    if not (integer or kind is int or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if low is not None and (value <= low if above else value < low):
+        raise ValueError(f"{name} must be {'>' if above else '>='} {low}, got {value}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_number
 from .measures import SimilarityMatrix
 
 logger = logging.getLogger(__name__)
@@ -32,12 +32,8 @@ class FusionConfig:
     theta2: float = 0.48  # replacement weight for damped detections
 
     def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.theta2 <= 0:
-            raise ValueError(f"theta2 must be > 0, got {self.theta2}")
+        check_number("theta1", self.theta1)
+        check_number("theta2", self.theta2, 0, above=True)
 
 
 @dataclass

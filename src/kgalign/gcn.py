@@ -30,14 +30,13 @@ relu kinks are 0.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SamplingError, TrainingError
+from .errors import SamplingError, TrainingError, check_number
 from .kg import KnowledgeGraph, adjacency
 
 Pair = tuple[int, int]
@@ -57,19 +56,12 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        seed = self.rng_seed
-        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+        check_number("dim", self.dim, 1, integer=True)
+        check_number("margin", self.margin, 0, above=True)
+        check_number("epochs", self.epochs, 1, integer=True)
+        check_number("negatives", self.negatives, 1, integer=True)
+        check_number("learning_rate", self.learning_rate, 0, above=True)
+        check_number("rng_seed", self.rng_seed, 0, integer=True)
 
 
 def truncated_normal(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, check_number
 
 @dataclass
 class KnowledgeGraph:
@@ -220,11 +220,11 @@ def save_alignment(pairs, path) -> None:
 
 def check_split_fractions(train_frac: float, val_frac: float) -> None:
     """Raise ValueError unless 0 < train, 0 < val and train + val < 1."""
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
-        raise ValueError(
-            f"fractions must satisfy 0 < train, 0 < val, train + val < 1; "
-            f"got train={train_frac}, val={val_frac}"
-        )
+    check_number("train_frac", train_frac, 0, above=True)
+    check_number("val_frac", val_frac, 0, above=True)
+    if train_frac + val_frac >= 1:
+        raise ValueError(f"fractions must satisfy train + val < 1; "
+                         f"got train={train_frac}, val={val_frac}")
 
 
 def split_alignment(

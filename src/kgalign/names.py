@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_number
 from .measures import SimilarityMatrix
 
 # \w covers letters, digits and underscore; underscores are separators in
@@ -349,8 +349,7 @@ def string_sim_matrix(
     """
     if not src_names or not tgt_names:
         raise ValueError("name lists must be nonempty")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_number("threads", threads, 1, integer=True)
     codes, lengths = _encode(tgt_names)
     short = lengths <= _WORD
     pat = _Patterns.build(codes[:_WORD, short], lengths[short])

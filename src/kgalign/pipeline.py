@@ -47,7 +47,7 @@ from .collective import (
     hungarian,
     stable_matching,
 )
-from .errors import IntegrityError, PipelineError
+from .errors import IntegrityError, PipelineError, check_number
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import ENCODER, TrainConfig, train
 from .kg import (
@@ -130,8 +130,7 @@ class PipelineConfig:
         check_features(self.features, self.vectors)
         check_split_fractions(self.train_frac, self.val_frac)
         Measure(self.measure)  # validates the flag value
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        check_number("threads", self.threads, 1, integer=True)
         if self.matrix_format not in matio.FORMATS:
             raise ValueError(f"matrix_format must be one of {matio.FORMATS}, "
                              f"got {self.matrix_format!r}")

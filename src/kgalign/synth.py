@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_number
 from .kg import KnowledgeGraph, save_alignment, save_kg
 from .stream import Stream
 
@@ -110,12 +111,6 @@ def _noisy(names: list[str], noise: float, stream: Stream) -> list[str]:
     return out
 
 
-def _check_unit(**values: float) -> None:
-    for key, value in values.items():
-        if not 0 <= value <= 1:
-            raise ValueError(f"{key} must be in [0, 1], got {value}")
-
-
 def gen_synthetic(
     n: int,
     edge_prob: float,
@@ -129,9 +124,13 @@ def gen_synthetic(
     corruption rate applied to the copy's names; ``edge_noise`` rewires that
     fraction of the copy's triples to a random tail. All three lie in [0, 1].
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    _check_unit(edge_prob=edge_prob, name_noise=name_noise, edge_noise=edge_noise)
+    check_number("n", n, 4, integer=True)
+    check_number("rng_seed", rng_seed, 0, integer=True)
+    probabilities = dict(edge_prob=edge_prob, name_noise=name_noise, edge_noise=edge_noise)
+    for key, value in probabilities.items():
+        check_number(key, value)
+        if not 0 <= value <= 1:
+            raise ValueError(f"{key} must be in [0, 1], got {value}")
     rng = np.random.default_rng(rng_seed)
     n_relations = max(2, n // 20)
     vocab = [_random_word(rng) for _ in range(max(20, n // 2))]
@@ -206,8 +205,7 @@ def write_synthetic(
     word-vector file covering every name token. A bad argument raises
     ``ValueError`` before anything is written.
     """
-    if vec_dim < 1:
-        raise ValueError(f"vec_dim must be >= 1, got {vec_dim}")
+    check_number("vec_dim", vec_dim, 1, integer=True)
     kg1, kg2, gold = gen_synthetic(n, edge_prob, name_noise, rng_seed, edge_noise)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -237,7 +237,8 @@ class TestSplitAlignment:
         b = split_alignment(pairs, 0.3, 0.1, rng_seed=42)
         assert a == b
 
-    @pytest.mark.parametrize("train,val", [(0.0, 0.1), (0.5, 0.5), (-0.1, 0.2), (0.9, 0.2)])
+    @pytest.mark.parametrize("train,val", [(0.0, 0.1), (0.5, 0.5), (-0.1, 0.2), (0.9, 0.2),
+                                           ("0.2", 0.1), (0.2, float("nan"))])
     def test_bad_fractions(self, train, val):
         with pytest.raises(ValueError):
             split_alignment([(0, 0), (1, 1)], train, val, rng_seed=0)

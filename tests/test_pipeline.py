@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -31,6 +32,18 @@ from kgalign.pipeline import (
 from kgalign.synth import gen_synthetic, write_synthetic
 
 from test_kg import kg_from_edges
+
+# The stage-config field that checks a PipelineConfig field of another name.
+STAGE_FIELDS = {"seed": "rng_seed", "rl_epochs": "epochs", "rl_actor_lr": "actor_lr",
+                "rl_critic_lr": "critic_lr", "prelim_rounds": "preliminary_rounds"}
+
+
+def non_numbers(cls):
+    """(field, value) for each numeric field of ``cls`` and each value it
+    refuses: 3.0 for an integer field, and "3", True, NaN and inf for all."""
+    return [(f.name, value) for f in dataclasses.fields(cls)
+            if type(f.default) in (int, float)
+            for value in [3.0] * (type(f.default) is int) + ["3", True, math.nan, math.inf]]
 
 
 class TestGenSynthetic:
@@ -210,8 +223,8 @@ class TestPipeline:
         ({"margin": 0.0}, "margin must be > 0"),
         ({"negatives": 0}, "negatives must be >= 1"),
         ({"learning_rate": 0.0}, "learning_rate must be > 0"),
-        ({"rl_actor_lr": 0.0}, "learning rates must be > 0"),
-        ({"rl_critic_lr": -1.0}, "learning rates must be > 0"),
+        ({"rl_actor_lr": 0.0}, "actor_lr must be > 0, got 0.0"),
+        ({"rl_critic_lr": -1.0}, "critic_lr must be > 0, got -1.0"),
         ({"rl_epochs": -1}, "epochs must be >= 0"),
         ({"theta2": 0.0}, "theta2 must be > 0"),
         ({"strategy": "bogus"}, "strategy must be one of"),
@@ -223,9 +236,13 @@ class TestPipeline:
         ({"seed": 2.0}, "rng_seed must be a non-negative integer, got 2.0"),
         ({"seed": True}, "rng_seed must be a non-negative integer, got True"),
         # numpy refuses it: a run used to fail at stage load, after writing.
-        ({"seed": -1}, "rng_seed must be a non-negative integer, got -1"),
+        ({"seed": -1}, "rng_seed must be >= 0, got -1"),
         ({"theta1": None}, "theta1 must be a number, got None"),
         ({"theta2": "0.5"}, "theta2 must be a number, got '0.5'"),
+        # A float for an integer setting used to fail mid-run, at the stage
+        # that reads it; NaN trained with loss 0.
+        *[({name: value}, f"^{STAGE_FIELDS.get(name, name)} must be ")
+          for name, value in non_numbers(PipelineConfig)],
     ])
     def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
                                                 overrides, message):
@@ -316,9 +333,12 @@ class TestPipeline:
         (TrainConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
         (RlConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
         (RlConfig, {"rng_seed": "3"}, "must be a non-negative integer, got '3'"),
-        (RlConfig, {"rng_seed": -2}, "must be a non-negative integer, got -2"),
+        (RlConfig, {"rng_seed": -2}, "rng_seed must be >= 0, got -2"),
         (FusionConfig, {"theta1": None}, "theta1 must be a number, got None"),
         (FusionConfig, {"theta2": False}, "theta2 must be a number, got False"),
+        *[(cls, {name: value}, f"^{name} must be ")
+          for cls in (TrainConfig, RlConfig, FusionConfig)
+          for name, value in non_numbers(cls)],
     ])
     def test_stage_settings_reject_non_numbers(self, cls, settings, message):
         with pytest.raises(ValueError, match=message):
@@ -643,11 +663,13 @@ class TestStageLayer:
 class TestCli:
     def test_stages_write_the_pipeline_bytes(self, synth_dir, tmp_path):
         # embed, features, fuse and align on the pipeline's splits reproduce
-        # its artifacts byte for byte, in either matrix format.
+        # its artifacts byte for byte, in either matrix format. With the
+        # default learning rates, the rl run writes another result.tsv.
         runs = {}
         for strategy in ("rl", "hungarian"):
             cfg = small_config(synth_dir, tmp_path / strategy, strategy=strategy,
-                               tau=3, prelim_rounds=0)
+                               tau=3, prelim_rounds=0, rl_actor_lr=0.01,
+                               rl_critic_lr=0.1)
             runs[strategy] = run_pipeline(cfg)
         run_pipeline(small_config(synth_dir, tmp_path / "tsv_run", strategy="hungarian",
                                   matrix_format="tsv"))
@@ -689,10 +711,25 @@ class TestCli:
             result = tmp_path / f"result_{strategy}.tsv"
             assert main(["align", *stage, "--matrix", str(fused / "sim_fused.npy"),
                          "--strategy", strategy, "--tau", str(cfg.tau),
+                         "--actor-lr", str(cfg.rl_actor_lr),
+                         "--critic-lr", str(cfg.rl_critic_lr),
                          "--epochs", str(cfg.rl_epochs), "--seed", str(cfg.seed),
                          "--prelim-rounds", str(cfg.prelim_rounds),
                          "--out", str(result)]) == 0
             assert result.read_bytes() == (tmp_path / strategy / "result.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command,cls", [
+        ("embed", TrainConfig), ("align", RlConfig), ("fuse", FusionConfig)])
+    def test_stage_commands_flag_every_setting(self, capsys, command, cls):
+        # A setting without a flag keeps the stage commands from reproducing
+        # a pipeline run that sets it, as align's learning rates once did.
+        renamed = {"learning_rate": "--lr", "rng_seed": "--seed",
+                   "preliminary_rounds": "--prelim-rounds"}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        for f in dataclasses.fields(cls):
+            assert renamed.get(f.name, "--" + f.name.replace("_", "-")) in flags, f.name
 
     @pytest.mark.parametrize("features,flags,message", [
         ("string,structural", ["--vectors", "v.vec"],
@@ -1146,6 +1183,16 @@ class TestCli:
                       "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                       "--names2", "n2", "--gold", "gold.tsv"],
          "rng_seed must be a non-negative integer, got '7'"),
+        # A tau of 3.0 used to fail at stage align, after every matrix was
+        # written; a NaN margin trained with loss 0.
+        ("pipeline", ["--config", {"tau": 3.0, "out_dir": "out", "vectors": "v"},
+                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv"],
+         "tau must be an integer, got 3.0"),
+        ("pipeline", ["--config", {"margin": math.nan, "out_dir": "out", "vectors": "v"},
+                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv"],
+         "margin must be finite, got nan"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):

@@ -114,10 +114,15 @@ class TestArgumentChecks:
         ("vec_dim", 0, "vec_dim must be >= 1"),
         ("vec_dim", -1, "vec_dim must be >= 1"),
         ("edge_prob", -0.1, "edge_prob must be in [0, 1]"),
-        ("edge_prob", math.nan, "edge_prob must be in [0, 1]"),
+        ("edge_prob", math.nan, "edge_prob must be finite, got nan"),
+        ("name_noise", "0.1", "name_noise must be a number, got '0.1'"),
         ("name_noise", 1.5, "name_noise must be in [0, 1]"),
         ("edge_noise", -1.0, "edge_noise must be in [0, 1]"),
-        ("n", 3, "need n >= 4"),
+        ("n", 3, "n must be >= 4, got 3"),
+        ("n", 20.0, "n must be an integer, got 20.0"),
+        ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
+        # It used to write five of the six files, then fail.
+        ("vec_dim", 8.0, "vec_dim must be an integer, got 8.0"),
     ])
     def test_rejected_before_writing(self, tmp_path, key, value, message):
         out = tmp_path / "data"
