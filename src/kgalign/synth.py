@@ -128,9 +128,7 @@ def gen_synthetic(
     check_number("rng_seed", rng_seed, 0, integer=True)
     probabilities = dict(edge_prob=edge_prob, name_noise=name_noise, edge_noise=edge_noise)
     for key, value in probabilities.items():
-        check_number(key, value)
-        if not 0 <= value <= 1:
-            raise ValueError(f"{key} must be in [0, 1], got {value}")
+        check_number(key, value, 0, high=1)
     rng = np.random.default_rng(rng_seed)
     n_relations = max(2, n // 20)
     vocab = [_random_word(rng) for _ in range(max(20, n // 2))]

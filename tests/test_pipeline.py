@@ -223,8 +223,10 @@ class TestPipeline:
         ({"margin": 0.0}, "margin must be > 0"),
         ({"negatives": 0}, "negatives must be >= 1"),
         ({"learning_rate": 0.0}, "learning_rate must be > 0"),
-        ({"rl_actor_lr": 0.0}, "actor_lr must be > 0, got 0.0"),
-        ({"rl_critic_lr": -1.0}, "critic_lr must be > 0, got -1.0"),
+        pytest.param({"rl_actor_lr": 0.0}, "actor_lr must be > 0, got 0.0",
+                     id="overrides10-learning rates must be > 0"),
+        pytest.param({"rl_critic_lr": -1.0}, "critic_lr must be > 0, got -1.0",
+                     id="overrides11-learning rates must be > 0"),
         ({"rl_epochs": -1}, "epochs must be >= 0"),
         ({"theta2": 0.0}, "theta2 must be > 0"),
         ({"strategy": "bogus"}, "strategy must be one of"),
@@ -333,7 +335,7 @@ class TestPipeline:
         (TrainConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
         (RlConfig, {"rng_seed": None}, "must be a non-negative integer, got None"),
         (RlConfig, {"rng_seed": "3"}, "must be a non-negative integer, got '3'"),
-        (RlConfig, {"rng_seed": -2}, "rng_seed must be >= 0, got -2"),
+        (RlConfig, {"rng_seed": -2}, "must be >= 0, got -2"),
         (FusionConfig, {"theta1": None}, "theta1 must be a number, got None"),
         (FusionConfig, {"theta2": False}, "theta2 must be a number, got False"),
         *[(cls, {name: value}, f"^{name} must be ")

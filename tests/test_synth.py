@@ -114,11 +114,11 @@ class TestArgumentChecks:
         ("vec_dim", 0, "vec_dim must be >= 1"),
         ("vec_dim", -1, "vec_dim must be >= 1"),
         ("edge_prob", -0.1, "edge_prob must be in [0, 1]"),
-        ("edge_prob", math.nan, "edge_prob must be finite, got nan"),
+        ("edge_prob", math.nan, "edge_prob must be in [0, 1], got nan"),
         ("name_noise", "0.1", "name_noise must be a number, got '0.1'"),
         ("name_noise", 1.5, "name_noise must be in [0, 1]"),
         ("edge_noise", -1.0, "edge_noise must be in [0, 1]"),
-        ("n", 3, "n must be >= 4, got 3"),
+        pytest.param("n", 3, "n must be >= 4, got 3", id="n-3-need n >= 4"),
         ("n", 20.0, "n must be an integer, got 20.0"),
         ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
         # It used to write five of the six files, then fail.
