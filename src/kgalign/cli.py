@@ -33,11 +33,35 @@ from .pipeline import (
     index_pairs,
     run_pipeline,
     save_outputs,
+    stage_config,
 )
 from .synth import write_synthetic
 
 MODE_FLAGS = {"full": "full", "excl": "exclusiveness_only", "coh": "coherence_only"}
 FLAG_OF_MODE = {mode: flag for flag, mode in MODE_FLAGS.items()}
+CHOICES = {"measure": [m.value for m in Measure], "strategy": STRATEGIES,
+           "mode": tuple(MODE_FLAGS), "matrix_format": matio.FORMATS}
+# The stage-config fields whose flag is not --field-name.
+RENAMED_FLAGS = {"learning_rate": "--lr", "rng_seed": "--seed",
+                 "preliminary_rounds": "--prelim-rounds"}
+
+
+def _add_flags(p, cls, renamed=RENAMED_FLAGS, unset=False) -> dict:
+    """Add a flag for each field of dataclass ``cls`` and return them by field:
+    ``renamed``'s (None: no flag), else --field-name. A bool's flag is a switch;
+    any other is typed as its default if a number (else str) and defaults to it,
+    or with ``unset`` to None."""
+    flags = {}
+    for f in dataclasses.fields(cls):
+        flag = flags[f.name] = renamed.get(f.name, "--" + f.name.replace("_", "-"))
+        if type(f.default) is bool:
+            p.add_argument(flag, action="store_true")
+        elif flag:
+            kind = type(f.default) if isinstance(f.default, (int, float)) else str
+            default = FLAG_OF_MODE[f.default] if f.name == "mode" else f.default
+            p.add_argument(flag, type=kind, choices=CHOICES.get(f.name),
+                           default=None if unset else default)
+    return flags
 
 
 def _add_kg_args(p: argparse.ArgumentParser) -> None:
@@ -72,6 +96,13 @@ def _settings(args, build):
         args.error(str(exc))
 
 
+def _stage_config(args, cls):
+    """The ``cls`` that the flags of ``args`` set; a rejected value names its flag."""
+    values = {flag: getattr(args, flag[2:].replace("-", "_"))
+              for flag in args.flags.values()}
+    return _settings(args, lambda: stage_config(cls, args.flags, values))
+
+
 def _load_inputs(args, pairs_file):
     """The graphs of ``args``, and the pairs in ``pairs_file`` as index pairs
     and as their (source ids, target ids)."""
@@ -82,10 +113,7 @@ def _load_inputs(args, pairs_file):
 
 
 def _cmd_embed(args) -> int:
-    cfg = _settings(args, lambda: TrainConfig(
-        dim=args.dim, margin=args.margin, epochs=args.epochs,
-        negatives=args.negatives, learning_rate=args.lr, rng_seed=args.seed,
-    ))
+    cfg = _stage_config(args, TrainConfig)
     kg1, kg2, seeds, _ = _load_inputs(args, args.train)
     losses: list[float] = []
     z = train(kg1, kg2, seeds, cfg, on_epoch=lambda e, l: losses.append(l))
@@ -120,7 +148,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    cfg = _settings(args, lambda: FusionConfig(theta1=args.theta1, theta2=args.theta2))
+    cfg = _stage_config(args, FusionConfig)
     paths = {}  # every tag is checked before any matrix is loaded
     for item in args.inputs:
         tag, _, path = item.partition("=")
@@ -141,11 +169,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    rl_cfg = _settings(args, lambda: RlConfig(
-        actor_lr=args.actor_lr, critic_lr=args.critic_lr, tau=args.tau, epochs=args.epochs,
-        rng_seed=args.seed, preliminary_rounds=args.prelim_rounds,
-        mode=MODE_FLAGS[args.mode],
-    ))
+    rl_cfg = _stage_config(args, RlConfig)
     # The pipeline decodes a SimilarityMatrix too: a score that is NaN or
     # infinite fails here, and a matrix of another shape than the test split
     # in decode, before anything is written.
@@ -193,8 +217,6 @@ def _cmd_pipeline(args) -> int:
     # (None) leaves the settings file's value, or else the field's default.
     overrides = {f.name: getattr(args, f.name, None)
                  for f in dataclasses.fields(PipelineConfig)}
-    if args.mode is not None:
-        overrides["mode"] = MODE_FLAGS[args.mode]
     if args.features is not None:
         overrides["features"] = args.features.split(",")
     cfg = _settings(args, lambda: PipelineConfig.from_file(args.config, **overrides))
@@ -225,14 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kg_args(p)
     p.add_argument("--train", required=True, help="seed alignment TSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=TrainConfig.dim)
-    p.add_argument("--margin", type=float, default=TrainConfig.margin)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
+    flags = _add_flags(p, TrainConfig)
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
-    p.set_defaults(fn=_cmd_embed, error=p.error)
+    p.set_defaults(fn=_cmd_embed, error=p.error, flags=flags)
 
     p = sub.add_parser("features", help="build per-feature similarity matrices")
     _add_kg_args(p)
@@ -249,27 +266,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="adaptively fuse similarity matrices")
     p.add_argument("--inputs", nargs="+", required=True, metavar="TAG=PATH")
-    p.add_argument("--theta1", type=float, default=FusionConfig.theta1)
-    p.add_argument("--theta2", type=float, default=FusionConfig.theta2)
+    flags = _add_flags(p, FusionConfig)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=matio.FORMATS, default="npy")
-    p.set_defaults(fn=_cmd_fuse, error=p.error)
+    p.set_defaults(fn=_cmd_fuse, error=p.error, flags=flags)
 
     p = sub.add_parser("align", help="decode matches from a similarity matrix")
     _add_kg_args(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="rl")
-    p.add_argument("--mode", choices=tuple(MODE_FLAGS),
-                   default=FLAG_OF_MODE[RlConfig.mode])
-    p.add_argument("--actor-lr", type=float, default=RlConfig.actor_lr)
-    p.add_argument("--critic-lr", type=float, default=RlConfig.critic_lr)
-    p.add_argument("--tau", type=int, default=RlConfig.tau)
-    p.add_argument("--epochs", type=int, default=RlConfig.epochs)
-    p.add_argument("--seed", type=int, default=RlConfig.rng_seed)
-    p.add_argument("--prelim-rounds", type=int, default=RlConfig.preliminary_rounds)
+    flags = _add_flags(p, RlConfig)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_align, error=p.error)
+    p.set_defaults(fn=_cmd_align, error=p.error, flags=flags)
 
     p = sub.add_parser("eval", help="score a result file against gold pairs")
     p.add_argument("--pred", required=True)
@@ -282,21 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON settings file; flags override its values")
     # One flag per PipelineConfig field, named after it, except threads, which
     # only a settings file sets.
-    choices = {"measure": [m.value for m in Measure], "strategy": STRATEGIES,
-               "mode": tuple(MODE_FLAGS), "matrix_format": matio.FORMATS}
-    for f in dataclasses.fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "resume":
-            p.add_argument(flag, action="store_true")
-        elif f.name != "threads":
-            kind = type(f.default) if isinstance(f.default, (int, float)) else str
-            p.add_argument(flag, type=kind, choices=choices.get(f.name))
+    _add_flags(p, PipelineConfig, {"threads": None}, unset=True)
     p.set_defaults(fn=_cmd_pipeline, error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "mode", None) is not None:  # the configs take RlConfig's spelling
+        args.mode = MODE_FLAGS[args.mode]
     return args.fn(args)
 
 

@@ -35,6 +35,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from . import matio
@@ -69,11 +70,31 @@ SPLIT_PARTS = ("train", "val", "test")
 # split.json's fields: the index pairs of each part, then the test pairs'
 # external ids, from which result.tsv is written and read back.
 SPLIT_FIELDS = (*SPLIT_PARTS, "test_ids")
+# The stage-config fields that PipelineConfig calls by another name, then each
+# stage config's fields in order with the PipelineConfig field that sets each.
+RENAMED = {TrainConfig: {"rng_seed": "seed"}, FusionConfig: {},
+           RlConfig: {"rng_seed": "seed", "epochs": "rl_epochs", "actor_lr": "rl_actor_lr",
+                      "critic_lr": "rl_critic_lr", "preliminary_rounds": "prelim_rounds"}}
+SETTING_KEYS = {cls: {f.name: renamed.get(f.name, f.name) for f in dataclasses.fields(cls)}
+                for cls, renamed in RENAMED.items()}
+
+
+def stage_config(cls, names: dict, values: dict):
+    """``cls`` with each field set to ``values[names[field]]``; ``names`` holds its
+    two or more fields in order. A rejected value raises ValueError under its
+    ``names`` entry, as "rl_epochs must be >= 0, got -1" (checks name the field first)."""
+    try:
+        return cls(*itemgetter(*names.values())(values))
+    except ValueError as exc:
+        field, space, rule = str(exc).partition(" ")
+        raise ValueError(names.get(field, field) + space + rule) from exc
 
 
 def check_features(features, vectors) -> None:
-    """Raise ValueError unless ``features`` is a non-empty list of distinct
+    """Raise ValueError unless ``features`` is a non-empty list or tuple of distinct
     FEATURES tags, with a word-vector file ``vectors`` if it holds semantic."""
+    if not isinstance(features, (list, tuple)):
+        raise ValueError(f"features must be a list or tuple of tags, got {features!r}")
     unknown = set(features) - set(FEATURES)
     if unknown:
         raise ValueError(f"unknown features: {sorted(unknown)}")
@@ -126,18 +147,18 @@ class PipelineConfig:
             self.vectors = os.fspath(self.vectors)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        self.features = tuple(self.features)
         check_features(self.features, self.vectors)
+        self.features = tuple(self.features)
+        if type(self.resume) is not bool:
+            raise ValueError(f"resume must be true or false, got {self.resume!r}")
         check_split_fractions(self.train_frac, self.val_frac)
         Measure(self.measure)  # validates the flag value
         check_number("threads", self.threads, 1, integer=True)
         if self.matrix_format not in matio.FORMATS:
             raise ValueError(f"matrix_format must be one of {matio.FORMATS}, "
                              f"got {self.matrix_format!r}")
-        # Each stage's settings are checked before any stage runs.
-        self.train_config()
-        self.rl_config()
-        self.fusion_config()
+        for cls, names in SETTING_KEYS.items():  # checked before any stage runs
+            stage_config(cls, names, vars(self))
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -169,28 +190,13 @@ class PipelineConfig:
             raise FileNotFoundError(f"missing input files: {missing}")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim,
-            margin=self.margin,
-            epochs=self.epochs,
-            negatives=self.negatives,
-            learning_rate=self.learning_rate,
-            rng_seed=self.seed,
-        )
+        return stage_config(TrainConfig, SETTING_KEYS[TrainConfig], vars(self))
 
     def rl_config(self) -> RlConfig:
-        return RlConfig(
-            tau=self.tau,
-            epochs=self.rl_epochs,
-            rng_seed=self.seed,
-            actor_lr=self.rl_actor_lr,
-            critic_lr=self.rl_critic_lr,
-            preliminary_rounds=self.prelim_rounds,
-            mode=self.mode,
-        )
+        return stage_config(RlConfig, SETTING_KEYS[RlConfig], vars(self))
 
     def fusion_config(self) -> FusionConfig:
-        return FusionConfig(theta1=self.theta1, theta2=self.theta2)
+        return stage_config(FusionConfig, SETTING_KEYS[FusionConfig], vars(self))
 
 
 @dataclass
@@ -274,13 +280,6 @@ def decode(
     return a2c_align(env, rl_cfg)
 
 
-def _fields(obj) -> dict:
-    """A dataclass's fields as a flat ``{name: value}`` dict. Its JSON is
-    ``dataclasses.asdict``'s, without the deep copy: every field of the
-    configs is a scalar, a string or a tuple of strings."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def _key(*parts) -> str:
     """sha256 of the JSON text of ``parts``; JSON prints floats exactly."""
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
@@ -350,7 +349,7 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
               (cfg.triples1, cfg.names1, cfg.triples2, cfg.names2, cfg.gold)]
     add("load", (), inputs, cfg.seed, cfg.train_frac, cfg.val_frac, SPLIT_FIELDS)
     if "structural" in cfg.features:
-        add("embed", ("load",), ENCODER, _fields(cfg.train_config()))
+        add("embed", ("load",), ENCODER, vars(cfg.train_config()))
     for tag in cfg.features:
         if tag == "structural":
             add("sim_structural", ("embed",), cfg.measure)
@@ -359,9 +358,9 @@ def _plan(cfg: PipelineConfig) -> dict[str, _Stage]:
         else:
             add(f"sim_{tag}", ("load",))
     add("fuse", tuple(f"sim_{tag}" for tag in cfg.features),
-        _fields(cfg.fusion_config()))
+        vars(cfg.fusion_config()))
     add("align", ("fuse",), cfg.strategy,
-        _fields(cfg.rl_config()) if cfg.strategy == "rl" else None)
+        vars(cfg.rl_config()) if cfg.strategy == "rl" else None)
     add("eval", ("align",))
     return plan
 
@@ -429,7 +428,7 @@ class _Run:
             kg1, kg2 = self.kgs
             split = split_alignment(self.gold, cfg.train_frac, cfg.val_frac, cfg.seed)
             test_ids = [(kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in split.test]
-            matio.save_json(files[0], {**_fields(split), "test_ids": test_ids})
+            matio.save_json(files[0], {**vars(split), "test_ids": test_ids})
             return split, test_ids
         split, test_ids = self.output("load")
         if name == "embed":
@@ -513,7 +512,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
     out.mkdir(parents=True, exist_ok=True)
     # config.json records the settings that produced the directory, so a
     # resume leaves it as a run without resume writes it.
-    settings = {**_fields(cfg), "features": list(cfg.features), "resume": False}
+    settings = {**vars(cfg), "features": list(cfg.features), "resume": False}
     config = out / "config.json"
     if not (cfg.resume and _load_record(config) == settings):
         matio.save_json(config, settings)

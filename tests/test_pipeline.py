@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,8 @@ from kgalign.synth import gen_synthetic, write_synthetic
 from test_kg import kg_from_edges
 
 # The stage-config field that checks a PipelineConfig field of another name.
+# Settings errors now name the PipelineConfig field; the ids of the cases that
+# were written when they named the stage-config field keep that name.
 STAGE_FIELDS = {"seed": "rng_seed", "rl_epochs": "epochs", "rl_actor_lr": "actor_lr",
                 "rl_critic_lr": "critic_lr", "prelim_rounds": "preliminary_rounds"}
 
@@ -218,33 +221,46 @@ class TestPipeline:
         ({"matrix_format": "csv"}, "matrix_format must be one of"),
         ({"features": ("string", "string")}, "each feature may appear once"),
         ({"train_frac": 0.9, "val_frac": 0.2}, "fractions must satisfy"),
-        ({"prelim_rounds": -1}, "preliminary_rounds must be >= 0"),
+        pytest.param({"prelim_rounds": -1}, "^prelim_rounds must be >= 0, got -1",
+                     id="overrides5-preliminary_rounds must be >= 0"),
         ({"dim": 0}, "dim must be >= 1"),
         ({"margin": 0.0}, "margin must be > 0"),
         ({"negatives": 0}, "negatives must be >= 1"),
         ({"learning_rate": 0.0}, "learning_rate must be > 0"),
-        pytest.param({"rl_actor_lr": 0.0}, "actor_lr must be > 0, got 0.0",
+        pytest.param({"rl_actor_lr": 0.0}, "^rl_actor_lr must be > 0, got 0.0",
                      id="overrides10-learning rates must be > 0"),
-        pytest.param({"rl_critic_lr": -1.0}, "critic_lr must be > 0, got -1.0",
+        pytest.param({"rl_critic_lr": -1.0}, "^rl_critic_lr must be > 0, got -1.0",
                      id="overrides11-learning rates must be > 0"),
-        ({"rl_epochs": -1}, "epochs must be >= 0"),
+        pytest.param({"rl_epochs": -1}, "^rl_epochs must be >= 0, got -1",
+                     id="overrides12-epochs must be >= 0"),
         ({"theta2": 0.0}, "theta2 must be > 0"),
         ({"strategy": "bogus"}, "strategy must be one of"),
         ({"features": ("string", "bogus")}, r"unknown features: \['bogus'\]"),
         ({"features": ()}, "need at least one feature"),
         # An unseeded run, and a theta1 that used to fail stage fuse only
         # after training: both fail before any input is read.
-        ({"seed": None}, "rng_seed must be a non-negative integer, got None"),
-        ({"seed": 2.0}, "rng_seed must be a non-negative integer, got 2.0"),
-        ({"seed": True}, "rng_seed must be a non-negative integer, got True"),
+        pytest.param({"seed": None}, "^seed must be a non-negative integer, got None",
+                     id="overrides17-rng_seed must be a non-negative integer, got None"),
+        pytest.param({"seed": 2.0}, "^seed must be a non-negative integer, got 2.0",
+                     id="overrides18-rng_seed must be a non-negative integer, got 2.0"),
+        pytest.param({"seed": True}, "^seed must be a non-negative integer, got True",
+                     id="overrides19-rng_seed must be a non-negative integer, got True"),
         # numpy refuses it: a run used to fail at stage load, after writing.
-        ({"seed": -1}, "rng_seed must be >= 0, got -1"),
+        pytest.param({"seed": -1}, "^seed must be >= 0, got -1",
+                     id="overrides20-rng_seed must be >= 0, got -1"),
         ({"theta1": None}, "theta1 must be a number, got None"),
         ({"theta2": "0.5"}, "theta2 must be a number, got '0.5'"),
         # A float for an integer setting used to fail mid-run, at the stage
         # that reads it; NaN trained with loss 0.
-        *[({name: value}, f"^{STAGE_FIELDS.get(name, name)} must be ")
-          for name, value in non_numbers(PipelineConfig)],
+        *[pytest.param({name: value}, f"^{name} must be ",
+                       id=f"overrides{i}-^{STAGE_FIELDS.get(name, name)} must be ")
+          for i, (name, value) in enumerate(non_numbers(PipelineConfig), start=23)],
+        # A string of tags used to fail as unknown letters, and "false"
+        # resumed the run.
+        ({"features": "string"}, "^features must be a list or tuple of tags, got 'string'"),
+        ({"features": {"string"}}, "^features must be a list or tuple of tags"),
+        ({"resume": "false"}, "^resume must be true or false, got 'false'"),
+        ({"resume": 1}, "^resume must be true or false, got 1"),
     ])
     def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
                                                 overrides, message):
@@ -733,6 +749,72 @@ class TestCli:
         for f in dataclasses.fields(cls):
             assert renamed.get(f.name, "--" + f.name.replace("_", "-")) in flags, f.name
 
+    @pytest.mark.parametrize("command,required,listed,integers,reals", [
+        ("embed", ["--train", "a", "--out", "o"],
+         ["--triples1", "--names1", "--triples2", "--names2", "--train", "--out", "--dim",
+          "--margin", "--epochs", "--negatives", "--lr", "--seed", "--format"],
+         ["--dim", "--epochs", "--negatives", "--seed"], ["--margin", "--lr"]),
+        ("align", ["--matrix", "m", "--test", "a", "--out", "o"],
+         ["--triples1", "--names1", "--triples2", "--names2", "--matrix", "--test",
+          "--strategy", "--actor-lr", "--critic-lr", "--tau", "--epochs", "--seed",
+          "--prelim-rounds", "--mode", "--out"],
+         ["--tau", "--epochs", "--seed", "--prelim-rounds"], ["--actor-lr", "--critic-lr"]),
+        ("fuse", ["--inputs", "a=b", "--out", "o"],
+         ["--inputs", "--theta1", "--theta2", "--out", "--format"],
+         [], ["--theta1", "--theta2"]),
+    ])
+    def test_stage_commands_generate_their_flags(self, capsys, command, required, listed,
+                                                  integers, reals):
+        # The flags come from the config's fields, typed by each default: a
+        # default written as 3 instead of 3.0 would make its flag refuse 0.5.
+        parse = build_parser().parse_args
+        with pytest.raises(SystemExit):
+            parse([command, "--help"])
+        assert re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out,
+                          re.MULTILINE) == listed
+        if command != "fuse":
+            required = [*kg_flags({k: k for k in ("triples1", "names1", "triples2",
+                                                  "names2")}), *required]
+        for flag in integers:
+            with pytest.raises(SystemExit) as exit_info:
+                parse([command, *required, flag, "2.5"])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: invalid int value: '2.5'" in capsys.readouterr().err
+        for flag in reals:
+            args = parse([command, *required, flag, "0.5"])
+            assert getattr(args, flag[2:].replace("-", "_")) == 0.5
+
+    @pytest.mark.parametrize("key,value,rule,command,flag", [
+        ("seed", -1, ">= 0, got -1", "embed", "--seed"),
+        ("seed", -1, ">= 0, got -1", "align", "--seed"),
+        ("rl_epochs", -1, ">= 0, got -1", "align", "--epochs"),
+        ("rl_actor_lr", 0.0, "> 0, got 0.0", "align", "--actor-lr"),
+        ("rl_critic_lr", 0.0, "> 0, got 0.0", "align", "--critic-lr"),
+        ("prelim_rounds", -1, ">= 0, got -1", "align", "--prelim-rounds"),
+    ], ids=["seed-embed", "seed-align", "rl_epochs", "rl_actor_lr", "rl_critic_lr",
+            "prelim_rounds"])
+    def test_renamed_settings_name_their_key_or_flag(self, tmp_path, monkeypatch, capsys,
+                                                      key, value, rule, command, flag):
+        # The five PipelineConfig fields that set a stage-config field of
+        # another name used to be reported under that name, as "epochs must
+        # be >= 0, got -1" for rl_epochs.
+        monkeypatch.chdir(tmp_path)
+        kg = kg_flags({k: k for k in ("triples1", "names1", "triples2", "names2")})
+        matio.save_json(tmp_path / "cfg.json", {key: value, "out_dir": "out", "vectors": "v"})
+        stage_inputs = {"embed": ["--train", "gold.tsv"],
+                        "align": ["--matrix", "m.npy", "--test", "gold.tsv"]}[command]
+        for argv, name in (
+            (["pipeline", "--config", "cfg.json", *kg, "--gold", "gold.tsv"], key),
+            (["pipeline", *kg, "--gold", "gold.tsv", "--vectors", "v", "--out-dir", "out",
+              "--" + key.replace("_", "-"), str(value)], key),
+            ([command, *kg, *stage_inputs, flag, str(value), "--out", "out"], flag),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"kgalign {argv[0]}: error: {name} must be {rule}\n" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     @pytest.mark.parametrize("features,flags,message", [
         ("string,structural", ["--vectors", "v.vec"],
          "the structural feature needs --z1 and --z2"),
@@ -842,23 +924,29 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
-        def kgalign(*argv):
+        def kgalign(*argv, **variables):
             return subprocess.run([sys.executable, "-m", "kgalign.cli", *argv],
-                                  cwd=tmp_path, env=env, capture_output=True, text=True)
+                                  cwd=tmp_path, env={**env, **variables},
+                                  capture_output=True, text=True)
 
         data = ["--triples1", "data/triples1.tsv", "--names1", "data/names1.tsv",
                 "--triples2", "data/triples2.tsv", "--names2", "data/names2.tsv"]
-        steps = [
-            ["synth", "--out", "data", "--n", "60", "--edge-prob", "0.08",
-             "--name-noise", "0.25", "--edge-noise", "0.12", "--seed", "7"],
-            ["pipeline", *data, "--gold", "data/gold.tsv", "--vectors", "data/vectors.vec",
-             "--out-dir", "run", "--seed", "7", "--dim", "16", "--epochs", "20",
-             "--learning-rate", "0.05", "--measure", "cos", "--strategy", "rl",
-             "--rl-epochs", "30"],
-        ]
-        for argv in steps:
-            done = kgalign(*argv)
+        done = kgalign("synth", "--out", "data", "--n", "60", "--edge-prob", "0.08",
+                       "--name-noise", "0.25", "--edge-noise", "0.12", "--seed", "7")
+        assert done.returncode == 0, done.stderr
+        # Seeded runs are bit-reproducible across interpreters: cold runs under
+        # two string-hash seeds write the same run directory, every file.
+        runs = []
+        for hash_seed in ("1", "2"):
+            shutil.rmtree(tmp_path / "run", ignore_errors=True)
+            done = kgalign("pipeline", *data, "--gold", "data/gold.tsv",
+                           "--vectors", "data/vectors.vec", "--out-dir", "run",
+                           "--seed", "7", "--dim", "16", "--epochs", "20",
+                           "--learning-rate", "0.05", "--measure", "cos", "--strategy", "rl",
+                           "--rl-epochs", "30", PYTHONHASHSEED=hash_seed)
             assert done.returncode == 0, done.stderr
+            runs.append(dir_bytes(tmp_path / "run"))
+        assert len(runs[0]) == 14 and runs[1] == runs[0]
         report = tmp_path / "run" / "report.json"
         cold = report.read_bytes()
         for _ in range(2):
@@ -1158,12 +1246,15 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flags,message", [
-        ("embed", ["--train", "gold.tsv", "--out", "out", "--dim", "0"],
-         "dim must be >= 1, got 0"),
-        ("fuse", ["--inputs", "string=m.npy", "--theta2", "0", "--out", "out"],
-         "theta2 must be > 0, got 0.0"),
-        ("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--tau", "0",
-                   "--out", "out"], "tau must be >= 1, got 0"),
+        # A stage command names the flag that set a rejected value.
+        pytest.param("embed", ["--train", "gold.tsv", "--out", "out", "--dim", "0"],
+                     "--dim must be >= 1, got 0", id="embed-flags0-dim must be >= 1, got 0"),
+        pytest.param("fuse", ["--inputs", "string=m.npy", "--theta2", "0", "--out", "out"],
+                     "--theta2 must be > 0, got 0.0",
+                     id="fuse-flags1-theta2 must be > 0, got 0.0"),
+        pytest.param("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--tau", "0",
+                               "--out", "out"], "--tau must be >= 1, got 0",
+                     id="align-flags2-tau must be >= 1, got 0"),
         ("pipeline", ["--out-dir", "out"], "without --config, the following arguments "
          "are required: --triples1, --names1, --triples2, --names2, --gold"),
         ("pipeline", ["--triples1", "t1", "--names1", "n1", "--triples2", "t2",
@@ -1181,10 +1272,11 @@ class TestCli:
         ("pipeline", ["--config", []], "cfg.json must hold a JSON object, got list"),
         ("pipeline", ["--config", "x"], "cfg.json must hold a JSON object, got str"),
         ("pipeline", ["--config", 3], "cfg.json must hold a JSON object, got int"),
-        ("pipeline", ["--config", {"seed": "7", "out_dir": "out", "vectors": "v"},
-                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
-                      "--names2", "n2", "--gold", "gold.tsv"],
-         "rng_seed must be a non-negative integer, got '7'"),
+        pytest.param("pipeline", ["--config", {"seed": "7", "out_dir": "out", "vectors": "v"},
+                                  "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                                  "--names2", "n2", "--gold", "gold.tsv"],
+                     "seed must be a non-negative integer, got '7'",
+                     id="pipeline-flags10-rng_seed must be a non-negative integer, got '7'"),
         # A tau of 3.0 used to fail at stage align, after every matrix was
         # written; a NaN margin trained with loss 0.
         ("pipeline", ["--config", {"tau": 3.0, "out_dir": "out", "vectors": "v"},
@@ -1195,6 +1287,15 @@ class TestCli:
                       "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
                       "--names2", "n2", "--gold", "gold.tsv"],
          "margin must be finite, got nan"),
+        # A string of tags used to fail as its letters: "unknown features".
+        ("pipeline", ["--config", {"features": "string", "out_dir": "out"},
+                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv"],
+         "features must be a list or tuple of tags, got 'string'"),
+        ("embed", ["--train", "gold.tsv", "--out", "out", "--lr", "0"],
+         "--lr must be > 0, got 0.0"),
+        ("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--seed", "-1",
+                   "--out", "out"], "--seed must be >= 0, got -1"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
@@ -1212,7 +1313,7 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: kgalign {command}")
-        assert f"kgalign {command}: error: " in err and message in err
+        assert f"kgalign {command}: error: {message}" in err
         # No --out-dir (out) is created.
         assert [path.name for path in tmp_path.iterdir()] == settings
 
