@@ -21,7 +21,7 @@ from .errors import IntegrityError, ParseError
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
-from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix
+from .measures import DEFAULT_MEASURE, MEASURES, SimilarityMatrix
 from .metrics import evaluate, ranks_in_lists
 from .pipeline import (
     FEATURES,
@@ -39,7 +39,7 @@ from .synth import write_synthetic
 
 MODE_FLAGS = {"full": "full", "excl": "exclusiveness_only", "coh": "coherence_only"}
 FLAG_OF_MODE = {mode: flag for flag, mode in MODE_FLAGS.items()}
-CHOICES = {"measure": [m.value for m in Measure], "strategy": STRATEGIES,
+CHOICES = {"measure": MEASURES, "strategy": STRATEGIES,
            "mode": tuple(MODE_FLAGS), "matrix_format": matio.FORMATS}
 # The stage-config fields whose flag is not --field-name.
 RENAMED_FLAGS = {"learning_rate": "--lr", "rng_seed": "--seed",
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1")
     p.add_argument("--z2")
     p.add_argument("--vectors")
-    p.add_argument("--measure", choices=[m.value for m in Measure],
+    p.add_argument("--measure", choices=MEASURES,
                    default=DEFAULT_MEASURE)
     p.add_argument("--features", default=",".join(FEATURES))
     p.add_argument("--out", required=True)

@@ -2,12 +2,14 @@
 
 Mutual-top-1 filtering first confirms the easy pairs. The remaining
 sources are aligned sequentially by an advantage actor-critic policy whose
-state combines three per-candidate signals: local similarity, an
-exclusiveness flag (+1 while a target is free, -1 once it has been taken),
-and a coherence count (how many targets chosen by the source's matched
-neighbors are adjacent to the candidate). Rewards reuse the same signals,
-so the policy learns to trade local score against global consistency
-instead of enforcing a hard 1-to-1 rule.
+state combines three per-candidate signals: local similarity s1 (the
+score min-max scaled by the whole matrix's range, so in [0, 1]), an
+exclusiveness flag s2 (+1 while a target is free, -1 once it has been
+taken), and coherence s3 (how many targets chosen by the source's matched
+neighbors are adjacent to the candidate, capped at 1). The state
+s1 * s2 + s3 therefore lies in [-1, 2] for any measure and graph degree.
+Rewards reuse the same signals, so the policy learns to trade local score
+against global consistency instead of enforcing a hard 1-to-1 rule.
 
 Independent greedy, source-proposing deferred acceptance, and an optimal
 assignment solver are provided as baselines.
@@ -139,6 +141,9 @@ def build_environment(
     Candidate lists hold the top-ranked residual targets by score, length
     min(tau, residual targets), ties to the lower target index. Sources with
     a higher best score come first, ties to the lower source index.
+    ``score_rows`` holds the candidates' scores min-max scaled by the whole
+    matrix's minimum and maximum (all 0 when they are equal); the ranking
+    and ordering use the raw scores.
     """
     scores = _as_scores(m)
     n_src, n_tgt = scores.shape
@@ -159,6 +164,14 @@ def build_environment(
     rank = sorted(range(len(sources)), key=lambda i: (-best[i], sources[i]))
     order = tuple(sources[i] for i in rank)
     rows = cand[np.array(rank, dtype=np.int64)]
+    # s1 is the score min-max scaled by the whole matrix's range, so the
+    # state stays bounded whatever the measure's scale; with zero spread
+    # every s1 is 0.
+    score_rows = scores[np.array(order, dtype=np.int64)[:, None], rows]
+    lo, hi = (scores.min(), scores.max()) if scores.size else (0.0, 0.0)
+    score_rows -= lo
+    if hi > lo:
+        score_rows /= hi - lo
 
     src_start, src_ids = _neighbor_lists(src_neighbors, n_src)
     tgt_start, tgt_ids = _neighbor_lists(tgt_neighbors, n_tgt)
@@ -179,7 +192,7 @@ def build_environment(
         order=order,
         state_dim=state_dim,
         candidate_rows=rows,
-        score_rows=scores[np.array(order, dtype=np.int64)[:, None], rows],
+        score_rows=score_rows,
         neighbor_sources=tuple(src_ids[src_start[u]:src_start[u + 1]] for u in order),
         candidate_neighbors=tuple(nbrs[a:b] for a, b in zip(bounds, bounds[1:])),
         candidate_slots=tuple(slots[a:b] for a, b in zip(bounds, bounds[1:])),
@@ -257,9 +270,10 @@ class _Episodes:
         array turns to -1 once the target is taken, so every later candidate
         list containing it sees s2 = -1. Coherence marks the targets matched
         to the source's graph neighbours with 1.0 in a zero mask (so a target
-        picked twice counts once) and sums the mask over each candidate's
-        target neighbours. The reward for choosing candidate a is the state
-        entry s1[a] * s2[a] + s3[a]. The pass after the last source is
+        picked twice counts once), sums the mask over each candidate's
+        target neighbours and caps the sum at 1. The reward for choosing
+        candidate a is the state entry s1[a] * s2[a] + s3[a], where s1 is the
+        scaled score of ``score_rows``. The pass after the last source is
         terminal (value 0 in the TD target). With no candidates
         (``state_dim == 0``) there is nothing to decide.
         """
@@ -284,20 +298,23 @@ class _Episodes:
         # a zero vector skips converting a Python 0 on every call.
         max_reduce, add_reduce, bincount = np.maximum.reduce, np.add.reduce, np.bincount
         maximum, greater, multiply = np.maximum, np.greater, np.multiply
-        zero_h, zero_k = np.zeros(HIDDEN), np.zeros(k)
+        minimum = np.minimum
+        zero_h, zero_k, one_k = np.zeros(HIDDEN), np.zeros(k), np.ones(k)
 
         def state(i: int) -> np.ndarray:
-            """Network input s1 * s2 + s3 of order[i]."""
+            """Network input s1 * s2 + s3 of order[i], s3 capped at 1."""
             s1 = score_rows[i]
             s = s1 * s2_of[rows[i]] if exclusive else s1
             if not coherent:
                 return s + zero_k  # s3 is zero: still turns -0.0 into +0.0
             context = match_of[neighbor_sources[i]]
             in_context[context] = 1.0
-            s3 = bincount(candidate_slots[i], weights=in_context[candidate_neighbors[i]],
-                          minlength=k)
+            s3 = minimum(bincount(candidate_slots[i],
+                                  weights=in_context[candidate_neighbors[i]], minlength=k),
+                         one_k)
             in_context[context] = 0.0
-            return s + s3
+            s3 += s  # not s += s3: s may be a view of score_rows
+            return s3
 
         actor_flat, critic_flat = self.actor_flat, self.critic_flat
         actor_grad, critic_grad = self.actor_grad, self.critic_grad

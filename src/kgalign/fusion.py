@@ -1,12 +1,17 @@
 """Adaptive fusion of feature-specific similarity matrices.
 
-A cell that is strictly maximal in both its row and its column is a
-confident correspondence of that feature. Correspondence weights are
-inversely proportional to how many features detect them (1/q), with very
+When two or more features are fused, each matrix is first min-max scaled
+to [0, 1], so features whose raw scores differ by orders of magnitude
+(``bc`` reaches -1.3e6 on signed word vectors, string ratios lie in
+[0, 1]) enter detection, damping and the sum on one scale. The scaling is
+increasing, so it keeps each row's and column's maximum in place. A cell
+that is strictly maximal in both its row and its column is a confident
+correspondence of that feature. Correspondence weights are inversely
+proportional to how many features detect them (1/q), with very
 high-scoring detections damped to a small constant so a dominant feature
 cannot crowd out the rest. Feature weights are the mean correspondence
 weight per feature, normalized to sum to 1, and the fused matrix is the
-weighted sum of the inputs.
+weighted sum of the scaled matrices.
 """
 
 from __future__ import annotations
@@ -169,10 +174,25 @@ def feature_weights(
     return FeatureWeights(weights={tag: s / total for tag, s in scores.items()})
 
 
+def _min_max(m: SimilarityMatrix) -> np.ndarray:
+    """A fresh copy of ``m``'s scores scaled linearly onto [0, 1]. A matrix
+    whose scores are all equal cannot be scaled and raises ValueError naming
+    its feature."""
+    lo, hi = m.scores.min(), m.scores.max()
+    if lo == hi:
+        raise ValueError(f"feature {m.feature_tag!r} has zero spread: "
+                         f"every score is {lo}")
+    scaled = m.scores - lo
+    scaled /= hi - lo
+    return scaled
+
+
 def fuse(
-    matrices: Sequence[SimilarityMatrix], weights: FeatureWeights
+    matrices: Sequence[SimilarityMatrix], weights: FeatureWeights, scale: bool = False
 ) -> SimilarityMatrix:
-    """Weighted sum of feature matrices; weights must cover exactly their tags."""
+    """Weighted sum of feature matrices; weights must cover exactly their tags.
+    With ``scale``, each matrix is min-max scaled to [0, 1] first; one scaled
+    copy exists at a time, and it is weighted in place."""
     if not matrices:
         raise ValueError("need at least one matrix to fuse")
     tags = [m.feature_tag for m in matrices]
@@ -186,20 +206,34 @@ def fuse(
             raise ValueError(
                 f"matrix shapes differ: {shape} vs {m.scores.shape}"
             )
+
+    def weighted(m: SimilarityMatrix) -> np.ndarray:
+        part = _min_max(m) if scale else m.scores.copy()
+        part *= weights.weights[m.feature_tag]
+        return part
+
     first, *rest = matrices
-    out = weights.weights[first.feature_tag] * first.scores
+    out = weighted(first)
     for m in rest:
-        out += weights.weights[m.feature_tag] * m.scores
+        out += weighted(m)
     return SimilarityMatrix(out, "fused")
 
 
 def adaptive_fuse(
     matrices: Sequence[SimilarityMatrix], cfg: FusionConfig
 ) -> tuple[SimilarityMatrix, FusionReport]:
-    """Run the full chain: detect, weight, normalize, combine. A single matrix
-    gets weight exactly 1.0, so its fused scores are its own."""
-    per_feature = {m.feature_tag: confident_correspondences(m) for m in matrices}
+    """Run the full chain: scale, detect, weight, normalize, combine. Two or
+    more matrices are each min-max scaled to [0, 1] for detection and again
+    for the sum, so no more than one scaled copy is held at a time. A single
+    matrix is not scaled and gets weight exactly 1.0, so its fused scores are
+    its own."""
+    scale = len(matrices) > 1
+    per_feature = {
+        m.feature_tag: confident_correspondences(
+            SimilarityMatrix(_min_max(m), m.feature_tag) if scale else m)
+        for m in matrices
+    }
     corr_w = correspondence_weights(per_feature, cfg)
     fw = feature_weights(corr_w, [m.feature_tag for m in matrices])
-    fused = fuse(matrices, fw)
+    fused = fuse(matrices, fw, scale)
     return fused, FusionReport(per_feature, corr_w, fw)

@@ -5,11 +5,12 @@ distances; ``bray_curtis`` is the per-coordinate normalized form
 sum_i |u_i - v_i| / |u_i + v_i| (the default downstream), with the textbook
 aggregate form sum|u - v| / sum(u + v) available as a separate measure;
 cosine yields a similarity directly. Distance scores are converted to
-similarity as 1 - D with no clamping. A decoder of one matrix only compares
-scores, but fusion sums weighted matrices, so values far below zero are
-not harmless there: ``bc`` on signed word vectors reaches -1.3e6 (a
-synthetic n=400 pair) where coordinates nearly cancel, and swamps the
-other features (ROADMAP item 1).
+similarity as 1 - D with no clamping, so ``bc`` on signed word vectors
+reaches -1.3e6 (a synthetic n=400 pair) where coordinates nearly cancel.
+Fusion min-max scales each matrix to [0, 1] before it sums them, and the
+A2C decoder scales its scores the same way, so such a range does not
+swamp the other features or the policy's state; min-max does squeeze most
+of such a matrix into a sliver just below 1 (ROADMAP item 13).
 
 The four distances run through one tile loop. A tile is a rectangle of
 (source, target) pairs whose (pair, coordinate) cells fit ``TILE_CELLS``,
@@ -43,6 +44,7 @@ class Measure(str, Enum):
 
 # The measure of the pipeline and of the features stage unless one is given.
 DEFAULT_MEASURE = Measure.BRAY_CURTIS.value
+MEASURES = tuple(m.value for m in Measure)
 
 
 @dataclass

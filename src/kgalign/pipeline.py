@@ -59,7 +59,7 @@ from .kg import (
     neighbor_sets,
     split_alignment,
 )
-from .measures import DEFAULT_MEASURE, Measure, SimilarityMatrix, sim_matrix
+from .measures import DEFAULT_MEASURE, MEASURES, SimilarityMatrix, sim_matrix
 from .metrics import EvalReport, evaluate, gold_ranks
 from .names import load_word_vectors, name_embedding_matrix, string_sim_matrix
 
@@ -141,10 +141,14 @@ class PipelineConfig:
     def __post_init__(self):
         # Paths may come in as os.PathLike (write_synthetic returns Path
         # objects); config.json and the stage keys need them as str.
-        for name in ("triples1", "names1", "triples2", "names2", "gold", "out_dir"):
-            setattr(self, name, os.fspath(getattr(self, name)))
-        if self.vectors is not None:
-            self.vectors = os.fspath(self.vectors)
+        for name in ("triples1", "names1", "triples2", "names2", "gold", "vectors",
+                     "out_dir"):
+            path = getattr(self, name)
+            if not isinstance(path, (str, os.PathLike)):
+                if path is None and name == "vectors":
+                    continue
+                raise ValueError(f"{name} must be a path, got {path!r}")
+            setattr(self, name, os.fspath(path))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         check_features(self.features, self.vectors)
@@ -152,7 +156,8 @@ class PipelineConfig:
         if type(self.resume) is not bool:
             raise ValueError(f"resume must be true or false, got {self.resume!r}")
         check_split_fractions(self.train_frac, self.val_frac)
-        Measure(self.measure)  # validates the flag value
+        if self.measure not in MEASURES:
+            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         check_number("threads", self.threads, 1, integer=True)
         if self.matrix_format not in matio.FORMATS:
             raise ValueError(f"matrix_format must be one of {matio.FORMATS}, "
@@ -408,8 +413,12 @@ class _Run:
         self.outputs[name] = _in_stage(name, self._compute, name)
 
     def output(self, name: str):
+        """Stage ``name``'s output, or with "split" the load stage's whole
+        split: only the embed stage reads its train pairs, so a resume builds
+        it only when embed reruns."""
         if name not in self.outputs:
-            self.outputs[name] = _in_stage(name, self._read, name)
+            self.outputs[name] = _in_stage("load" if name == "split" else name,
+                                           self._read, name)
         return self.outputs[name]
 
     @cached_property
@@ -429,17 +438,18 @@ class _Run:
             split = split_alignment(self.gold, cfg.train_frac, cfg.val_frac, cfg.seed)
             test_ids = [(kg1.entity_ids[s], kg2.entity_ids[t]) for s, t in split.test]
             matio.save_json(files[0], {**vars(split), "test_ids": test_ids})
-            return split, test_ids
-        split, test_ids = self.output("load")
+            self.outputs["split"] = split
+            return split.test, test_ids
+        test, test_ids = self.output("load")
         if name == "embed":
-            z = train(*self.kgs, list(split.train), cfg.train_config())
+            z = train(*self.kgs, list(self.output("split").train), cfg.train_config())
             save_outputs(self.out, name, fmt, *z)
             return z
         if name.startswith("sim_"):
             tag = name.removeprefix("sim_")
             z1, z2 = self.output("embed") if tag == "structural" else (None, None)
             kg1, kg2 = (None, None) if tag == "structural" else self.kgs
-            m = feature_matrix(tag, kg1, kg2, split.test, cfg.measure, z1, z2,
+            m = feature_matrix(tag, kg1, kg2, test, cfg.measure, z1, z2,
                                cfg.vectors, cfg.threads)
             save_outputs(self.out, name, fmt, m.scores)
             return m
@@ -453,23 +463,24 @@ class _Run:
         if name == "align":
             # Only the rl decoder reads the graphs (their neighbours).
             kg1, kg2 = self.kgs if cfg.strategy == "rl" else (None, None)
-            result = decode(cfg.strategy, fused, kg1, kg2, split.test, cfg.rl_config())
+            result = decode(cfg.strategy, fused, kg1, kg2, test, cfg.rl_config())
             matio.save_result(files[0], result, [s for s, _ in test_ids],
                               [t for _, t in test_ids])
             return result
         # Row i of the test split aligns with column i.
-        report = evaluate(self.output("align"), {i: i for i in range(len(split.test))},
+        report = evaluate(self.output("align"), {i: i for i in range(len(test))},
                           gold_ranks(fused.scores), corr_cells)
         save_outputs(self.out, name, fmt, report.to_text(), report.to_json() + "\n")
         return report
 
     def _read(self, name: str):
+        if name in ("load", "split"):
+            parts = matio.load_json(self.out / self.plan["load"].files[0])
+            if name == "split":
+                return AlignmentDataset(*(tuple(map(tuple, parts[part]))
+                                          for part in SPLIT_PARTS))
+            return tuple(map(tuple, parts["test"])), list(map(tuple, parts["test_ids"]))
         files = [self.out / f for f in self.plan[name].files]
-        if name == "load":
-            parts = matio.load_json(files[0])
-            return (AlignmentDataset(*(tuple(map(tuple, parts[part]))
-                                       for part in SPLIT_PARTS)),
-                    list(map(tuple, parts["test_ids"])))
         if name == "embed":
             return tuple(matio.load_matrix(path) for path in files)
         if name.startswith("sim_"):
@@ -530,4 +541,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineArtifacts:
         if done != recorded:
             _save_manifest(manifest, done)
     return PipelineArtifacts(report=run.output("eval"), result=run.output("align"),
-                             out_dir=out, test_pairs=list(run.output("load")[0].test))
+                             out_dir=out, test_pairs=list(run.output("load")[0]))

@@ -528,17 +528,18 @@ def coherence_vector(
     tgt_neighbors: Sequence[frozenset[int]],
     candidates: np.ndarray,
 ) -> np.ndarray:
-    """Count, per candidate, the already-chosen neighbor targets adjacent to it.
+    """Count, per candidate, the already-chosen neighbor targets adjacent to
+    it, capped at 1.
 
     The context is the set of targets picked by u's matched neighbors in the
-    source graph; a candidate scores 1 for each context target it touches in
+    source graph; a candidate scores 1 if it touches any context target in
     the target graph.
     """
     context = {matched[w] for w in src_neighbors[u] if w in matched}
     if not context:
         return np.zeros(len(candidates))
     return np.array(
-        [float(len(context & tgt_neighbors[int(c)])) for c in candidates]
+        [float(min(1, len(context & tgt_neighbors[int(c)]))) for c in candidates]
     )
 
 

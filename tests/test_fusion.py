@@ -195,7 +195,39 @@ class TestAdaptiveFuse:
         assert report.feature_weights.weights == pytest.approx(
             {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
         )
-        np.testing.assert_allclose(fused.scores, scores, atol=1e-12)
+        # Each matrix is min-max scaled before the weighted sum.
+        np.testing.assert_allclose(fused.scores, (scores - scores.min()) / np.ptp(scores),
+                                   atol=1e-12)
+
+    def test_zero_spread_feature_is_named(self):
+        mats = [sm([[0.9, 0.1], [0.2, 0.8]], "a"), sm(np.full((2, 2), 0.5), "b")]
+        with pytest.raises(ValueError, match="^feature 'b' has zero spread: every score is 0.5$"):
+            adaptive_fuse(mats, FusionConfig())
+        # A single matrix is not scaled, so a constant one still passes through.
+        fused, _ = adaptive_fuse(mats[1:], FusionConfig())
+        np.testing.assert_array_equal(fused.scores, mats[1].scores)
+
+    def test_features_enter_on_one_scale(self):
+        # A feature scoring in about [-1e6, 1e6] and one in [0, 1) are each
+        # scaled to [0, 1] before detection and the weighted sum, so neither
+        # swamps the other.
+        rng = np.random.default_rng(10)
+        wide = sm(-1e6 * rng.random((6, 6)) + 2e6 * np.eye(6), "wide")
+        narrow = sm(rng.random((6, 6)), "narrow")
+        fused, report = adaptive_fuse([wide, narrow], FusionConfig())
+
+        def scaled(m):
+            return (m.scores - m.scores.min()) / (m.scores.max() - m.scores.min())
+
+        w = report.feature_weights.weights
+        np.testing.assert_allclose(
+            fused.scores, w["wide"] * scaled(wide) + w["narrow"] * scaled(narrow),
+            atol=1e-12)
+        assert {(c.source, c.target) for c in report.correspondences["wide"]} == {
+            (i, i) for i in range(6)}
+        for tag, m in (("wide", wide), ("narrow", narrow)):
+            for c in report.correspondences[tag]:
+                assert c.score == pytest.approx(scaled(m)[c.source, c.target])
 
     def test_report_text_has_weights_and_cells(self):
         mats = [sm([[0.9, 0.1], [0.1, 0.8]], "a"), sm([[0.2, 0.1], [0.1, 0.3]], "b")]
@@ -206,11 +238,13 @@ class TestAdaptiveFuse:
 
     def test_report_json_has_sorted_cells_weights_and_fallback(self):
         # a detects (1, 1); b detects (0, 0) and, shared with a, (1, 1).
+        # Scaled to [0, 1], a's (1, 1) and b's (0, 0) score 1 > theta1 and
+        # weigh theta2 = 0.48; b's (1, 1) scores 0.25 and weighs 1/2.
         mats = [sm([[0.1, 0.2], [0.3, 0.9]], "a"), sm([[0.9, 0.1], [0.2, 0.3]], "b")]
         _, report = adaptive_fuse(mats, FusionConfig())
         payload = json.loads(report.to_json())
         assert payload == {"cells": [[0, 0], [1, 1]],
-                           "weights": pytest.approx({"a": 0.4, "b": 0.6}),
+                           "weights": pytest.approx({"a": 0.48 / 0.97, "b": 0.49 / 0.97}),
                            "fallback": False}
         assert report.to_json() == json.dumps(payload, indent=2, sort_keys=True)
         _, tied = adaptive_fuse([sm([[0.5, 0.5]], "a")], FusionConfig())

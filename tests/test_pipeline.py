@@ -21,6 +21,7 @@ from kgalign.fusion import FusionConfig
 from kgalign.gcn import TrainConfig
 from kgalign.kg import load_kg, save_alignment
 from kgalign.matio import load_matrix, load_result, save_matrix
+from kgalign.measures import SimilarityMatrix
 from kgalign.metrics import prf
 from kgalign.names import string_sim_matrix
 from kgalign.pipeline import (
@@ -402,6 +403,47 @@ class TestPipeline:
         assert cfg.rl_config() == RlConfig(rng_seed=cfg.seed)
 
 
+class TestDefaultConfig:
+    """Seeded pairs run with only the input paths set, so every other
+    setting is its default: bc, rl, all three features, dim 300, 300 GCN
+    epochs.
+    Before fusion scaled each feature to [0, 1] and the A2C state was
+    bounded, the n=400 run failed at stage align ("epoch 0: policy produced
+    non-finite action probabilities"), and so did structural alone."""
+
+    @staticmethod
+    def paths(tmp_path_factory, n, name_noise):
+        data = tmp_path_factory.mktemp(f"default{n}")
+        return write_synthetic(data, n=n, edge_prob=8 / n, name_noise=name_noise,
+                               rng_seed=7, edge_noise=0.12)
+
+    def test_precision_floor_and_structural_alone(self, tmp_path_factory, tmp_path):
+        paths = self.paths(tmp_path_factory, 400, 0.25)
+        out = tmp_path / "run"
+        assert run_pipeline(PipelineConfig(**paths, out_dir=out)).report.precision >= 0.95
+        # Structural alone is not fused, so only the A2C's own scaling keeps
+        # its bc scores (about [-235, -46]) from diverging. It resumes the
+        # embeddings above.
+        alone = run_pipeline(PipelineConfig(**paths, out_dir=out, features=("structural",),
+                                            resume=True))
+        assert alone.report.precision >= 0.85
+
+    def test_precision_floor_with_noisy_names(self, tmp_path_factory, tmp_path):
+        paths = self.paths(tmp_path_factory, 1000, 0.85)
+        cfg = PipelineConfig(**paths, out_dir=tmp_path / "run", dim=64, epochs=100)
+        assert run_pipeline(cfg).report.precision >= 0.9
+
+    def test_zero_spread_feature_fails_naming_it(self, synth_dir, tmp_path, monkeypatch):
+        def constant(src, tgt, threads):
+            return SimilarityMatrix(np.full((len(src), len(tgt)), 0.5), "string")
+
+        monkeypatch.setattr(pipeline, "string_sim_matrix", constant)
+        with pytest.raises(PipelineError, match="^stage 'fuse' failed: feature 'string' "
+                                                "has zero spread: every score is 0.5$"):
+            run_pipeline(small_config(synth_dir, tmp_path / "run",
+                                      features=("semantic", "string")))
+
+
 class TestResume:
     def test_measure_change_reruns_what_reads_it(self, synth_dir, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -503,6 +545,34 @@ class TestResume:
                 assert {f.name: (f.read_bytes(), f.stat().st_mtime_ns)
                         for f in out.iterdir()} == before
             monkeypatch.undo()
+
+    def test_only_an_embed_rerun_builds_the_train_split(self, synth_dir, tmp_path,
+                                                        monkeypatch):
+        # The current stages read only the test pairs and their ids, so a
+        # resume builds the whole split (and runs its repeat check) only for
+        # a rerunning embed stage, which trains on split.train.
+        out = tmp_path / "run"
+        features = ("structural",)
+        run_pipeline(small_config(synth_dir, out, features=features, strategy="hungarian"))
+        split = json.loads((out / "split.json").read_text(encoding="utf-8"))
+        built = []
+
+        def dataset(*parts, _make=kg.AlignmentDataset):
+            built.append(parts)
+            return _make(*parts)
+
+        monkeypatch.setattr(pipeline, "AlignmentDataset", dataset)
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        run_pipeline(small_config(synth_dir, out, features=features, strategy="hungarian",
+                                  resume=True))
+        assert calls == [] and built == []
+        run_pipeline(small_config(synth_dir, out, features=features, strategy="hungarian",
+                                  epochs=16, resume=True))
+        assert [name for name, _ in calls] == ["train", "feature_matrix", "adaptive_fuse",
+                                               "decode", "evaluate"]
+        assert calls[0][1][2] == [tuple(pair) for pair in split["train"]]
+        assert [list(map(list, part)) for part in built[0]] == [
+            split[part] for part in pipeline.SPLIT_PARTS]
 
     def test_current_resume_rejects_a_repeated_source(self, synth_dir, tmp_path):
         # A repeated source row in result.tsv used to overwrite the first.
@@ -1296,6 +1366,22 @@ class TestCli:
          "--lr must be > 0, got 0.0"),
         ("align", ["--matrix", "m.npy", "--test", "gold.tsv", "--seed", "-1",
                    "--out", "out"], "--seed must be >= 0, got -1"),
+        # An unknown measure used to fail as "'bogus' is not a valid Measure",
+        # and a path that is no string as os.fspath's TypeError: neither
+        # named its key.
+        ("pipeline", ["--config", {"measure": "bogus", "out_dir": "out", "vectors": "v"},
+                      "--triples1", "t1", "--names1", "n1", "--triples2", "t2",
+                      "--names2", "n2", "--gold", "gold.tsv"],
+         "measure must be one of ('bc', 'bct', 'man', 'euc', 'cos'), got 'bogus'"),
+        ("pipeline", ["--config", {"out_dir": ["x"]}, "--triples1", "t1", "--names1", "n1",
+                      "--triples2", "t2", "--names2", "n2", "--gold", "gold.tsv"],
+         "out_dir must be a path, got ['x']"),
+        ("pipeline", ["--config", {"vectors": 3, "out_dir": "out"}, "--triples1", "t1",
+                      "--names1", "n1", "--triples2", "t2", "--names2", "n2",
+                      "--gold", "gold.tsv"], "vectors must be a path, got 3"),
+        ("pipeline", ["--config", {"gold": {"a": 1}, "out_dir": "out"}, "--triples1", "t1",
+                      "--names1", "n1", "--triples2", "t2", "--names2", "n2"],
+         "gold must be a path, got {'a': 1}"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
