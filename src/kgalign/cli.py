@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import matio
 from .collective import AlignmentResult, RlConfig, count_multiplicities
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError
 from .fusion import FusionConfig, adaptive_fuse
 from .gcn import TrainConfig, train
 from .kg import load_alignment, load_kg
@@ -190,21 +190,7 @@ def _cmd_eval(args) -> int:
     result = AlignmentResult(pairs={s: t for s, t, _ in rows},
                              provenance={s: p for s, _, p in rows})
     gold = dict(load_alignment(args.gold))
-    ranks = None
-    if args.ranked:
-        ranked = {}
-        with open(args.ranked, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                source, *targets = line.rstrip("\n").split("\t")
-                if not (source or targets):  # a blank line
-                    continue
-                if not source:
-                    raise ParseError(args.ranked, line_no, "empty source id")
-                if source in ranked:
-                    raise ParseError(args.ranked, line_no,
-                                     f"duplicate source id {source!r}")
-                ranked[source] = targets
-        ranks = ranks_in_lists(ranked, gold)
+    ranks = ranks_in_lists(matio.load_ranked(args.ranked), gold) if args.ranked else None
     report = evaluate(result, gold, ranks)
     sys.stdout.write(report.to_text())
     if args.out:

@@ -5,6 +5,9 @@ external ids (numeric ids or URIs) are preserved so results can be written
 back in terms of the input files. The file layout matches the common
 benchmark distribution: triples as ``head<TAB>rel<TAB>tail``, names as
 ``id<TAB>name``, gold alignments as ``source_id<TAB>target_id``.
+:func:`read_rows` is the one reader of every TSV file, here and in
+:mod:`kgalign.matio`: the loaders walk its rows and check each line as they
+read it, so an error names the first line that breaks a rule.
 
 All containers are treated as immutable after construction and are safe to
 share across workers.
@@ -90,57 +93,25 @@ class AlignmentDataset:
                 seen_tgt[t] = label
 
 
-# Every byte but tab and newline: deleting them leaves a file's separators.
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b"\t\n")))
+def read_rows(path, n_fields: int | None = None, unit: str = "tab-separated fields"):
+    r"""Yield ``(line_no, fields)`` for each nonempty line of ``path``, its
+    tab-separated fields in file order, and raise ParseError at the first
+    line whose field count is not ``n_fields`` ("expected 3 <unit>, got 2");
+    with ``n_fields`` None any count passes.
 
-
-def _read_tsv(path, n_fields: int, unit: str = "tab-separated fields"):
-    r"""The ``n_fields`` columns of ``path``'s nonempty lines, each a list of
-    fields in file order, and a ParseError naming the first line with another
-    field count ("expected 3 <unit>, got 2"), or None if there is none.
-
-    The columns stop before that line. The caller checks them before it
-    raises the error, so a reader names the earliest bad line, whatever is
-    wrong with it. Text mode turns \r\n and a lone \r into \n, and no other
-    character ends a line: not ``str.splitlines``, which also breaks on
-    \x1c, \u2028 and the like. No Python code runs per line: one
-    ``bytes.translate`` of the joined lines checks every field count, and
-    the lines are joined and split once.
+    Text mode turns \r\n and a lone \r into \n, and no other character ends
+    a line: not ``str.splitlines``, which also breaks on \x1c, \u2028 and
+    the like.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = list(filter(None, fh.read().split("\n")))
-    text = "\n".join(lines)
-    row = b"\t" * (n_fields - 1) + b"\n"
-    bad = None
-    if text.encode().translate(None, _NOT_SEPARATORS) != (row * len(lines))[:-1]:
-        # A line has another field count: walk the lines to name the first.
-        got, k = next((line.count("\t") + 1, k) for k, line in enumerate(lines)
-                      if line.count("\t") != n_fields - 1)
-        bad = ParseError(path, _line_no(path, k), f"expected {n_fields} {unit}, got {got}")
-        lines = lines[:k]
-        text = "\n".join(lines)
-    fields = text.replace("\n", "\t").split("\t") if lines else []
-    return [fields[i::n_fields] for i in range(n_fields)], bad
-
-
-def _line_no(path, k: int) -> int:
-    """The line number of row ``k`` (from 0) of :func:`_read_tsv`, the
-    ``k``-th nonempty line of ``path``."""
-    with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    return [i for i, line in enumerate(lines, start=1) if line][k]
-
-
-def _first_repeat(values: list) -> int:
-    """The position of the first value that an earlier position already
-    holds, or ``len(values)`` if no value repeats."""
-    if len(set(values)) == len(values):
-        return len(values)
-    seen = set()
-    for k, value in enumerate(values):
-        if value in seen:
-            return k
-        seen.add(value)
+    for line_no, line in enumerate(lines, start=1):
+        if line:
+            fields = line.split("\t")
+            if n_fields is not None and len(fields) != n_fields:
+                raise ParseError(path, line_no,
+                                 f"expected {n_fields} {unit}, got {len(fields)}")
+            yield line_no, fields
 
 
 def load_kg(triples_path, names_path) -> KnowledgeGraph:
@@ -151,35 +122,27 @@ def load_kg(triples_path, names_path) -> KnowledgeGraph:
     files reproduces the same dense indexing.
     """
     triples_path, names_path = Path(triples_path), Path(names_path)
-    (entity_ids, entity_names), bad = _read_tsv(names_path, 2)
-    k = _first_repeat(entity_ids)
-    if k < len(entity_ids):
-        raise IntegrityError(f"{names_path}:{_line_no(names_path, k)}: "
-                             f"duplicate entity id {entity_ids[k]!r}")
-    if bad:
-        raise bad
-    index = dict(zip(entity_ids, range(len(entity_ids))))
+    index: dict[str, int] = {}
+    entity_names = []
+    for line_no, (eid, name) in read_rows(names_path, 2):
+        if eid in index:
+            raise IntegrityError(f"{names_path}:{line_no}: duplicate entity id {eid!r}")
+        index[eid] = len(index)
+        entity_names.append(name)
 
-    (heads, rels, tails), bad = _read_tsv(triples_path, 3)
-    if not index.keys() >= {*heads, *tails}:
-        k, eid = next((k, eid) for k, pair in enumerate(zip(heads, tails))
-                      for eid in pair if eid not in index)
-        raise IntegrityError(
-            f"{triples_path}:{_line_no(triples_path, k)}: entity id {eid!r} "
-            f"missing from names file {names_path}"
-        )
-    if bad:
-        raise bad
-    # dict.fromkeys keeps each relation's first appearance, in order.
-    relation_ids = tuple(dict.fromkeys(rels))
-    rel_index = dict(zip(relation_ids, range(len(relation_ids))))
-    columns = [np.fromiter(map(ids.__getitem__, col), np.int64, len(col))
-               for ids, col in ((index, heads), (rel_index, rels), (index, tails))]
+    rel_index: dict[str, int] = {}
+    triples: list[int] = []  # flat, as np.array reads a list of tuples slowly
+    for line_no, (h, r, t) in read_rows(triples_path, 3):
+        try:
+            triples += index[h], rel_index.setdefault(r, len(rel_index)), index[t]
+        except KeyError as exc:
+            raise IntegrityError(f"{triples_path}:{line_no}: entity id {exc.args[0]!r} "
+                                 f"missing from names file {names_path}") from None
 
     return KnowledgeGraph(
-        entity_ids=tuple(entity_ids),
-        relation_ids=relation_ids,
-        triples=np.stack(columns, axis=1),
+        entity_ids=tuple(index),
+        relation_ids=tuple(rel_index),
+        triples=np.array(triples, dtype=np.int64).reshape(-1, 3),
         entity_names=tuple(entity_names),
     )
 
@@ -199,18 +162,15 @@ def save_kg(kg: KnowledgeGraph, triples_path, names_path) -> None:
 def load_alignment(path) -> list[tuple[str, str]]:
     """Load gold pairs from a two-column TSV; ids must be unique per side."""
     path = Path(path)
-    (sources, targets), bad = _read_tsv(path, 2)
-    k_src, k_tgt = _first_repeat(sources), _first_repeat(targets)
-    # The earliest line names its repeat, a source before a target.
-    if k_src <= k_tgt and k_src < len(sources):
-        raise IntegrityError(f"{path}:{_line_no(path, k_src)}: "
-                             f"duplicate source id {sources[k_src]!r}")
-    if k_tgt < len(targets):
-        raise IntegrityError(f"{path}:{_line_no(path, k_tgt)}: "
-                             f"duplicate target id {targets[k_tgt]!r}")
-    if bad:
-        raise bad
-    return list(zip(sources, targets))
+    pairs, targets = {}, set()
+    for line_no, (s, t) in read_rows(path, 2):
+        if s in pairs:
+            raise IntegrityError(f"{path}:{line_no}: duplicate source id {s!r}")
+        if t in targets:
+            raise IntegrityError(f"{path}:{line_no}: duplicate target id {t!r}")
+        pairs[s] = t
+        targets.add(t)
+    return list(pairs.items())
 
 
 def save_alignment(pairs, path) -> None:

@@ -1,9 +1,10 @@
-"""File formats for matrices, alignment results, and reports.
+"""File formats for matrices, alignment results, ranked lists, and reports.
 
 The TSV matrix layout is one row per entity: the dense row index, then the
 vector components, all tab-separated. Floats are written with repr so a
 load after save is bit-exact. The binary format is plain .npy. Alignment
-results are ``source_id<TAB>target_id<TAB>provenance`` lines.
+results are ``source_id<TAB>target_id<TAB>provenance`` lines. Every TSV
+file is read through :func:`kgalign.kg.read_rows`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .collective import AlignmentResult
 from .errors import ParseError
-from .kg import _first_repeat, _line_no, _read_tsv
+from .kg import read_rows
 
 FORMATS = ("npy", "tsv")
 
@@ -38,27 +39,18 @@ def load_matrix(path) -> np.ndarray:
     if path.suffix == ".npy":
         return np.load(path)
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                index = int(fields[0])
-                values = [float(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if index != len(rows):
-                raise ParseError(
-                    path, line_no, f"expected row index {len(rows)}, got {index}"
-                )
-            if rows and len(values) != len(rows[0]):
-                raise ParseError(
-                    path, line_no,
-                    f"expected {len(rows[0])} values, got {len(values)}",
-                )
-            rows.append(values)
+    for line_no, (index, *values) in read_rows(path):
+        try:
+            index = int(index)
+            values = [float(x) for x in values]
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        if index != len(rows):
+            raise ParseError(path, line_no, f"expected row index {len(rows)}, got {index}")
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(path, line_no,
+                             f"expected {len(rows[0])} values, got {len(values)}")
+        rows.append(values)
     return np.array(rows, dtype=np.float64)
 
 
@@ -79,19 +71,40 @@ def save_result(
 
 def load_result(path) -> list[tuple[str, str, str]]:
     """The (source id, target id, provenance) rows of a result TSV, in file
-    order, read as the TSV loaders of :mod:`kgalign.kg` read.
+    order, read as :func:`kgalign.kg.read_rows` reads.
 
     A source id may appear once: a repeat raises ParseError naming its line,
-    as a line with another field count than 3 does; the earliest bad line is
-    named. Target ids may repeat.
+    as a line with another field count than 3 does. Target ids may repeat.
     """
-    (sources, targets, provenance), bad = _read_tsv(path, 3, "fields")
-    k = _first_repeat(sources)
-    if k < len(sources):
-        raise ParseError(path, _line_no(path, k), f"duplicate source id {sources[k]!r}")
-    if bad:
-        raise bad
-    return list(zip(sources, targets, provenance))
+    rows = {}
+    for line_no, (source, target, provenance) in read_rows(path, 3, "fields"):
+        if source in rows:
+            raise ParseError(path, line_no, f"duplicate source id {source!r}")
+        rows[source] = source, target, provenance
+    return list(rows.values())
+
+
+def load_ranked(path) -> dict[str, list[str]]:
+    """Each source id's target ids in rank order, from lines
+    ``source_id<TAB>t1<TAB>t2...`` read as :func:`kgalign.kg.read_rows` reads.
+
+    An empty or repeated source id, and a target id that is empty or
+    repeats within its line, raise ParseError naming the line: a repeat
+    would push every later target down a rank.
+    """
+    ranked = {}
+    for line_no, (source, *targets) in read_rows(path):
+        if not source:
+            raise ParseError(path, line_no, "empty source id")
+        if source in ranked:
+            raise ParseError(path, line_no, f"duplicate source id {source!r}")
+        if "" in targets:
+            raise ParseError(path, line_no, "empty target id")
+        if len(set(targets)) < len(targets):
+            repeat = next(t for k, t in enumerate(targets) if t in targets[:k])
+            raise ParseError(path, line_no, f"duplicate target id {repeat!r}")
+        ranked[source] = targets
+    return ranked
 
 
 def save_json(path, payload) -> None:

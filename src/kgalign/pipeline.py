@@ -22,8 +22,8 @@ returned ``PipelineArtifacts``, needs them, and artifacts round-trip
 bit-exactly. ``split.json`` carries the test pairs' external ids, so a
 fully current directory is answered from ``report.json``, ``split.json``
 and ``result.tsv`` alone, and opens the input files only to hash them.
-``result.tsv`` is read in bulk (one split, no Python code per line), and
-the settings reach ``config.json`` and the keys as flat dicts. Any stage
+``result.tsv`` is read by the same per-line reader as every TSV input,
+and the settings reach ``config.json`` and the keys as flat dicts. Any stage
 failure aborts with the stage name and the original cause.
 """
 

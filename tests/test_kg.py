@@ -86,6 +86,10 @@ class TestLoadKg:
         assert np.array_equal(kg2.triples, kg.triples)
 
 
+def names_of(kg):
+    return kg.entity_ids, kg.entity_names
+
+
 class TestLineEndings:
     def test_only_newline_and_carriage_return_end_lines(self, tmp_path):
         triples = write(tmp_path / "t.tsv", "")
@@ -96,6 +100,48 @@ class TestLineEndings:
         kg = load_kg(triples, names)
         assert kg.entity_ids == ("x", "y", "z")
         assert kg.entity_names == ("X", "Y two", "\u2028Z\x85")
+
+    # Four lines of fields per reader, and what the reader makes of them.
+    # U+2028, U+0085 and \x1c sit inside fields: str.splitlines would end
+    # lines there. float() and int() strip U+2028 and U+0085 as whitespace
+    # and refuse \x1c, so the matrix rows hold only the first two.
+    EVERY_READER = {
+        "load_kg": (lambda path: names_of(load_kg(path.with_name("empty.tsv"), path)),
+                    [["x", "X\u2028"], ["y", "Y\x85 two"], ["z", "\x1cZ"], ["w", "W"]],
+                    (("x", "y", "z", "w"), ("X\u2028", "Y\x85 two", "\x1cZ", "W"))),
+        "load_alignment": (load_alignment,
+                           [["a\u2028", "x"], ["b", "y\x85"], ["c\x1c", "z"], ["d", "w"]],
+                           [("a\u2028", "x"), ("b", "y\x85"), ("c\x1c", "z"), ("d", "w")]),
+        "load_result": (matio.load_result,
+                        [["a", "x\u2028", "rl"], ["b", "x", "rl\x85"],
+                         ["c\x1c", "y", "greedy"], ["d", "w", "rl"]],
+                        [("a", "x\u2028", "rl"), ("b", "x", "rl\x85"),
+                         ("c\x1c", "y", "greedy"), ("d", "w", "rl")]),
+        "load_matrix": (lambda path: matio.load_matrix(path).tolist(),
+                        [["0", "1.5\u2028", "2"], ["1\x85", "3", "4"],
+                         ["2", "\u20285", "6\x85"], ["3", "7", "8"]],
+                        [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
+        "load_ranked": (matio.load_ranked,
+                        [["a", "x\u2028", "y"], ["b", "y", "x\x85"], ["c\x1c"], ["d", "w"]],
+                        {"a": ["x\u2028", "y"], "b": ["y", "x\x85"], "c\x1c": [], "d": ["w"]}),
+    }
+
+    @pytest.mark.parametrize("reader", EVERY_READER)
+    def test_every_reader_splits_lines_alike(self, tmp_path, reader):
+        # \r\n, a blank \r\n line, a lone \r, a blank \r line, \n, a blank \n
+        # line and no final newline: seven lines, the odd ones nonempty.
+        load, rows, expected = self.EVERY_READER[reader]
+        write(tmp_path / "empty.tsv", "")
+        lines = ["\t".join(fields) for fields in rows]
+        text = "{}\r\n\r\n{}\r\r{}\n\n{}".format(*lines)
+        path = tmp_path / "input.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load(path) == expected
+        # Each reader rejects a line of four empty fields: the ninth line.
+        path.write_bytes((text + "\r\n\r\n\t\t\t").encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert err.value.line_no == 9
 
     def test_empty_names_file(self, tmp_path):
         names = write(tmp_path / "n.tsv", "")
@@ -166,9 +212,9 @@ def outcome(load, *paths):
 
 
 class TestReadersAgainstLineOracle:
-    """The bulk TSV readers give the values and the errors, with their line
-    numbers, of the per-line walks in ``reference``; the earliest bad line
-    is the one named."""
+    """The TSV readers, which walk ``read_rows``, give the values and the
+    errors, with their line numbers, of the per-line walks in ``reference``;
+    the earliest bad line is the one named."""
 
     @settings(max_examples=300, deadline=None)
     @given(names=tsv_files(2), triples=tsv_files(3), gold=tsv_files(2),

@@ -529,10 +529,10 @@ class TestResume:
             # No TSV outside the run directory is parsed (triples, names, gold),
             # and the input files are opened only to be hashed.
             for module in (kg, matio):
-                def read_tsv(path, *args, _read=module._read_tsv, _out=out):
+                def read_rows(path, *args, _read=module.read_rows, _out=out):
                     assert Path(path).parent == _out, f"a current resume parsed {path}"
                     return _read(path, *args)
-                monkeypatch.setattr(module, "_read_tsv", read_tsv)
+                monkeypatch.setattr(module, "read_rows", read_rows)
             monkeypatch.setattr(pipeline, "_file_key",
                                 lambda path: hashed.append(path) or file_key(path))
             for _ in range(2):
@@ -1178,8 +1178,9 @@ class TestCli:
         assert "multe\t1" in capsys.readouterr().out
 
     def test_eval_rejects_a_repeated_or_empty_ranked_source(self, tmp_path, capsys):
-        # Scoring one of two lists of a source would hide the other; blank
-        # lines are no lists and are skipped.
+        # Scoring one of two lists of a source would hide the other, and a
+        # repeated or empty target would take a rank (b's list y, y, z put z
+        # at rank 3); blank lines are no lists and are skipped.
         (tmp_path / "pred.tsv").write_text("a\tx\tgreedy\nb\ty\tgreedy\n",
                                            encoding="utf-8")
         (tmp_path / "gold.tsv").write_text("a\tx\nb\tz\n", encoding="utf-8")
@@ -1189,6 +1190,9 @@ class TestCli:
         for text, line_no, message in (
             ("a\tx\ty\tz\nb\ty\tz\tx\n\na\ty\tx\tz\n", 4, "duplicate source id 'a'"),
             ("a\tx\ty\tz\n\tz\tx\nb\ty\tz\tx\n", 2, "empty source id"),
+            ("a\tx\ty\tz\n\nb\ty\ty\tz\n", 3, "duplicate target id 'y'"),
+            ("a\tx\t\tz\nb\ty\tz\tx\n", 1, "empty target id"),
+            ("a\tx\ty\tz\nb\ty\tz\tx\t\n", 2, "empty target id"),
         ):
             ranked.write_text(text, encoding="utf-8")
             with pytest.raises(ParseError, match=re.escape(f"ranked.tsv:{line_no}: {message}")):
