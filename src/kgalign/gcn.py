@@ -26,6 +26,16 @@ signs taken into the other, and the backward product is masked, scaled by
 the learning rate and subtracted without a temporary. The output layer is
 linear so embeddings can take negative values. Subgradients at the L1 and
 relu kinks are 0.
+
+Training runs in float32, as the published GCN-Align code does: A_hat, X,
+every per-epoch array, the incidence matrix, the pair buffers, the margin
+and the learning rate. That halves the memory each epoch streams through,
+and with it the time. ``init_features`` draws and normalizes in float64,
+cast once, so the seeded draws do not change. Every dtype is written out,
+so numpy's value-based casting (1.x) and NEP 50 (2.x) give the same bytes.
+``train`` returns float64 arrays, exact casts of the float32 result, so
+saved embeddings and the similarity stage keep their dtype, and a
+squared row norm cannot overflow there.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ Pair = tuple[int, int]
 
 # Names the model behind `train`; the pipeline's embed stage key hashes it, so
 # embeddings written by another encoder are never resumed as this one's.
-ENCODER = "weightless GCN: Z = A_hat relu(A_hat X), X trained"
+ENCODER = "weightless GCN: Z = A_hat relu(A_hat X), X trained in float32"
 
 
 @dataclass
@@ -163,7 +173,7 @@ def _margin_gradient(
     np.take(z, rows[:, 0], axis=0, out=diff, mode="clip")
     np.subtract(diff, np.take(z, rows[:, 1], axis=0, out=sign, mode="clip"), out=diff)
     dist = np.abs(diff, out=sign).sum(axis=1)
-    terms = dist[owner] - dist[n_pos:] + margin
+    terms = dist[owner] - dist[n_pos:] + np.float32(margin)
     active = terms > 0
     loss = float(terms[active].sum())
 
@@ -171,9 +181,10 @@ def _margin_gradient(
     # its negative, at the source row, and the opposite at the target row.
     # Every cell sums small integers, so its order cannot change the value.
     weight = np.concatenate(
-        [np.bincount(owner[active], minlength=n_pos), -active.astype(np.float64)])
+        [np.bincount(owner[active], minlength=n_pos), -active.astype(np.float32)],
+        dtype=np.float32)
     # Into another buffer: in place, np.sign runs several times slower
-    # (numpy 2.4, float64).
+    # (numpy 2.4, float32).
     np.sign(diff, out=sign)
     sign *= weight[:, None]
     return loss, incidence @ sign
@@ -191,18 +202,17 @@ def train(
     Runs ``cfg.epochs`` full-batch gradient steps on the inputs X with
     negatives redrawn every epoch. ``on_epoch`` is called with (epoch, loss)
     after each update, where the loss is that of X before the update.
-    Raises TrainingError when the loss or X becomes non-finite, or when a
-    row of the final embeddings has a squared L2 norm that overflows.
+    Raises TrainingError when the loss or X becomes non-finite.
     """
     if not seeds:
         raise ValueError("need at least one seed pair")
     n1, n2 = kg1.n_entities, kg2.n_entities
-    adj = sp.block_diag((adjacency(kg1), adjacency(kg2)), format="csr")
+    adj = sp.block_diag((adjacency(kg1), adjacency(kg2)), format="csr", dtype=np.float32)
     rng = np.random.default_rng(cfg.rng_seed)
     x = np.concatenate([
         init_features(n1, cfg.dim, int(rng.integers(2**31 - 1))),
         init_features(n2, cfg.dim, int(rng.integers(2**31 - 1))),
-    ])
+    ], dtype=np.float32)
 
     pos = np.asarray(seeds, dtype=np.int64).reshape(-1, 2)
     owner = np.repeat(np.arange(len(pos)), cfg.negatives)
@@ -211,17 +221,19 @@ def train(
     # each epoch's negatives, written into its row indices in place.
     n_pairs = len(pos) + len(owner)
     incidence = sp.csc_matrix(
-        (np.tile([1.0, -1.0], n_pairs), np.zeros(2 * n_pairs, dtype=np.int64),
-         np.arange(0, 2 * n_pairs + 1, 2)),
+        (np.tile(np.array([1, -1], dtype=np.float32), n_pairs),
+         np.zeros(2 * n_pairs, dtype=np.int64), np.arange(0, 2 * n_pairs + 1, 2)),
         shape=(n1 + n2, n_pairs),
     )
     rows = incidence.indices.reshape(-1, 2)
     rows[:len(pos)] = pos + [0, n1]
-    diff, sign = np.empty((n_pairs, cfg.dim)), np.empty((n_pairs, cfg.dim))
+    diff = np.empty((n_pairs, cfg.dim), dtype=np.float32)
+    sign = np.empty((n_pairs, cfg.dim), dtype=np.float32)
+    learning_rate = np.float32(cfg.learning_rate)
     for epoch in range(cfg.epochs):
         rows[len(pos):] = sample(rng) + [0, n1]
         h = adj @ x
-        np.maximum(h, 0.0, out=h)  # relu(P): its positive cells are those of P
+        np.maximum(h, np.float32(0), out=h)  # relu(P): its positive cells are those of P
         loss, g = _margin_gradient(adj @ h, incidence, owner, cfg.margin, diff, sign)
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at epoch {epoch}")
@@ -230,17 +242,11 @@ def train(
         g = adj @ g
         np.multiply(g, h > 0, out=g)
         g = adj @ g
-        g *= cfg.learning_rate
+        g *= learning_rate
         x -= g
         if not np.all(np.isfinite(x)):
             raise TrainingError(f"parameters became non-finite at epoch {epoch}")
         if on_epoch is not None:
             on_epoch(epoch, loss)
-    z = adj @ np.maximum(adj @ x, 0.0)
-    # Finite rows can still overflow a row norm, which cos divides by: the
-    # row would become exact zeros there.
-    overflowed = np.count_nonzero(~np.isfinite(np.einsum("ij,ij->i", z, z)))
-    if overflowed:
-        raise TrainingError(f"the squared L2 norm of {overflowed} of {len(z)} "
-                            f"embedding rows is not finite after epoch {cfg.epochs - 1}")
+    z = (adj @ np.maximum(adj @ x, np.float32(0))).astype(np.float64)
     return z[:n1], z[n1:]

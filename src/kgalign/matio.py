@@ -2,14 +2,16 @@
 
 The TSV matrix layout is one row per entity: the dense row index, then the
 vector components, all tab-separated. Floats are written with repr so a
-load after save is bit-exact. The binary format is plain .npy. Alignment
-results are ``source_id<TAB>target_id<TAB>provenance`` lines. Every TSV
-file is read through :func:`kgalign.kg.read_rows`.
+load after save is bit-exact, and a load accepts only the spellings a save
+writes. The binary format is plain .npy. Alignment results are
+``source_id<TAB>target_id<TAB>provenance`` lines. Every TSV file is read
+through :func:`kgalign.kg.read_rows`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +22,12 @@ from .errors import ParseError
 from .kg import read_rows
 
 FORMATS = ("npy", "tsv")
+
+# What save_matrix writes: str() of a row index and repr() of a float. int()
+# and float() would also take whitespace around a field (U+0085 too),
+# underscores between digits and non-ASCII digits.
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+_FLOAT = re.compile(r"-?(?:[0-9]+\.[0-9]+(?:e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf|nan)")
 
 
 def save_matrix(path, matrix: np.ndarray, fmt: str = "npy") -> None:
@@ -40,17 +48,18 @@ def load_matrix(path) -> np.ndarray:
         return np.load(path)
     rows: list[list[float]] = []
     for line_no, (index, *values) in read_rows(path):
-        try:
-            index = int(index)
-            values = [float(x) for x in values]
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+        if not _INDEX.fullmatch(index):
+            raise ParseError(path, line_no, f"invalid row index {index!r}")
+        for x in values:
+            if not _FLOAT.fullmatch(x):
+                raise ParseError(path, line_no, f"could not convert string to float: {x!r}")
+        index = int(index)
         if index != len(rows):
             raise ParseError(path, line_no, f"expected row index {len(rows)}, got {index}")
         if rows and len(values) != len(rows[0]):
             raise ParseError(path, line_no,
                              f"expected {len(rows[0])} values, got {len(values)}")
-        rows.append(values)
+        rows.append([float(x) for x in values])
     return np.array(rows, dtype=np.float64)
 
 

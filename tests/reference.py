@@ -488,22 +488,23 @@ def loss_and_gradients(
 
 def train_per_graph(kg1, kg2, seeds, cfg, on_epoch) -> tuple[np.ndarray, np.ndarray]:
     """``gcn.train`` with each graph's products on its own adjacency: the
-    same draws, epoch and update, with no block-diagonal matrix."""
-    adj1, adj2 = adjacency(kg1), adjacency(kg2)
+    same draws, float32 casts, epoch and update, with no block-diagonal
+    matrix."""
+    adj1, adj2 = adjacency(kg1).astype(np.float32), adjacency(kg2).astype(np.float32)
     rng = np.random.default_rng(cfg.rng_seed)
     x1 = init_features(kg1.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
     x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
+    x1, x2 = x1.astype(np.float32), x2.astype(np.float32)
+    margin, learning_rate = np.float32(cfg.margin), np.float32(cfg.learning_rate)
     for epoch in range(cfg.epochs):
         negatives = sample_negatives(
             seeds, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
         )
-        loss, dx1, dx2 = loss_and_gradients(
-            adj1, x1, adj2, x2, seeds, negatives, cfg.margin
-        )
-        x1 -= cfg.learning_rate * dx1
-        x2 -= cfg.learning_rate * dx2
+        loss, dx1, dx2 = loss_and_gradients(adj1, x1, adj2, x2, seeds, negatives, margin)
+        x1 -= learning_rate * dx1
+        x2 -= learning_rate * dx2
         on_epoch(epoch, loss)
-    return encode(adj1, x1), encode(adj2, x2)
+    return encode(adj1, x1).astype(np.float64), encode(adj2, x2).astype(np.float64)
 
 
 # -- collective decoding ------------------------------------------------------

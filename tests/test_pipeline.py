@@ -314,6 +314,12 @@ class TestPipeline:
         ("0\t1.0\t2.0\n1\t1.0\tx\n", 2, "could not convert string to float: 'x'"),
         ("0\t1.0\n2\t1.0\n", 2, "expected row index 1, got 2"),
         ("0\t1.0\t2.0\n\n1\t1.0\n", 3, "expected 2 values, got 1"),
+        # int() and float() take these; save_matrix writes none of them.
+        ("0\t1.5 \n", 1, "could not convert string to float: '1.5 '"),
+        ("0\t1.0\n1\x85\t2.0\n", 2, "invalid row index '1\\x85'"),
+        ("0\t1.0\n1_0\t2.0\n", 2, "invalid row index '1_0'"),
+        ("0\t1.0\n1\t2.0\u2028\n", 2, "could not convert string to float: '2.0\\u2028'"),
+        ("0\t1_0.5\n", 1, "could not convert string to float: '1_0.5'"),
     ])
     def test_tsv_matrix_errors_name_their_line(self, tmp_path, text, line_no, message):
         path = tmp_path / "m.tsv"
@@ -716,6 +722,38 @@ class TestResume:
         assert [args[0] for name, args in calls if name == "feature_matrix"] == [
             *FEATURES]
         assert resumed == cold
+        assert dir_bytes(out) == want
+
+    def test_embeddings_of_the_float64_encoder_are_not_resumed(
+            self, synth_dir, tmp_path, monkeypatch):
+        # The encoder trained in float64 before its name gave the dtype. Its
+        # z1/z2 differ from float32 training's, so a manifest it wrote must
+        # rerun embed and every stage that reads it, once: the structural
+        # matrix, fuse, align and eval, not the name-based features.
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out)
+        cold = run_pipeline(cfg)
+        want = dir_bytes(out)
+        monkeypatch.setattr(pipeline, "ENCODER",
+                            "weightless GCN: Z = A_hat relu(A_hat X), X trained")
+        old = {name: stage.key for name, stage in pipeline._plan(cfg).items()}
+        monkeypatch.undo()
+        # The embed key the float64 encoder's pipeline wrote for this directory.
+        assert old["embed"] == (
+            "07aa918526e3193e55ddba0a8f3a3088c1c0d021b7b62824987e7c67c76c8145")
+        for name in ("z1.npy", "z2.npy"):
+            save_matrix(out / name, np.zeros_like(load_matrix(out / name)))
+        matio.save_json(out / pipeline.MANIFEST, old)
+        calls = spy(monkeypatch, *STAGE_CALLS)
+        resumed = run_pipeline(small_config(synth_dir, out, resume=True))
+        assert [name for name, _ in calls] == [
+            "train", "feature_matrix", "adaptive_fuse", "decode", "evaluate"]
+        assert calls[1][1][0] == "structural"
+        assert resumed == cold
+        assert dir_bytes(out) == want
+        calls.clear()
+        assert run_pipeline(small_config(synth_dir, out, resume=True)) == cold
+        assert calls == []
         assert dir_bytes(out) == want
 
 
