@@ -24,7 +24,6 @@ from .fusion import (
     confident_correspondences,
     correspondence_weights,
     feature_weights,
-    fuse,
 )
 from .gcn import TrainConfig, init_features, train
 from .kg import (

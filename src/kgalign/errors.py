@@ -38,17 +38,19 @@ def check_number(name: str, value, low=None, *, integer=False, above=False,
     """Raise ValueError unless ``value`` is a valid numeric setting ``name``:
     with ``integer`` an int or numpy integer (no bool, no 3.0), else a finite
     real number (no bool); then >= ``low``, or > ``low`` with ``above``, and
-    with ``high`` in [``low``, ``high``]. No
-    value is converted, so a valid one reaches config.json and the stage keys
-    as it was given."""
+    <= ``high``. A closed range [``low``, ``high``] is checked first and named
+    whole, NaN included. No value is converted, so a valid one reaches
+    config.json and the stage keys as it was given."""
     kind = type(value)  # int and float skip the slower ABC checks
     if not (kind is int or kind is float and not integer or kind is not bool
             and isinstance(value, numbers.Integral if integer else numbers.Real)):
         rule = "a non-negative integer" if low == 0 else "an integer"
         raise ValueError(f"{name} must be {rule if integer else 'a number'}, got {value!r}")
-    if high is not None and not low <= value <= high:  # NaN fails it too
+    if high is not None and not above and not low <= value <= high:  # NaN fails it too
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     if not (integer or kind is int or math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value}")
     if low is not None and (value <= low if above else value < low):
         raise ValueError(f"{name} must be {'>' if above else '>='} {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")

@@ -187,46 +187,27 @@ def _min_max(m: SimilarityMatrix) -> np.ndarray:
     return scaled
 
 
-def fuse(
-    matrices: Sequence[SimilarityMatrix], weights: FeatureWeights, scale: bool = False
-) -> SimilarityMatrix:
-    """Weighted sum of feature matrices; weights must cover exactly their tags.
-    With ``scale``, each matrix is min-max scaled to [0, 1] first; one scaled
-    copy exists at a time, and it is weighted in place."""
-    if not matrices:
-        raise ValueError("need at least one matrix to fuse")
-    tags = [m.feature_tag for m in matrices]
-    if set(tags) != set(weights.weights) or len(set(tags)) != len(tags):
-        raise ValueError(
-            f"weights cover {sorted(weights.weights)} but matrices are {tags}"
-        )
-    shape = matrices[0].scores.shape
-    for m in matrices[1:]:
-        if m.scores.shape != shape:
-            raise ValueError(
-                f"matrix shapes differ: {shape} vs {m.scores.shape}"
-            )
-
-    def weighted(m: SimilarityMatrix) -> np.ndarray:
-        part = _min_max(m) if scale else m.scores.copy()
-        part *= weights.weights[m.feature_tag]
-        return part
-
-    first, *rest = matrices
-    out = weighted(first)
-    for m in rest:
-        out += weighted(m)
-    return SimilarityMatrix(out, "fused")
-
-
 def adaptive_fuse(
     matrices: Sequence[SimilarityMatrix], cfg: FusionConfig
 ) -> tuple[SimilarityMatrix, FusionReport]:
-    """Run the full chain: scale, detect, weight, normalize, combine. Two or
-    more matrices are each min-max scaled to [0, 1] for detection and again
-    for the sum, so no more than one scaled copy is held at a time. A single
-    matrix is not scaled and gets weight exactly 1.0, so its fused scores are
-    its own."""
+    """Run the full chain: scale, detect, weight, normalize, combine.
+
+    The matrices need distinct tags and one shape; ValueError names the
+    first rule broken, before anything is scaled. Two or more matrices are
+    each min-max scaled to [0, 1] for detection and again for the sum, so no
+    more than one scaled copy is held at a time. A single matrix is not
+    scaled and gets weight exactly 1.0: its scores, not a copy, are the fused
+    scores.
+    """
+    if not matrices:
+        raise ValueError("need at least one matrix to fuse")
+    tags = [m.feature_tag for m in matrices]
+    if len(set(tags)) != len(tags):
+        raise ValueError(f"weights cover {sorted(set(tags))} but matrices are {tags}")
+    shape = matrices[0].scores.shape
+    for m in matrices[1:]:
+        if m.scores.shape != shape:
+            raise ValueError(f"matrix shapes differ: {shape} vs {m.scores.shape}")
     scale = len(matrices) > 1
     per_feature = {
         m.feature_tag: confident_correspondences(
@@ -234,6 +215,12 @@ def adaptive_fuse(
         for m in matrices
     }
     corr_w = correspondence_weights(per_feature, cfg)
-    fw = feature_weights(corr_w, [m.feature_tag for m in matrices])
-    fused = fuse(matrices, fw, scale)
-    return fused, FusionReport(per_feature, corr_w, fw)
+    fw = feature_weights(corr_w, tags)
+    fused = matrices[0].scores
+    if scale:  # one scaled copy at a time, weighted in place
+        fused = np.zeros(shape)
+        for m in matrices:
+            part = _min_max(m)
+            part *= fw.weights[m.feature_tag]
+            fused += part
+    return SimilarityMatrix(fused, "fused"), FusionReport(per_feature, corr_w, fw)

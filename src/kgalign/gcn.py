@@ -54,6 +54,8 @@ Pair = tuple[int, int]
 # Names the model behind `train`; the pipeline's embed stage key hashes it, so
 # embeddings written by another encoder are never resumed as this one's.
 ENCODER = "weightless GCN: Z = A_hat relu(A_hat X), X trained in float32"
+# Training casts margin and learning_rate to float32; a larger value becomes inf.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -67,10 +69,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_number("dim", self.dim, 1, integer=True)
-        check_number("margin", self.margin, 0, above=True)
+        check_number("margin", self.margin, 0, above=True, high=FLOAT32_MAX)
         check_number("epochs", self.epochs, 1, integer=True)
         check_number("negatives", self.negatives, 1, integer=True)
-        check_number("learning_rate", self.learning_rate, 0, above=True)
+        check_number("learning_rate", self.learning_rate, 0, above=True, high=FLOAT32_MAX)
         check_number("rng_seed", self.rng_seed, 0, integer=True)
 
 

@@ -72,25 +72,15 @@ class AlignmentDataset:
     test: tuple[tuple, ...]
 
     def __post_init__(self):
-        pairs = [*self.train, *self.val, *self.test]
-        if len({s for s, _ in pairs}) == len(pairs) == len({t for _, t in pairs}):
-            return
-        # An id repeats: walk the splits to name it and the split it was in.
-        splits = {"train": self.train, "val": self.val, "test": self.test}
-        seen_src: dict = {}
-        seen_tgt: dict = {}
-        for label, pairs in splits.items():
-            for s, t in pairs:
-                if s in seen_src:
-                    raise IntegrityError(
-                        f"source {s!r} appears in both {seen_src[s]} and {label}"
-                    )
-                if t in seen_tgt:
-                    raise IntegrityError(
-                        f"target {t!r} appears in both {seen_tgt[t]} and {label}"
-                    )
-                seen_src[s] = label
-                seen_tgt[t] = label
+        seen: dict = {}  # (side, id) -> the split it was first seen in
+        for label in ("train", "val", "test"):
+            for s, t in getattr(self, label):
+                for key in (("source", s), ("target", t)):
+                    if key in seen:
+                        where = (f"twice in {label}" if seen[key] == label
+                                 else f"in both {seen[key]} and {label}")
+                        raise IntegrityError(f"{key[0]} {key[1]!r} appears {where}")
+                    seen[key] = label
 
 
 def read_rows(path, n_fields: int | None = None, unit: str = "tab-separated fields"):
@@ -207,6 +197,15 @@ def split_alignment(
     )
 
 
+def _edges(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct undirected edge once, as index arrays ``(i, j)`` with
+    ``i < j``, sorted by ``(i, j)``; self-loops are left out."""
+    n = kg.n_entities
+    ends = kg.triples[:, [0, 2]]
+    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+    return np.divmod(np.unique(ends[:, 0] * n + ends[:, 1]), n)
+
+
 def adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
     """Build D^(-1/2) (A + I) D^(-1/2) over the undirected entity graph, as
     CSR with sorted column indices.
@@ -216,9 +215,7 @@ def adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
     symmetry is bitwise.
     """
     n = kg.n_entities
-    ends = kg.triples[:, [0, 2]]
-    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
-    i, j = np.divmod(np.unique(ends[:, 0] * n + ends[:, 1]), n)
+    i, j = _edges(kg)
     # Degrees are integer counts, so they are exact whatever the summation order.
     degrees = 1.0 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
@@ -235,15 +232,14 @@ def adjacency(kg: KnowledgeGraph) -> sp.csr_matrix:
 
 
 def neighbor_sets(kg: KnowledgeGraph) -> tuple[frozenset[int], ...]:
-    """Per-entity undirected neighbor sets, self-loops left out.
+    """Per-entity undirected neighbor sets, self-loops left out: the entities
+    that share an edge of :func:`adjacency`'s graph with it.
 
-    Both directions of every other triple are grouped by entity with one
-    argsort, and each entity's slice becomes its set.
+    Both ends of every distinct edge are grouped by entity with one argsort,
+    and each entity's slice becomes its set.
     """
-    heads, tails = kg.triples[:, 0], kg.triples[:, 2]
-    keep = heads != tails
-    ends = np.concatenate([heads[keep], tails[keep]])
-    others = np.concatenate([tails[keep], heads[keep]])
+    i, j = _edges(kg)
+    ends, others = np.concatenate([i, j]), np.concatenate([j, i])
     order = ends.argsort()
     bounds = ends[order].searchsorted(np.arange(kg.n_entities + 1)).tolist()
     ids = others[order].tolist()

@@ -1,6 +1,6 @@
 """Distance measures and embedding-to-similarity-matrix conversion.
 
-Four measures are supported. Manhattan and euclidean are the usual vector
+Five measures are supported. Manhattan and euclidean are the usual vector
 distances; ``bray_curtis`` is the per-coordinate normalized form
 sum_i |u_i - v_i| / |u_i + v_i| (the default downstream), with the textbook
 aggregate form sum|u - v| / sum(u + v) available as a separate measure;

@@ -9,7 +9,7 @@ precision of confident correspondences supports fusion diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ _RANK_BLOCK = 256
 
 @dataclass
 class EvalReport:
+    """One run's scores. ``to_text`` writes one line per field, in field order,
+    with ``hits`` as one ``hits@k`` line per k in ascending order and fields
+    that are None left out; ``to_json`` writes every field."""
+
     precision: float
     recall: float
     f1: float
@@ -33,34 +37,18 @@ class EvalReport:
     poc: float | None = None
 
     def to_text(self) -> str:
-        lines = [
-            f"precision\t{self.precision!r}",
-            f"recall\t{self.recall!r}",
-            f"f1\t{self.f1!r}",
-        ]
-        for k in sorted(self.hits):
-            lines.append(f"hits@{k}\t{self.hits[k]!r}")
-        for name in ("mrr", "mulse", "multe", "poc"):
-            value = getattr(self, name)
-            if value is not None:
+        lines = []
+        for name, value in asdict(self).items():
+            if name == "hits":
+                lines += [f"hits@{k}\t{value[k]!r}" for k in sorted(value)]
+            elif value is not None:
                 lines.append(f"{name}\t{value!r}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-                "hits": {str(k): v for k, v in self.hits.items()},
-                "mrr": self.mrr,
-                "mulse": self.mulse,
-                "multe": self.multe,
-                "poc": self.poc,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        payload = asdict(self)
+        payload["hits"] = {str(k): v for k, v in self.hits.items()}
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

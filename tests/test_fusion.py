@@ -13,7 +13,6 @@ from kgalign.fusion import (
     confident_correspondences,
     correspondence_weights,
     feature_weights,
-    fuse,
 )
 from kgalign.measures import SimilarityMatrix
 
@@ -138,52 +137,30 @@ class TestFeatureWeights:
 
 
 class TestFuse:
-    def test_equal_weights_identical_matrices(self):
-        a = sm(np.full((3, 3), 0.4), "a")
-        b = sm(np.full((3, 3), 0.4), "b")
-        fused = fuse([a, b], FeatureWeights({"a": 0.5, "b": 0.5}))
-        np.testing.assert_allclose(fused.scores, 0.4)
-        assert fused.feature_tag == "fused"
-
-    def test_degenerate_weights(self):
-        rng = np.random.default_rng(6)
-        a = sm(rng.random((4, 4)), "a")
-        b = sm(rng.random((4, 4)), "b")
-        fused = fuse([a, b], FeatureWeights({"a": 1.0, "b": 0.0}))
-        np.testing.assert_array_equal(fused.scores, a.scores)
-
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(7)
-        mats = [sm(rng.random((5, 5)), t) for t in ("a", "b", "c")]
-        w = {"a": 0.2, "b": 0.3, "c": 0.5}
-        fused = fuse(mats, FeatureWeights(w))
-        expected = sum(w[m.feature_tag] * m.scores for m in mats)
-        np.testing.assert_allclose(fused.scores, expected, atol=1e-12)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(8)
-        a = rng.random((3, 4))
-        b = rng.random((3, 4))
-        fused = fuse(
-            [sm(2 * a, "a"), sm(3 * b, "b")],
-            FeatureWeights({"a": 0.6, "b": 0.4}),
-        )
-        np.testing.assert_allclose(fused.scores, 1.2 * a + 1.2 * b, atol=1e-12)
-
+    # Bad input is rejected before any matrix is scaled: these zero-spread
+    # matrices would fail the scaling.
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse(
-                [sm(np.zeros((2, 2)), "a"), sm(np.zeros((2, 3)), "b")],
-                FeatureWeights({"a": 0.5, "b": 0.5}),
-            )
+        with pytest.raises(ValueError, match=r"^matrix shapes differ: \(2, 2\) vs \(2, 3\)$"):
+            adaptive_fuse([sm(np.zeros((2, 2)), "a"), sm(np.zeros((2, 3)), "b")],
+                          FusionConfig())
 
     def test_no_matrices_rejected(self):
-        with pytest.raises(ValueError, match="need at least one matrix to fuse"):
-            fuse([], FeatureWeights({}))
+        with pytest.raises(ValueError, match="^need at least one matrix to fuse$"):
+            adaptive_fuse([], FusionConfig())
 
-    def test_missing_weight(self):
-        with pytest.raises(ValueError):
-            fuse([sm(np.zeros((2, 2)), "a")], FeatureWeights({"b": 1.0}))
+    def test_repeated_tag_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^weights cover \['a'\] but matrices are \['a', 'a'\]$"):
+            adaptive_fuse([sm(np.zeros((2, 2)), "a"), sm(np.zeros((2, 2)), "a")],
+                          FusionConfig())
+
+    def test_single_feature_is_handed_through(self):
+        m = sm(np.random.default_rng(6).random((4, 4)), "a")
+        fused, report = adaptive_fuse([m], FusionConfig())
+        np.testing.assert_array_equal(fused.scores, m.scores)
+        assert np.shares_memory(fused.scores, m.scores)
+        assert fused.feature_tag == "fused"
+        assert report.feature_weights.weights == {"a": 1.0}
 
 
 class TestAdaptiveFuse:

@@ -255,8 +255,9 @@ class TestAlignmentDataset:
         ((("s1", "t1"),), (), (("s1", "t2"),), "source 's1' appears in both train and test"),
         ((("s1", "t1"),), (("s2", "t1"),), (), "target 't1' appears in both train and val"),
         ((), (), (("s1", "t1"), ("s2", "t2"), ("s1", "t3")),
-         "source 's1' appears in both test and test"),
+         "source 's1' appears twice in test"),
         ((("s1", "t1"),), (("s1", "t1"),), (), "source 's1' appears in both train and val"),
+        ((("s1", "t1"), ("s2", "t1")), (), (), "target 't1' appears twice in train"),
     ])
     def test_repeat_names_the_id_and_its_splits(self, train, val, test, message):
         with pytest.raises(IntegrityError, match=f"^{message}$"):

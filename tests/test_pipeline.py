@@ -262,6 +262,10 @@ class TestPipeline:
         ({"features": {"string"}}, "^features must be a list or tuple of tags"),
         ({"resume": "false"}, "^resume must be true or false, got 'false'"),
         ({"resume": 1}, "^resume must be true or false, got 1"),
+        # Training casts both to float32, where 1e39 is inf.
+        ({"learning_rate": 1e39}, r"^learning_rate must be <= 3.4028234663852886e\+38, "
+                                  r"got 1e\+39$"),
+        ({"margin": 1e39}, r"^margin must be <= 3.4028234663852886e\+38, got 1e\+39$"),
     ])
     def test_bad_settings_raise_at_construction(self, synth_dir, tmp_path,
                                                 overrides, message):
@@ -1424,6 +1428,8 @@ class TestCli:
         ("pipeline", ["--config", {"gold": {"a": 1}, "out_dir": "out"}, "--triples1", "t1",
                       "--names1", "n1", "--triples2", "t2", "--names2", "n2"],
          "gold must be a path, got {'a': 1}"),
+        ("embed", ["--train", "gold.tsv", "--out", "out", "--lr", "1e39"],
+         "--lr must be <= 3.4028234663852886e+38, got 1e+39"),
     ])
     def test_rejected_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys,
                                                 command, flags, message):
