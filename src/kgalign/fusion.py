@@ -202,8 +202,9 @@ def adaptive_fuse(
     if not matrices:
         raise ValueError("need at least one matrix to fuse")
     tags = [m.feature_tag for m in matrices]
-    if len(set(tags)) != len(tags):
-        raise ValueError(f"weights cover {sorted(set(tags))} but matrices are {tags}")
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"feature tag {tag!r} appears twice")
     shape = matrices[0].scores.shape
     for m in matrices[1:]:
         if m.scores.shape != shape:

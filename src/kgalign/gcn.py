@@ -27,6 +27,13 @@ the learning rate and subtracted without a temporary. The output layer is
 linear so embeddings can take negative values. Subgradients at the L1 and
 relu kinks are 0.
 
+Every epoch has its own negatives, k corrupted pairs per seed pair. One
+sampler pass draws them for a block of epochs, at most
+``NEGATIVE_BLOCK_CELLS`` pairs, and each epoch copies its slice into the
+incidence matrix. A pass makes a dozen numpy calls whatever its size: one
+pass per epoch would spend a sixth of a 300-pair epoch on them. Blocking
+changes the order in which the draws are used, not their distribution.
+
 Training runs in float32, as the published GCN-Align code does: A_hat, X,
 every per-epoch array, the incidence matrix, the pair buffers, the margin
 and the learning rate. That halves the memory each epoch streams through,
@@ -41,7 +48,7 @@ squared row norm cannot overflow there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,19 +103,33 @@ def init_features(n: int, dim: int, rng_seed: int) -> np.ndarray:
 
 
 _MAX_ATTEMPTS = 100
+# Negative slots one sampler pass draws at most, one slot being one corrupted
+# pair of one epoch: a pass draws this many slots' worth of whole epochs, at
+# least one. Its temporaries, about 100 bytes a slot, stay under a megabyte;
+# 300 epochs of the 15K default's 18,000 slots at once would take 500 MB.
+NEGATIVE_BLOCK_CELLS = 8192
+# Fibonacci hashing's multiplier: 2**64 over the golden ratio, rounded down (odd).
+_KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 class _NegativeSampler:
-    """Draws (len(pos) * k, 2) corrupted pairs, k per positive in order, once
-    per call; everything that depends only on the positives and the pools is
-    set up once, at construction.
+    """Draws k corrupted pairs per positive, in order, for a block of
+    epochs at a time; everything that depends only on the positives and the
+    pools is set up once, at construction.
 
     Each replaces exactly one side of its positive, chosen by a fair coin,
     with an entity drawn uniformly from that side's KG; a candidate colliding
     with any positive is redrawn, at most 100 times per slot before
     :class:`SamplingError`. A call is rounds of array draws over the slots
-    still open: one coin and one replacement per open slot, then one lookup
-    of the candidates among the positives.
+    still open, in every epoch of its block at once: one coin and one
+    replacement per open slot, then one lookup of the candidates among the
+    positives. A block is ``block`` epochs, as many as fit
+    ``NEGATIVE_BLOCK_CELLS`` slots and at least one.
+
+    The lookup is a binary search over the positives' sorted keys, which
+    costs about 40 ns a candidate on random keys. A bool table over 16 bits
+    of a hash of the key comes first, so only the candidates that hit it
+    are searched: the positives and about len(pos) / 65536 of the rest.
     """
 
     def __init__(self, pos: np.ndarray, k: int, n_source: int, n_target: int):
@@ -118,40 +139,70 @@ class _NegativeSampler:
         self.pools = np.array([n_source, n_target])
         if pos.size and (pos.min() < 0 or (pos.max(axis=0) >= self.pools).any()):
             raise ValueError("a positive pair is outside the entity pools")
-        self.slots = np.repeat(pos, k, axis=0)
+        self.per_epoch = len(pos) * k
+        self.block = max(1, NEGATIVE_BLOCK_CELLS // max(1, self.per_epoch))
+        self.slots = np.tile(np.repeat(pos, k, axis=0), (self.block, 1))
         self.index = np.arange(len(self.slots))
-        # A pair (s, t) is the key s * n_target + t, which needs 64 bits.
-        self.place = np.array([n_target, 1], dtype=np.uint64)
-        self.pos_keys = np.unique(pos.astype(np.uint64) @ self.place)
+        self.n_target = np.uint64(n_target)
+        self.pos_keys = np.unique(self._keys(pos))
+        self.maybe_pos = np.zeros(1 << 16, dtype=bool)
+        self.maybe_pos[self._hash(self.pos_keys)] = True
+
+    def _keys(self, pairs: np.ndarray) -> np.ndarray:
+        """Each pair (s, t) as the key s * n_target + t, which needs 64 bits."""
+        pairs = pairs.astype(np.uint64)
+        return pairs[:, 0] * self.n_target + pairs[:, 1]
+
+    @staticmethod
+    def _hash(keys: np.ndarray) -> np.ndarray:
+        """The top 16 bits of each key times ``_KEY_HASH`` (mod 2**64), as
+        int64: a uint64 index is cast on every lookup."""
+        return ((keys * _KEY_HASH) >> np.uint64(48)).view(np.int64)
 
     def _corrupt(self, rng: np.random.Generator, cand: np.ndarray) -> np.ndarray:
-        """Replace one side of each row of ``cand`` in place; True where the
-        row became a positive."""
+        """Replace one side of each row of ``cand`` in place; the indices of
+        the rows that became a positive."""
         side = rng.integers(2, size=len(cand))
         cand[self.index[:len(cand)], side] = rng.integers(self.pools[side])
-        keys = cand.astype(np.uint64) @ self.place
-        nearest = np.minimum(np.searchsorted(self.pos_keys, keys), len(self.pos_keys) - 1)
-        return self.pos_keys[nearest] == keys
+        return self._collisions(cand)
 
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        out = self.slots.copy()
+    def _collisions(self, pairs: np.ndarray) -> np.ndarray:
+        """The indices of the rows of ``pairs`` that are positives."""
+        keys = self._keys(pairs)
+        maybe = np.flatnonzero(self.maybe_pos[self._hash(keys)])
+        keys = keys[maybe]
+        nearest = np.minimum(np.searchsorted(self.pos_keys, keys), len(self.pos_keys) - 1)
+        return maybe[self.pos_keys[nearest] == keys]
+
+    def __call__(self, rng: np.random.Generator, epochs: int = 1) -> np.ndarray:
+        """The negatives of ``epochs`` (at most ``block``) epochs, epoch
+        after epoch: (epochs * len(pos) * k, 2) pairs."""
+        slots = self.slots[:epochs * self.per_epoch]
+        out = slots.copy()
         # The first round draws for every slot, straight into the output;
         # each later one only for the slots whose candidate hit a positive.
-        todo = np.flatnonzero(self._corrupt(rng, out))
+        todo = self._corrupt(rng, out)
         for _ in range(_MAX_ATTEMPTS - 1):
             if not len(todo):
                 break
-            cand = self.slots[todo]
+            cand = slots[todo]
             collided = self._corrupt(rng, cand)
             out[todo] = cand
             todo = todo[collided]
         if len(todo):
-            s, t = self.slots[todo[0]]
+            s, t = slots[todo[0]]
             raise SamplingError(
                 f"could not corrupt pair ({s}, {t}) without colliding "
                 f"with a positive; entity pools too small"
             )
         return out
+
+    def each_epoch(self, rng: np.random.Generator, epochs: int) -> Iterator[np.ndarray]:
+        """Each of ``epochs`` epochs' (len(pos) * k, 2) negatives, drawn a
+        block at a time when its first epoch is reached."""
+        for start in range(0, epochs, self.block):
+            n = min(self.block, epochs - start)
+            yield from self(rng, n).reshape(n, self.per_epoch, 2)
 
 
 def _margin_gradient(
@@ -201,8 +252,9 @@ def train(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train structural embeddings for both KGs and return (Z1, Z2).
 
-    Runs ``cfg.epochs`` full-batch gradient steps on the inputs X with
-    negatives redrawn every epoch. ``on_epoch`` is called with (epoch, loss)
+    Runs ``cfg.epochs`` full-batch gradient steps on the inputs X, each
+    against its own negatives, drawn a block of epochs at a time (see
+    ``_NegativeSampler``). ``on_epoch`` is called with (epoch, loss)
     after each update, where the loss is that of X before the update.
     Raises TrainingError when the loss or X becomes non-finite.
     """
@@ -228,12 +280,14 @@ def train(
         shape=(n1 + n2, n_pairs),
     )
     rows = incidence.indices.reshape(-1, 2)
-    rows[:len(pos)] = pos + [0, n1]
+    offset = np.array([0, n1])
+    rows[:len(pos)] = pos + offset
+    negative_rows = rows[len(pos):]
     diff = np.empty((n_pairs, cfg.dim), dtype=np.float32)
     sign = np.empty((n_pairs, cfg.dim), dtype=np.float32)
     learning_rate = np.float32(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        rows[len(pos):] = sample(rng) + [0, n1]
+    for epoch, negatives in enumerate(sample.each_epoch(rng, cfg.epochs)):
+        np.add(negatives, offset, out=negative_rows)
         h = adj @ x
         np.maximum(h, np.float32(0), out=h)  # relu(P): its positive cells are those of P
         loss, g = _margin_gradient(adj @ h, incidence, owner, cfg.margin, diff, sign)
@@ -244,8 +298,10 @@ def train(
         g = adj @ g
         np.multiply(g, h > 0, out=g)
         g = adj @ g
-        g *= learning_rate
-        x -= g
+        # An overflow here is raised below, by name, as TrainingError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= learning_rate
+            x -= g
         if not np.all(np.isfinite(x)):
             raise TrainingError(f"parameters became non-finite at epoch {epoch}")
         if on_epoch is not None:

@@ -394,7 +394,11 @@ def sample_negatives(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    neg = _NegativeSampler(pos, k, n_source, n_target)(rng)
+    return _groups(_NegativeSampler(pos, k, n_source, n_target)(rng), k)
+
+
+def _groups(neg: np.ndarray, k: int) -> list[list[Pair]]:
+    """(len(pos) * k, 2) negatives as one list of k pairs per positive."""
     pairs = list(zip(neg[:, 0].tolist(), neg[:, 1].tolist()))
     return [pairs[i:i + k] for i in range(0, len(pairs), k)]
 
@@ -488,18 +492,18 @@ def loss_and_gradients(
 
 def train_per_graph(kg1, kg2, seeds, cfg, on_epoch) -> tuple[np.ndarray, np.ndarray]:
     """``gcn.train`` with each graph's products on its own adjacency: the
-    same draws, float32 casts, epoch and update, with no block-diagonal
-    matrix."""
+    same draws (the sampler's, a block of epochs at a time), float32 casts,
+    epoch and update, with no block-diagonal matrix."""
     adj1, adj2 = adjacency(kg1).astype(np.float32), adjacency(kg2).astype(np.float32)
     rng = np.random.default_rng(cfg.rng_seed)
     x1 = init_features(kg1.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
     x2 = init_features(kg2.n_entities, cfg.dim, int(rng.integers(2**31 - 1)))
     x1, x2 = x1.astype(np.float32), x2.astype(np.float32)
     margin, learning_rate = np.float32(cfg.margin), np.float32(cfg.learning_rate)
-    for epoch in range(cfg.epochs):
-        negatives = sample_negatives(
-            seeds, cfg.negatives, rng, kg1.n_entities, kg2.n_entities
-        )
+    sampler = _NegativeSampler(np.asarray(seeds, dtype=np.int64).reshape(-1, 2),
+                               cfg.negatives, kg1.n_entities, kg2.n_entities)
+    for epoch, neg in enumerate(sampler.each_epoch(rng, cfg.epochs)):
+        negatives = _groups(neg, cfg.negatives)
         loss, dx1, dx2 = loss_and_gradients(adj1, x1, adj2, x2, seeds, negatives, margin)
         x1 -= learning_rate * dx1
         x2 -= learning_rate * dx2

@@ -150,7 +150,7 @@ class TestFuse:
 
     def test_repeated_tag_rejected(self):
         with pytest.raises(ValueError,
-                           match=r"^weights cover \['a'\] but matrices are \['a', 'a'\]$"):
+                           match=r"^feature tag 'a' appears twice$"):
             adaptive_fuse([sm(np.zeros((2, 2)), "a"), sm(np.zeros((2, 2)), "a")],
                           FusionConfig())
 
